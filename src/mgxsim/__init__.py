@@ -21,7 +21,6 @@ from .crypto import (
     compute_mac,
     keystream_xor,
     keystream_xor_at,
-    verify_mac,
 )
 from .dram import (
     BitFlip,
@@ -65,7 +64,6 @@ __all__ = [
     "compute_mac",
     "keystream_xor",
     "keystream_xor_at",
-    "verify_mac",
 ]
 
 __version__ = "0.1.0"

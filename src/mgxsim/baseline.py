@@ -28,11 +28,13 @@ been written and reject on read.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .crypto import EncryptionKey, MacKey, compute_mac, keystream_xor
-from .dram import DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, AccessRecord, PhysicalMemory
+from .dram import DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, PhysicalMemory
 from .errors import ConfigError, TamperDetected
+from .mgx import ObjectDescriptor
 
 VN_LIMIT = 1 << 56  # counters are 56-bit; reaching the limit forces a re-key
 _CTR_W = 7  # packed width of one counter / one stored tag, bytes
@@ -100,13 +102,6 @@ class BaselineGeometry:
     def level_line_addr(self, level: int, index: int) -> int:
         return self.level_bases[level] + index * LINE
 
-    def level_of(self, addr: int) -> int | None:
-        """Level index for a metadata counter-line address, None otherwise."""
-        for lv, base in enumerate(self.level_bases):
-            if base <= addr < base + self.level_counts[lv] * LINE:
-                return lv
-        return None
-
 
 def pack_counter_line(counters: list[int], mac7: bytes) -> bytes:
     out = bytearray(LINE)
@@ -148,7 +143,8 @@ class BaselineMee:
     All DRAM traffic it generates is visible in memory.log. With crypto=False
     the engine moves zero payloads and skips cipher/MAC arithmetic while
     producing the identical access stream; integrity checks are meaningful only
-    with crypto=True.
+    with crypto=True. Every object in `objects` must start on a 64-byte line,
+    since the object interface widens each access to whole lines.
     """
 
     def __init__(
@@ -159,12 +155,18 @@ class BaselineMee:
         mac_key: MacKey,
         *,
         crypto: bool = True,
+        objects: Iterable[ObjectDescriptor] = (),
     ):
         self.geom = BaselineGeometry(config)
         if self.geom.meta_end > memory.capacity:
             raise ConfigError(
                 f"metadata ends at 0x{self.geom.meta_end:x}, beyond memory capacity"
             )
+        for obj in objects:
+            if obj.base % LINE:
+                raise ConfigError(
+                    f"object {obj.obj_id} base 0x{obj.base:x} not 64-byte aligned"
+                )
         self.mem = memory
         self.enc_key = enc_key
         self.mac_key = mac_key
@@ -324,18 +326,15 @@ class BaselineMee:
 
     # -- block interface ----------------------------------------------------
 
-    def write_block(self, pa: int, plaintext: bytes | None = None) -> list[AccessRecord]:
-        """Encrypt and store one 64-byte block; returns the accesses issued."""
+    def write_block(self, pa: int, plaintext: bytes | None = None) -> None:
+        """Encrypt and store one 64-byte block."""
         if pa % LINE:
             raise ConfigError(f"block address 0x{pa:x} not 64-byte aligned")
         if not self.geom.contains(pa):
-            data = plaintext if plaintext is not None else bytes(LINE)
-            start = len(self.mem.log)
-            self.mem.write(pa, data, DATA)
-            return self.mem.log[start:]
+            self.mem.write(pa, plaintext if plaintext is not None else bytes(LINE), DATA)
+            return
         if plaintext is not None and len(plaintext) != LINE:
             raise ValueError("block writes take exactly 64 bytes")
-        start = len(self.mem.log)
         block = self.geom.block_index(pa)
         leaf = self._ensure_counter(0, block // self.geom.cfg.arity)
         vn = self._bump(leaf.counters, block % self.geom.cfg.arity)
@@ -350,20 +349,14 @@ class BaselineMee:
         if self.crypto:
             mline.slots[slot] = compute_mac(self.mac_key, ct, pa, vn).tag[:_CTR_W]
         mline.dirty = True
-        return self.mem.log[start:]
 
-    def read_block(self, pa: int) -> tuple[bytes, bool, list[AccessRecord]]:
-        """Fetch, authenticate and decrypt one block.
-
-        Returns (plaintext, accepted, accesses). Every integrity failure
-        raises TamperDetected; the accepted flag exists so callers can treat
-        acceptance uniformly with the other scheme.
-        """
+    def read_block(self, pa: int) -> bytes:
+        """Fetch, authenticate and decrypt one block. Every integrity failure
+        raises TamperDetected."""
         if pa % LINE:
             raise ConfigError(f"block address 0x{pa:x} not 64-byte aligned")
-        start = len(self.mem.log)
         if not self.geom.contains(pa):
-            return self.mem.read(pa, LINE, DATA), True, self.mem.log[start:]
+            return self.mem.read(pa, LINE, DATA)
         block = self.geom.block_index(pa)
         leaf = self._ensure_counter(0, block // self.geom.cfg.arity)
         vn = leaf.counters[block % self.geom.cfg.arity]
@@ -372,31 +365,42 @@ class BaselineMee:
         ct = self.mem.read(pa, LINE, DATA)
         mac_line_addr, slot = self.geom.mac_slot(block)
         mline = self._ensure_mac_line((mac_line_addr - self.geom.mac_base) // LINE)
-        if self.crypto:
-            want = compute_mac(self.mac_key, ct, pa, vn).tag[:_CTR_W]
-            if want != mline.slots[slot]:
-                raise TamperDetected("data block MAC mismatch", pa)
-            pt = keystream_xor(self.enc_key, pa, vn, ct)
-        else:
-            pt = bytes(LINE)
-        return pt, True, self.mem.log[start:]
+        if not self.crypto:
+            return bytes(LINE)
+        want = compute_mac(self.mac_key, ct, pa, vn).tag[:_CTR_W]
+        if want != mline.slots[slot]:
+            raise TamperDetected("data block MAC mismatch", pa)
+        return keystream_xor(self.enc_key, pa, vn, ct)
 
-    # -- span convenience (used by the trace replayer) ----------------------
+    # -- object interface (used by the trace replayer) ----------------------
+    #
+    # Accesses widen to the whole 64-byte lines of the object that hold the
+    # requested range. `vn` is unused: this scheme keeps a stored VN per block.
 
-    def store(self, addr: int, data: bytes) -> list[AccessRecord]:
-        if addr % LINE or len(data) % LINE:
-            raise ConfigError("span stores must be 64-byte aligned and sized")
-        start = len(self.mem.log)
-        for off in range(0, len(data), LINE):
-            self.write_block(addr + off, data[off : off + LINE])
-        return self.mem.log[start:]
+    def rekey(self):
+        """Stored VNs do not depend on the accelerator's on-chip counters, so
+        a wrap of one of those needs no key change here."""
 
-    def load(self, addr: int, length: int) -> tuple[bytes, bool, list[AccessRecord]]:
-        if addr % LINE or length % LINE:
-            raise ConfigError("span loads must be 64-byte aligned and sized")
-        start = len(self.mem.log)
-        parts = []
-        for off in range(0, length, LINE):
-            pt, _, _ = self.read_block(addr + off)
-            parts.append(pt)
-        return b"".join(parts), True, self.mem.log[start:]
+    def store(
+        self,
+        obj: ObjectDescriptor,
+        vn: int,
+        offset: int,
+        length: int,
+        plaintext: Callable[[int, int], bytes],
+    ) -> None:
+        """Write the lines holding obj[offset:offset+length], filled whole from
+        `plaintext` over the widened range (no read-modify-write)."""
+        a0, a1 = _line_range(offset, length)
+        data = plaintext(a0, a1 - a0)
+        for off in range(0, a1 - a0, LINE):
+            self.write_block(obj.base + a0 + off, data[off : off + LINE])
+
+    def load(self, obj: ObjectDescriptor, vn: int, offset: int, length: int) -> bytes:
+        a0, a1 = _line_range(offset, length)
+        pt = b"".join([self.read_block(obj.base + a) for a in range(a0, a1, LINE)])
+        return pt[offset - a0 : offset - a0 + length]
+
+
+def _line_range(offset: int, length: int) -> tuple[int, int]:
+    return offset // LINE * LINE, -(-(offset + length) // LINE) * LINE

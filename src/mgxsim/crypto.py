@@ -14,7 +14,6 @@ tuple, truncated to 64 bits. Callers that store 56-bit tags truncate further.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import struct
 from dataclasses import dataclass
 
@@ -52,23 +51,6 @@ class MacKey:
     def __post_init__(self):
         if not 8 <= len(self.key_bytes) <= 64:
             raise ValueError("MAC key must be 8..64 bytes (BLAKE2b keyed-hash limit)")
-
-
-@dataclass(frozen=True)
-class CounterValue:
-    """The 128-bit counter pa || vn for one cipher block."""
-
-    pa: int
-    vn: int
-
-    def __post_init__(self):
-        if not 0 <= self.pa <= _MASK64:
-            raise ValueError("pa out of 64-bit range")
-        if not 0 <= self.vn <= _MASK64:
-            raise ValueError("vn out of 64-bit range")
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">QQ", self.pa, self.vn)
 
 
 @dataclass(frozen=True)
@@ -146,7 +128,3 @@ def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> MacTag:
     h.update(struct.pack(">QQ", pa & _MASK64, vn & _MASK64))
     return MacTag(h.digest())
 
-
-def verify_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int, tag: MacTag) -> bool:
-    """Recompute and compare. Mismatch is a return value, never an exception."""
-    return _hmac.compare_digest(compute_mac(key, ciphertext, pa, vn).tag, tag.tag)

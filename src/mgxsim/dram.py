@@ -9,9 +9,8 @@ reach of tampering by construction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import AddressError
 
@@ -165,10 +164,3 @@ class PhysicalMemory:
         else:
             raise TypeError(f"not a tamper action: {action!r}")
 
-
-def write_log_csv(records: Iterable[AccessRecord], path: str):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["op", "class", "addr", "len", "timestamp"])
-        for r in records:
-            w.writerow([r.op, r.klass, r.addr, r.length, r.timestamp])

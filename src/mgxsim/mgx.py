@@ -20,10 +20,10 @@ optional debug ledger asserts that at cipher-block granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable
 
 from .crypto import EncryptionKey, MacKey, compute_mac, keystream_xor_at
-from .dram import DATA, MAC_LINE, AccessRecord, PhysicalMemory
+from .dram import DATA, MAC_LINE, PhysicalMemory
 from .errors import ConfigError, SecurityInvariantFault, TamperDetected
 
 MAC_BYTES = 8
@@ -35,6 +35,16 @@ def _align16(x: int) -> int:
     return (x + 15) & ~15
 
 
+# Update op -> (counter field it advances, first value the field cannot hold).
+COUNTERS = {
+    "update_i": ("ctr_i", CTR_I_LIMIT),
+    "update_w": ("ctr_w", 1 << 64),
+    "update_genome": ("ctr_genome", CTR_32_LIMIT),
+    "update_query": ("ctr_query", CTR_32_LIMIT),
+}
+UPDATE_OPS = tuple(COUNTERS)
+
+
 @dataclass(frozen=True)
 class MgxState:
     """The complete on-chip state a re-instantiated accelerator would need."""
@@ -43,6 +53,14 @@ class MgxState:
     ctr_w: int = 0
     ctr_genome: int = 0
     ctr_query: int = 0
+
+    def advance(self, op: str) -> tuple["MgxState", bool]:
+        """Apply one update op. A counter that reaches its limit restarts at 1
+        and `wrapped` is true: the keys must change before the next write."""
+        name, limit = COUNTERS[op]
+        value = getattr(self, name) + 1
+        wrapped = value >= limit
+        return replace(self, **{name: 1 if wrapped else value}), wrapped
 
 
 def get_vn_weights(state: MgxState) -> int:
@@ -67,22 +85,6 @@ def get_vn_genome(state: MgxState) -> int:
 
 def get_vn_query(state: MgxState) -> int:
     return (state.ctr_genome << 32) | state.ctr_query
-
-
-def update_input(state: MgxState) -> MgxState:
-    return replace(state, ctr_i=state.ctr_i + 1)
-
-
-def update_weights(state: MgxState) -> MgxState:
-    return replace(state, ctr_w=state.ctr_w + 1)
-
-
-def update_genome(state: MgxState) -> MgxState:
-    return replace(state, ctr_genome=state.ctr_genome + 1)
-
-
-def update_query(state: MgxState) -> MgxState:
-    return replace(state, ctr_query=state.ctr_query + 1)
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,6 @@ class WriteLedger:
     def __init__(self):
         self._pairs: set[tuple[int, int]] = set()
 
-    def __len__(self):
-        return len(self._pairs)
-
     def record(self, first_block: int, last_block: int, vn: int):
         for b in range(first_block, last_block + 1):
             pair = (b, vn)
@@ -170,69 +169,53 @@ class MgxMee:
         self.mac_key = mac_key
         self.crypto = crypto
         self.debug = debug
-        self.state = MgxState()
         self.ledger = WriteLedger()
         # obj_id -> append-only list of (start, end, vn); newest last
         self._shadow: dict[str, list[tuple[int, int, int]]] = {}
         self.rekey_events = 0
 
-    # -- counter updates ----------------------------------------------------
-
-    def _wrap(self, value: int, limit: int) -> int:
-        if value >= limit:
-            # A full counter forces a key change; the ledger starts a new epoch.
-            self.rekey_events += 1
-            self.ledger.clear()
-            return 1
-        return value
-
-    def update_input(self):
-        self.state = replace(self.state, ctr_i=self._wrap(self.state.ctr_i + 1, CTR_I_LIMIT))
-
-    def update_weights(self):
-        self.state = replace(self.state, ctr_w=self._wrap(self.state.ctr_w + 1, 1 << 64))
-
-    def update_genome(self):
-        self.state = replace(
-            self.state, ctr_genome=self._wrap(self.state.ctr_genome + 1, CTR_32_LIMIT)
-        )
-
-    def update_query(self):
-        self.state = replace(
-            self.state, ctr_query=self._wrap(self.state.ctr_query + 1, CTR_32_LIMIT)
-        )
+    def rekey(self):
+        """An on-chip counter wrapped: count a key change and start a new
+        ledger epoch."""
+        self.rekey_events += 1
+        self.ledger.clear()
 
     # -- data path ----------------------------------------------------------
 
     def store(
-        self, obj: ObjectDescriptor, vn: int, data: bytes, offset: int = 0
-    ) -> list[AccessRecord]:
-        """Encrypt and write part of an object under one VN, refreshing the
-        MAC of every chunk the write touches.
+        self,
+        obj: ObjectDescriptor,
+        vn: int,
+        offset: int,
+        length: int,
+        plaintext: Callable[[int, int], bytes],
+    ) -> None:
+        """Encrypt and write obj[offset:offset+length] under one VN, taking
+        the bytes from `plaintext(offset, length)`, and refresh the MAC of
+        every chunk the write touches.
 
         Chunk MACs always cover the chunk's full current extent; a store that
         covers a chunk only partially fetches the missing bytes back (counted
         as data reads) so the stored MAC stays the MAC of what is in memory.
         """
-        end = offset + len(data)
-        if offset < 0 or end > obj.size:
+        end = offset + length
+        if offset < 0 or length < 0 or end > obj.size:
             raise ConfigError(
                 f"store [{offset},{end}) outside object {obj.obj_id} of size {obj.size}"
             )
-        if not data:
-            return []
-        start_rec = len(self.mem.log)
+        if not length:
+            return
         if self.debug:
             self.ledger.record(
                 (obj.base + offset) // 16, (obj.base + end - 1) // 16, vn
             )
             self._shadow.setdefault(obj.obj_id, []).append((offset, end, vn))
         if self.crypto:
-            ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, data)
+            ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, plaintext(offset, length))
         else:
-            ct = bytes(len(data))
+            ct = bytes(length)
         self.mem.write(obj.base + offset, ct, DATA)
-        for c in obj.covering_chunks(offset, len(data)):
+        for c in obj.covering_chunks(offset, length):
             cs, ce = obj.chunk_extent(c)
             before = b""
             after = b""
@@ -246,28 +229,23 @@ class MgxMee:
             else:
                 tag = bytes(MAC_BYTES)
             self.mem.write(obj.mac_addr(c), tag, MAC_LINE)
-        return self.mem.log[start_rec:]
 
-    def load(
-        self, obj: ObjectDescriptor, vn: int, offset: int = 0, length: int | None = None
-    ) -> tuple[bytes, bool, list[AccessRecord]]:
-        """Fetch the chunks covering a range, verify each chunk MAC under the
-        caller-regenerated VN, and return the decrypted requested bytes.
+    def load(self, obj: ObjectDescriptor, vn: int, offset: int, length: int) -> bytes:
+        """Fetch the chunks covering obj[offset:offset+length], verify each
+        chunk MAC under the caller-regenerated VN, and return the decrypted
+        requested bytes.
 
-        Returns (plaintext, accepted, accesses); any MAC mismatch raises
-        TamperDetected. With debug on, also asserts that every requested byte
-        was most recently written under exactly this VN.
+        Any MAC mismatch raises TamperDetected. With debug on, also asserts
+        that every requested byte was most recently written under exactly
+        this VN.
         """
-        if length is None:
-            length = obj.size - offset
         end = offset + length
         if offset < 0 or length < 0 or end > obj.size:
             raise ConfigError(
                 f"load [{offset},{end}) outside object {obj.obj_id} of size {obj.size}"
             )
-        start_rec = len(self.mem.log)
         if length == 0:
-            return b"", True, []
+            return b""
         if self.debug:
             self._check_shadow(obj, vn, offset, end)
         chunks = obj.covering_chunks(offset, length)
@@ -285,12 +263,10 @@ class MgxMee:
                     raise TamperDetected(
                         f"chunk MAC mismatch in object {obj.obj_id}", obj.base + cs
                     )
-        if self.crypto:
-            pt = keystream_xor_at(self.enc_key, obj.base, vn, span_start, span_ct)
-            result = pt[offset - span_start : end - span_start]
-        else:
-            result = bytes(length)
-        return result, True, self.mem.log[start_rec:]
+        if not self.crypto:
+            return bytes(length)
+        pt = keystream_xor_at(self.enc_key, obj.base, vn, span_start, span_ct)
+        return pt[offset - span_start : end - span_start]
 
     # -- debug bookkeeping --------------------------------------------------
 
@@ -321,6 +297,3 @@ class MgxMee:
             raise SecurityInvariantFault(
                 f"read of never-written bytes {obj.obj_id}[{s}:{e}]"
             )
-
-    def written_ranges(self, obj_id: str) -> Iterable[tuple[int, int, int]]:
-        return tuple(self._shadow.get(obj_id, ()))

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .dram import DATA, META_CLASSES, AccessRecord
 from .errors import ConfigError
-from .replay import ReplayResult
+from .replay import ReplayResult, replay
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,6 @@ def simulate(
     carries the stats accumulated up to the aborting event so callers can
     still report partial traffic.
     """
-    from .replay import replay
-
     result = replay(trace, scheme, **replay_kwargs)
     sim = evaluate(result, dram, compute)
     if result.detected is not None:

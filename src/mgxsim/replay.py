@@ -1,11 +1,19 @@
 """Replay a workload trace through a protection scheme.
 
 The replayer owns the glue between symbolic traces and concrete engines: it
-resolves each event's VN source against the running on-chip counter state,
-synthesizes deterministic payloads, maps object ranges onto the engine's
-access granularity, and collects the resulting DRAM access log per compute
-group. Tamper hooks run between events so attack campaigns can snapshot and
-corrupt memory at precise points.
+holds the on-chip counter state for every scheme, resolves each event's VN
+source against it, synthesizes deterministic payloads, and collects the
+resulting DRAM access log per compute group. Every engine offers the same
+object interface:
+
+* store(obj, vn, offset, length, plaintext): write obj[offset:offset+length];
+  `plaintext(off, n)` returns the plaintext of any range of obj, and the
+  engine asks only for the range it writes.
+* load(obj, vn, offset, length) -> bytes: exactly the requested plaintext.
+* rekey(): an on-chip counter wrapped.
+
+Tamper hooks run between events so attack campaigns can snapshot and corrupt
+memory at precise points.
 
 Payload modes:
 
@@ -21,19 +29,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from .baseline import BaselineConfig, BaselineMee
 from .crypto import EncryptionKey, MacKey
-from .dram import DATA, LINE, AccessRecord, PhysicalMemory
+from .dram import DATA, AccessRecord, PhysicalMemory
 from .errors import ConfigError, TamperDetected, VerifyMismatch
 from .mgx import MgxMee, MgxState
-from .mgx import (
-    update_genome as _st_genome,
-    update_input as _st_input,
-    update_query as _st_query,
-    update_weights as _st_weights,
-)
 from .workloads.payload import payload_for
 from .workloads.trace import READ, UPDATE_OPS, WRITE, Trace
 
@@ -41,12 +44,27 @@ SCHEMES = ("none", "baseline", "mgx")
 
 Hook = Callable[[PhysicalMemory], None]
 
-_STATE_UPDATES = {
-    "update_i": _st_input,
-    "update_w": _st_weights,
-    "update_genome": _st_genome,
-    "update_query": _st_query,
-}
+
+class PlainEngine:
+    """No protection: plaintext goes to memory as is and nothing is checked."""
+
+    rekey_events = 0
+
+    def __init__(self, memory: PhysicalMemory):
+        self.mem = memory
+
+    def rekey(self):
+        """Nothing is keyed, so a counter wrap changes nothing here."""
+
+    def store(self, obj, vn: int, offset: int, length: int, plaintext) -> None:
+        self.mem.write(obj.base + offset, plaintext(offset, length), DATA)
+
+    def load(self, obj, vn: int, offset: int, length: int) -> bytes:
+        return self.mem.read(obj.base + offset, length, DATA)
+
+
+def _zeros(offset: int, length: int) -> bytes:
+    return bytes(length)
 
 
 def derive_keys(seed: int) -> tuple[EncryptionKey, MacKey]:
@@ -126,7 +144,7 @@ def replay(
 
     region_size = baseline_region_size(trace, region_mb) if scheme == "baseline" else None
     memory = _memory_for(trace, scheme, region_size)
-    engine: BaselineMee | MgxMee | None = None
+    engine: BaselineMee | MgxMee | PlainEngine
     if scheme == "baseline":
         cfg = BaselineConfig(
             region_base=0,
@@ -134,14 +152,13 @@ def replay(
             arity=tree_arity,
             cache_bytes=cache_kb * 1024,
         )
-        engine = BaselineMee(cfg, memory, enc_key, mac_key, crypto=use_crypto)
-        for obj in trace.objects.values():
-            if obj.base % LINE:
-                raise ConfigError(
-                    f"object {obj.obj_id} base 0x{obj.base:x} not 64-byte aligned"
-                )
+        engine = BaselineMee(
+            cfg, memory, enc_key, mac_key, crypto=use_crypto, objects=trace.objects.values()
+        )
     elif scheme == "mgx":
         engine = MgxMee(memory, enc_key, mac_key, crypto=use_crypto, debug=debug_ledger)
+    else:
+        engine = PlainEngine(memory)
 
     result = ReplayResult(scheme, payload_mode, trace, memory, memory.log)
     state = MgxState()
@@ -160,35 +177,31 @@ def replay(
             spans.append((g, start, end))
         result.group_spans = spans
 
-    def payload(obj, vn: int, offset: int, length: int) -> bytes:
-        if payload_mode == "fast":
-            return bytes(length)
-        return payload_for(obj, vn, offset, length)
-
     try:
         for i, ev in enumerate(trace.events):
             for hook in _hooks_at(hooks, i):
                 hook(memory)
             mark_group(ev.group)
             if ev.op in UPDATE_OPS:
-                state = _STATE_UPDATES[ev.op](state)
-                if scheme == "mgx":
-                    getattr(engine, _ENGINE_UPDATE[ev.op])()
+                state, wrapped = state.advance(ev.op)
+                if wrapped:
+                    engine.rekey()
                 result.events_processed = i + 1
                 continue
             obj = trace.objects.get(ev.obj_id)
             if obj is None:
                 raise ConfigError(f"event {i} references unknown object {ev.obj_id!r}")
-            if ev.offset < 0 or ev.offset + ev.length > obj.size:
+            if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
                 raise ConfigError(
                     f"event {i} range [{ev.offset},{ev.offset + ev.length}) exceeds "
                     f"object {obj.obj_id} of size {obj.size}"
                 )
-            vn = ev.vn_source.resolve(engine.state if scheme == "mgx" else state)
+            vn = ev.vn_source.resolve(state)
             if ev.op == WRITE:
-                _do_write(scheme, engine, memory, obj, vn, ev, payload)
+                plaintext = partial(payload_for, obj, vn) if use_crypto else _zeros
+                engine.store(obj, vn, ev.offset, ev.length, plaintext)
             elif ev.op == READ:
-                got = _do_read(scheme, engine, memory, obj, vn, ev)
+                got = engine.load(obj, vn, ev.offset, ev.length)
                 if payload_mode == "verify":
                     want = payload_for(obj, vn, ev.offset, ev.length)
                     if got != want:
@@ -214,18 +227,9 @@ def replay(
         result.mismatch = vm
 
     finish_groups()
-    if engine is not None:
-        result.rekey_events = engine.rekey_events
-    result.state = engine.state if scheme == "mgx" else state
+    result.rekey_events = engine.rekey_events
+    result.state = state
     return result
-
-
-_ENGINE_UPDATE = {
-    "update_i": "update_input",
-    "update_w": "update_weights",
-    "update_genome": "update_genome",
-    "update_query": "update_query",
-}
 
 
 def _hooks_at(hooks, i) -> Iterable[Hook]:
@@ -235,26 +239,3 @@ def _hooks_at(hooks, i) -> Iterable[Hook]:
     if callable(h):
         return (h,)
     return h
-
-
-def _do_write(scheme, engine, memory, obj, vn, ev, payload):
-    if scheme == "none":
-        memory.write(obj.base + ev.offset, payload(obj, vn, ev.offset, ev.length), DATA)
-    elif scheme == "mgx":
-        engine.store(obj, vn, payload(obj, vn, ev.offset, ev.length), ev.offset)
-    else:
-        a0 = (ev.offset // LINE) * LINE
-        a1 = -(-(ev.offset + ev.length) // LINE) * LINE
-        engine.store(obj.base + a0, payload(obj, vn, a0, a1 - a0))
-
-
-def _do_read(scheme, engine, memory, obj, vn, ev) -> bytes:
-    if scheme == "none":
-        return memory.read(obj.base + ev.offset, ev.length, DATA)
-    if scheme == "mgx":
-        pt, _, _ = engine.load(obj, vn, ev.offset, ev.length)
-        return pt
-    a0 = (ev.offset // LINE) * LINE
-    a1 = -(-(ev.offset + ev.length) // LINE) * LINE
-    pt, _, _ = engine.load(obj.base + a0, a1 - a0)
-    return pt[ev.offset - a0 : ev.offset - a0 + ev.length]

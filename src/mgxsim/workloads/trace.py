@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from ..errors import ConfigError, TraceFormatError
 from ..mgx import (
+    UPDATE_OPS,
     MgxState,
     ObjectDescriptor,
     get_vn_feature,
@@ -26,37 +27,38 @@ from ..mgx import (
 
 READ = "read"
 WRITE = "write"
-UPDATE_OPS = ("update_i", "update_w", "update_genome", "update_query")
+
+# VN source kind -> (VN generator over (state, arg), whether the kind takes
+# an argument). Kinds with an argument print and parse as "kind:arg".
+VN_KINDS = {
+    "weights": (lambda state, arg: get_vn_weights(state), False),
+    "feature": (get_vn_feature, True),
+    "frame": (get_vn_frame, True),
+    "genome": (lambda state, arg: get_vn_genome(state), False),
+    "query": (lambda state, arg: get_vn_query(state), False),
+}
 
 
 class VnSource(NamedTuple):
-    kind: str  # weights | feature | frame | genome | query
+    kind: str  # one of VN_KINDS
     arg: int = 0
 
     def __str__(self):
-        if self.kind in ("feature", "frame"):
+        if VN_KINDS.get(self.kind, (None, False))[1]:
             return f"{self.kind}:{self.arg}"
         return self.kind
 
     @classmethod
     def parse(cls, text: str) -> "VnSource":
-        if ":" in text:
-            kind, arg = text.split(":", 1)
-            return cls(kind, int(arg))
-        return cls(text)
+        kind, sep, arg = text.partition(":")
+        if kind not in VN_KINDS:
+            raise ConfigError(f"unknown VN source kind {kind!r}")
+        return cls(kind, int(arg)) if sep else cls(kind)
 
     def resolve(self, state: MgxState) -> int:
-        if self.kind == "weights":
-            return get_vn_weights(state)
-        if self.kind == "feature":
-            return get_vn_feature(state, self.arg)
-        if self.kind == "frame":
-            return get_vn_frame(state, self.arg)
-        if self.kind == "genome":
-            return get_vn_genome(state)
-        if self.kind == "query":
-            return get_vn_query(state)
-        raise ConfigError(f"unknown VN source kind {self.kind!r}")
+        if self.kind not in VN_KINDS:
+            raise ConfigError(f"unknown VN source kind {self.kind!r}")
+        return VN_KINDS[self.kind][0](state, self.arg)
 
 
 class TraceEvent(NamedTuple):
@@ -80,10 +82,6 @@ class Trace:
     def span_end(self) -> int:
         """One past the highest address any object (MAC shadow included) uses."""
         return max((o.end for o in self.objects.values()), default=0)
-
-    @property
-    def data_span_end(self) -> int:
-        return max((o.base + o.size for o in self.objects.values()), default=0)
 
     def payload_bytes(self) -> int:
         """Bytes an unprotected accelerator would move for this trace."""
@@ -192,6 +190,7 @@ def import_trace(csv_path: str) -> Trace:
             )
     except (KeyError, TypeError, ConfigError) as exc:
         raise TraceFormatError(f"bad object map in {csv_path}.meta.json: {exc}") from exc
+    _check_disjoint(trace.objects.values(), f"{csv_path}.meta.json")
     trace.compute_macs = {int(g): float(v) for g, v in meta.get("compute_macs", {}).items()}
     with open(csv_path, newline="") as fh:
         rd = csv.reader(fh)
@@ -214,11 +213,31 @@ def import_trace(csv_path: str) -> Trace:
             except (ValueError, ConfigError) as exc:
                 raise TraceFormatError(f"bad trace row {row!r}: {exc}") from exc
             if ev.op in (READ, WRITE):
-                if ev.obj_id not in trace.objects:
+                obj = trace.objects.get(ev.obj_id)
+                if obj is None:
                     raise TraceFormatError(f"trace row references unknown object {ev.obj_id!r}")
                 if ev.vn_source is None:
                     raise TraceFormatError(f"memory event without VN source: {row!r}")
+                if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
+                    raise TraceFormatError(
+                        f"trace row {row!r} lies outside object {obj.obj_id} of size {obj.size}"
+                    )
             elif ev.op not in UPDATE_OPS:
                 raise TraceFormatError(f"unknown trace op {ev.op!r}")
             trace.events.append(ev)
     return trace
+
+
+def _check_disjoint(objects, where: str):
+    """Reject an object map in which a data range [base, base+size) or a MAC
+    shadow [mac_start, end) overlaps another one."""
+    spans = sorted(
+        (lo, hi, o.obj_id)
+        for o in objects
+        for lo, hi in ((o.base, o.base + o.size), (o.mac_start, o.end))
+        if lo < hi
+    )
+    # Sorted by start, any overlap shows up between neighbours.
+    for (_, hi, a), (lo, _, b) in zip(spans, spans[1:]):
+        if lo < hi:
+            raise TraceFormatError(f"objects {a} and {b} overlap in {where}")

@@ -19,7 +19,6 @@ import time
 import pytest
 
 from baseline_oracle import oracle_for_trace
-import mgxsim.mgx as mgx
 from mgxsim.attacks import ATTACKS, run_campaign
 from mgxsim.errors import SecurityInvariantFault
 from mgxsim.mgx import MgxState
@@ -278,16 +277,10 @@ def _resolved_writes(trace):
     """(obj_id, concrete VN, offset, length) per write, resolving symbolic
     sources against the in-band counter updates."""
     state = MgxState()
-    fns = {
-        "update_i": mgx.update_input,
-        "update_w": mgx.update_weights,
-        "update_genome": mgx.update_genome,
-        "update_query": mgx.update_query,
-    }
     out = []
     for e in trace.events:
         if e.op in UPDATE_OPS:
-            state = fns[e.op](state)
+            state, _ = state.advance(e.op)
         elif e.op == WRITE:
             out.append((e.obj_id, e.vn_source.resolve(state), e.offset, e.length))
     return out

@@ -17,6 +17,7 @@ from mgxsim.baseline import (
 )
 from mgxsim.dram import BitFlip, PhysicalMemory
 from mgxsim.errors import ConfigError, TamperDetected
+from mgxsim.mgx import ObjectDescriptor
 
 MB = 1 << 20
 
@@ -109,10 +110,6 @@ class TestGeometryFrozen:
         assert g.mac_slot(0) == (0x08000000, 0)
         assert g.mac_slot(13) == (0x08000000 + 64, 5)
         assert g.level_line_addr(0, 3) == 0x09000000 + 3 * 64
-        assert g.level_of(0x09000000) == 0
-        assert g.level_of(0x0A249000 + 7 * 64) == 5
-        assert g.level_of(0x08000000) is None  # mac region, not a tree level
-        assert g.level_of(0x0A249200) is None
 
     def test_counter_line_packing_roundtrip(self):
         counters = [1, VN_LIMIT - 1, 0, 7, 8, 9, 10, 11]
@@ -161,8 +158,8 @@ class TestAccessPatterns:
     def test_bypass_outside_region(self):
         eng, mem = make_engine(region_size=32768)
         eng.write_block(1 << 30, b"z" * 64)
-        pt, ok, _ = eng.read_block(1 << 30)
-        assert ok and pt == b"z" * 64
+        pt = eng.read_block(1 << 30)
+        assert pt == b"z" * 64
         assert [(r.op, r.klass) for r in mem.log] == [("write", "data"), ("read", "data")]
 
     def test_alignment_and_length_errors(self):
@@ -198,6 +195,36 @@ class TestAccessPatterns:
         assert all(r.op == "write" for r in mem.log[mark:])
 
 
+class TestObjectInterface:
+    def test_partial_line_store_writes_whole_lines_of_payload(self):
+        eng, mem = make_engine(region_size=32768)
+        obj = ObjectDescriptor("o", 128, 256, 64)
+        payload = random.Random(4).randbytes(256)
+        asked = []
+
+        def plaintext(off, n):
+            asked.append((off, n))
+            return payload[off : off + n]
+
+        eng.store(obj, 0, 70, 20, plaintext)  # bytes 70..89 sit in line 64..127
+        assert asked == [(64, 64)]
+        assert [(r.op, r.klass, r.addr) for r in mem.log if r.klass == "data"] == [
+            ("write", "data", 128 + 64)
+        ]
+        assert eng.load(obj, 0, 70, 20) == payload[70:90]
+        assert eng.load(obj, 0, 64, 64) == payload[64:128]
+
+    def test_objects_must_be_line_aligned(self):
+        with pytest.raises(ConfigError):
+            BaselineMee(
+                BaselineConfig(0, 32768),
+                PhysicalMemory(capacity=1 << 20),
+                pytest.enc_key,
+                pytest.mac_key,
+                objects=[ObjectDescriptor("o", 16, 64, 64)],
+            )
+
+
 class TestRoundTrip:
     def test_write_read_many_blocks_with_eviction_and_restart(self):
         eng, mem = make_engine(region_size=16384, arity=2, cache=256)
@@ -206,8 +233,8 @@ class TestRoundTrip:
         for _ in range(800):
             blk = rng.randrange(256)
             if blk in shadow and rng.random() < 0.5:
-                pt, ok, _ = eng.read_block(blk * 64)
-                assert ok and pt == shadow[blk]
+                pt = eng.read_block(blk * 64)
+                assert pt == shadow[blk]
             else:
                 data = rng.randbytes(64)
                 eng.write_block(blk * 64, data)
@@ -217,8 +244,8 @@ class TestRoundTrip:
         eng2, _ = make_engine(region_size=16384, arity=2, cache=256, mem=mem)
         eng2.root = list(eng.root)
         for blk, data in shadow.items():
-            pt, ok, _ = eng2.read_block(blk * 64)
-            assert ok and pt == data
+            pt = eng2.read_block(blk * 64)
+            assert pt == data
 
     def test_ciphertext_differs_from_plaintext_and_across_rewrites(self):
         eng, mem = make_engine(region_size=32768)

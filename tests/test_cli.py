@@ -14,7 +14,7 @@ from mgxsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TAMPER, EXIT_UNDETECTED, EXIT_
 from mgxsim.config import ExperimentConfig, run_experiment, sweep_experiment
 from mgxsim.errors import ConfigError
 from mgxsim.perf import STATS_HEADER
-from mgxsim.workloads import VnSource, export_trace
+from mgxsim.workloads import VnSource, build_trace, export_trace
 from mgxsim.workloads.trace import TraceBuilder
 
 
@@ -208,6 +208,62 @@ class TestVerifyExits:
         rc = entry(["verify", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert rc == EXIT_OK and "expected payloads" in out
+
+
+class TestCorruptedTraceExits:
+    """Malformed trace files end in exit 5 with one line on stderr."""
+
+    @staticmethod
+    def _micro_export(tmp_path):
+        path = str(tmp_path / "m.csv")
+        export_trace(build_trace("micro"), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path + ".meta.json") as fh:
+            meta = json.load(fh)
+        return path, rows, meta
+
+    @staticmethod
+    def _rewrite_first_write(path, rows, column, value):
+        first = next(i for i, r in enumerate(rows) if r[0] == "write")
+        rows[first][column] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @staticmethod
+    def _assert_corrupted(rc, err):
+        assert rc == EXIT_VERIFY
+        assert err.startswith("corrupted trace: ") and err.count("\n") == 1
+
+    def test_negative_length(self, tmp_path, capsys):
+        path, rows, _ = self._micro_export(tmp_path)
+        self._rewrite_first_write(path, rows, 4, "-64")
+        rc = entry(["run", "--workload", path])
+        self._assert_corrupted(rc, capsys.readouterr().err)
+
+    def test_row_beyond_object(self, tmp_path, capsys):
+        path, rows, meta = self._micro_export(tmp_path)
+        size = next(o["size"] for o in meta["objects"] if o["obj_id"] == "w_c1")
+        self._rewrite_first_write(path, rows, 3, str(size))
+        rc = entry(["run", "--workload", path])
+        self._assert_corrupted(rc, capsys.readouterr().err)
+
+    def test_unknown_vn_kind(self, tmp_path, capsys):
+        path, rows, _ = self._micro_export(tmp_path)
+        self._rewrite_first_write(path, rows, 2, "bogus:1")
+        rc = entry(["run", "--workload", path])
+        self._assert_corrupted(rc, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_overlapping_objects(self, tmp_path, capsys, command):
+        path, _, meta = self._micro_export(tmp_path)
+        objs = {o["obj_id"]: o for o in meta["objects"]}
+        objs["feat_c1"]["base"] = objs["feat_in"]["base"]
+        objs["feat_c1"]["mac_base"] = objs["feat_in"]["mac_base"]
+        with open(path + ".meta.json", "w") as fh:
+            json.dump(meta, fh)
+        rc = entry([command, "--workload", path, "--scheme", "mgx"])
+        self._assert_corrupted(rc, capsys.readouterr().err)
 
 
 class TestSweepCommand:

@@ -19,14 +19,12 @@ from aes_reference import aes128_encrypt_block, ctr_keystream
 from mgxsim.crypto import (
     CIPHER_BLOCK,
     MAC_BYTES,
-    CounterValue,
     EncryptionKey,
     MacKey,
     MacTag,
     compute_mac,
     keystream_xor,
     keystream_xor_at,
-    verify_mac,
 )
 from mgxsim.errors import AlignmentError
 
@@ -185,11 +183,12 @@ class TestMac:
         assert len(t1.tag) == MAC_BYTES == 8
 
     def test_verify_roundtrip(self):
+        # verifying is recomputing: only the same (ct, pa, vn) gives the tag
         tag = compute_mac(self.KEY, b"abc", 16, 2)
-        assert verify_mac(self.KEY, b"abc", 16, 2, tag)
-        assert not verify_mac(self.KEY, b"abd", 16, 2, tag)
-        assert not verify_mac(self.KEY, b"abc", 32, 2, tag)
-        assert not verify_mac(self.KEY, b"abc", 16, 3, tag)
+        assert compute_mac(self.KEY, b"abc", 16, 2) == tag
+        assert compute_mac(self.KEY, b"abd", 16, 2) != tag
+        assert compute_mac(self.KEY, b"abc", 32, 2) != tag
+        assert compute_mac(self.KEY, b"abc", 16, 3) != tag
 
     def test_key_separation(self):
         other = MacKey(b"K" * 32)
@@ -220,7 +219,10 @@ class TestMac:
     @settings(max_examples=60, deadline=None)
     def test_verify_accepts_own_tag(self, ct, pa, vn):
         tag = compute_mac(self.KEY, ct, pa, vn)
-        assert verify_mac(self.KEY, ct, pa, vn, tag)
+        assert compute_mac(self.KEY, ct, pa, vn) == tag
+        # the tag binds the address and the VN, not just the ciphertext
+        assert compute_mac(self.KEY, ct, pa + 16, vn) != tag
+        assert compute_mac(self.KEY, ct, pa, vn + 1) != tag
 
 
 # -- value objects -----------------------------------------------------------
@@ -239,14 +241,6 @@ class TestValueObjects:
         for bad in (bytes(7), bytes(65), b""):
             with pytest.raises(ValueError):
                 MacKey(bad)
-
-    def test_counter_value_range_and_bytes(self):
-        cv = CounterValue(pa=0x10, vn=3)
-        assert cv.to_bytes() == struct.pack(">QQ", 0x10, 3)
-        with pytest.raises(ValueError):
-            CounterValue(pa=-1, vn=0)
-        with pytest.raises(ValueError):
-            CounterValue(pa=0, vn=1 << 64)
 
     def test_mac_tag_equality(self):
         assert MacTag(b"12345678") == MacTag(b"12345678")

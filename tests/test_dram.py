@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +19,6 @@ from mgxsim.dram import (
     Relocate,
     Replay,
     Splice,
-    write_log_csv,
 )
 from mgxsim.errors import AddressError
 
@@ -108,17 +105,6 @@ class TestLogging:
         mem = PhysicalMemory()
         mem.write(100, b"payload", DATA)
         assert mem.read(100, 7, DATA) == b"payload"
-
-    def test_log_csv_format(self, tmp_path):
-        mem = PhysicalMemory()
-        mem.write(0, bytes(64), TREE_NODE)
-        mem.read(0, 64, TREE_NODE)
-        path = tmp_path / "log.csv"
-        write_log_csv(mem.log, str(path))
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["op", "class", "addr", "len", "timestamp"]
-        assert rows[1] == ["write", "tree_node", "0", "64", "0"]
-        assert rows[2] == ["read", "tree_node", "0", "64", "1"]
 
     def test_meta_classes(self):
         assert set(META_CLASSES) == {VN_LINE, MAC_LINE, TREE_NODE}

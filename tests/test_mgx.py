@@ -8,6 +8,7 @@ Frozen expected values below were computed by hand from the VN layouts
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,11 @@ from mgxsim.dram import (
 )
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import (
+    COUNTERS,
     CTR_32_LIMIT,
     CTR_I_LIMIT,
     MAC_BYTES,
+    UPDATE_OPS,
     MgxMee,
     MgxState,
     ObjectDescriptor,
@@ -38,10 +41,6 @@ from mgxsim.mgx import (
     get_vn_genome,
     get_vn_query,
     get_vn_weights,
-    update_genome,
-    update_input,
-    update_query,
-    update_weights,
 )
 
 
@@ -54,6 +53,11 @@ def make_engine(keys, *, crypto=True, debug=True, capacity=1 << 20):
 
 def records(recs):
     return [(r.op, r.klass, r.addr, r.length) for r in recs]
+
+
+def store(eng, obj, vn, data, offset=0):
+    """Store `data` at `offset` through the engine's plaintext callback."""
+    eng.store(obj, vn, offset, len(data), lambda o, n: data[o - offset : o - offset + n])
 
 
 class TestVnAlgebra:
@@ -94,14 +98,14 @@ class TestVnAlgebra:
             get_vn_frame(MgxState(), -1)
 
     def test_pure_updates_do_not_mutate(self):
-        s0 = MgxState()
-        s1 = update_input(s0)
-        assert s0.ctr_i == 0 and s1.ctr_i == 1
-        assert update_weights(s0).ctr_w == 1
-        assert update_genome(s0).ctr_genome == 1
-        assert update_query(s0).ctr_query == 1
-        # each update touches exactly its own field
-        assert (s1.ctr_w, s1.ctr_genome, s1.ctr_query) == (0, 0, 0)
+        s0 = MgxState(ctr_i=5, ctr_w=6, ctr_genome=7, ctr_query=8)
+        for op, (field, _) in COUNTERS.items():
+            s1, wrapped = s0.advance(op)
+            assert not wrapped
+            # each update steps exactly its own field and leaves s0 alone
+            assert s1 == replace(s0, **{field: getattr(s0, field) + 1})
+        assert s0 == MgxState(ctr_i=5, ctr_w=6, ctr_genome=7, ctr_query=8)
+        assert UPDATE_OPS == ("update_i", "update_w", "update_genome", "update_query")
 
     @given(
         c1=st.integers(0, CTR_I_LIMIT - 1),
@@ -127,42 +131,37 @@ class TestVnAlgebra:
 
 
 class TestCounterWrap:
-    def test_plain_increment_is_not_a_rekey(self, keys):
-        eng, _ = make_engine(keys)
-        eng.update_input()
-        eng.update_weights()
-        assert eng.state.ctr_i == 1 and eng.state.ctr_w == 1
-        assert eng.rekey_events == 0
+    def test_plain_increment_is_not_a_rekey(self):
+        s, wrapped_i = MgxState().advance("update_i")
+        s, wrapped_w = s.advance("update_w")
+        assert s == MgxState(ctr_i=1, ctr_w=1)
+        assert not wrapped_i and not wrapped_w
 
     @pytest.mark.parametrize(
-        "field,limit,update",
+        "field,limit,op",
         [
-            ("ctr_i", CTR_I_LIMIT, "update_input"),
-            ("ctr_w", 1 << 64, "update_weights"),
+            ("ctr_i", CTR_I_LIMIT, "update_i"),
+            ("ctr_w", 1 << 64, "update_w"),
             ("ctr_genome", CTR_32_LIMIT, "update_genome"),
             ("ctr_query", CTR_32_LIMIT, "update_query"),
         ],
     )
-    def test_wrap_rekeys_and_restarts_at_one(self, keys, field, limit, update):
-        from dataclasses import replace
-
-        eng, _ = make_engine(keys)
-        eng.state = replace(eng.state, **{field: limit - 1})
-        getattr(eng, update)()
-        assert getattr(eng.state, field) == 1
-        assert eng.rekey_events == 1
+    def test_wrap_rekeys_and_restarts_at_one(self, field, limit, op):
+        assert COUNTERS[op] == (field, limit)
+        before = MgxState(**{field: limit - 1})
+        after, wrapped = before.advance(op)
+        assert wrapped
+        assert after == replace(before, **{field: 1})
 
     def test_wrap_clears_ledger_epoch(self, keys):
-        from dataclasses import replace
-
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        eng.store(obj, 7, bytes(64))
+        store(eng, obj, 7, bytes(64))
         with pytest.raises(SecurityInvariantFault):
-            eng.store(obj, 7, bytes(64))  # same blocks, same VN, same epoch
-        eng.state = replace(eng.state, ctr_i=CTR_I_LIMIT - 1)
-        eng.update_input()  # rekey: new epoch
-        eng.store(obj, 7, bytes(64))  # now fine
+            store(eng, obj, 7, bytes(64))  # same blocks, same VN, same epoch
+        eng.rekey()  # a counter wrapped: new epoch
+        assert eng.rekey_events == 1
+        store(eng, obj, 7, bytes(64))  # now fine
 
 
 class TestDescriptor:
@@ -219,18 +218,18 @@ class TestRoundTrip:
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("w", 0x1000, 2500)
         data = random.Random(1).randbytes(2500)
-        eng.store(obj, 11, data)
-        out, accepted, _ = eng.load(obj, 11)
-        assert accepted and out == data
+        store(eng, obj, 11, data)
+        out = eng.load(obj, 11, 0, obj.size)
+        assert out == data
 
     def test_subrange_load(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("w", 0, 4096)
         data = random.Random(2).randbytes(4096)
-        eng.store(obj, 3, data)
-        out, _, _ = eng.load(obj, 3, offset=100, length=50)
+        store(eng, obj, 3, data)
+        out = eng.load(obj, 3, offset=100, length=50)
         assert out == data[100:150]
-        out, _, _ = eng.load(obj, 3, offset=1020, length=8)  # chunk straddle
+        out = eng.load(obj, 3, offset=1020, length=8)  # chunk straddle
         assert out == data[1020:1028]
 
     def test_piecewise_store_same_vn(self, keys):
@@ -239,24 +238,25 @@ class TestRoundTrip:
         eng, mem = make_engine(keys)
         obj = ObjectDescriptor("f", 0x2000, 128, mac_granularity=64)
         data = random.Random(3).randbytes(128)
-        eng.store(obj, 5, data[:32])
-        recs = eng.store(obj, 5, data[32:64], offset=32)
+        store(eng, obj, 5, data[:32])
+        mark = len(mem.log)
+        store(eng, obj, 5, data[32:64], offset=32)
         # second piece completes chunk 0: write ct, fetch the earlier 32 bytes
         # back, then refresh the chunk MAC
-        assert records(recs) == [
+        assert records(mem.log[mark:]) == [
             ("write", DATA, 0x2020, 32),
             ("read", DATA, 0x2000, 32),
             ("write", MAC_LINE, obj.mac_addr(0), MAC_BYTES),
         ]
-        eng.store(obj, 5, data[64:], offset=64)
-        out, _, _ = eng.load(obj, 5)
+        store(eng, obj, 5, data[64:], offset=64)
+        out = eng.load(obj, 5, 0, obj.size)
         assert out == data
 
     def test_store_access_records_frozen(self, keys):
-        eng, _ = make_engine(keys)
+        eng, mem = make_engine(keys)
         obj = ObjectDescriptor("w", 0x1000, 2500)
-        recs = eng.store(obj, 1, bytes(2500))
-        assert records(recs) == [
+        store(eng, obj, 1, bytes(2500))
+        assert records(mem.log) == [
             ("write", DATA, 0x1000, 2500),
             ("write", MAC_LINE, 6608, 8),
             ("write", MAC_LINE, 6616, 8),
@@ -264,12 +264,13 @@ class TestRoundTrip:
         ]
 
     def test_load_access_records_frozen(self, keys):
-        eng, _ = make_engine(keys)
+        eng, mem = make_engine(keys)
         obj = ObjectDescriptor("w", 0x1000, 2500)
-        eng.store(obj, 1, bytes(2500))
-        _, _, recs = eng.load(obj, 1, offset=1500, length=600)
+        store(eng, obj, 1, bytes(2500))
+        mark = len(mem.log)
+        eng.load(obj, 1, offset=1500, length=600)
         # chunks 1..2 cover [1024, 2500): one span read plus two MAC reads
-        assert records(recs) == [
+        assert records(mem.log[mark:]) == [
             ("read", DATA, 0x1000 + 1024, 2500 - 1024),
             ("read", MAC_LINE, 6616, 8),
             ("read", MAC_LINE, 6624, 8),
@@ -278,18 +279,20 @@ class TestRoundTrip:
     def test_zero_length_ops(self, keys):
         eng, mem = make_engine(keys)
         obj = ObjectDescriptor("w", 0, 64)
-        assert eng.store(obj, 1, b"") == []
-        eng.store(obj, 1, bytes(64))
-        out, accepted, recs = eng.load(obj, 1, offset=10, length=0)
-        assert (out, accepted, recs) == (b"", True, [])
+        store(eng, obj, 1, b"")
+        assert mem.log == []
+        store(eng, obj, 1, bytes(64))
+        mark = len(mem.log)
+        assert eng.load(obj, 1, offset=10, length=0) == b""
+        assert len(mem.log) == mark
 
     def test_bounds_rejected(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("w", 0, 64)
         with pytest.raises(ConfigError):
-            eng.store(obj, 1, bytes(65))
+            store(eng, obj, 1, bytes(65))
         with pytest.raises(ConfigError):
-            eng.store(obj, 1, bytes(16), offset=-16)
+            store(eng, obj, 1, bytes(16), offset=-16)
         with pytest.raises(ConfigError):
             eng.load(obj, 1, offset=0, length=65)
         with pytest.raises(ConfigError):
@@ -300,8 +303,8 @@ class TestRoundTrip:
         2k data bytes: 0.78125% at the 1024-byte default granularity."""
         eng, mem = make_engine(keys)
         obj = ObjectDescriptor("w", 0, 1024)
-        eng.store(obj, 1, bytes(1024))
-        eng.load(obj, 1)
+        store(eng, obj, 1, bytes(1024))
+        eng.load(obj, 1, 0, obj.size)
         data = sum(r.length for r in mem.log if r.klass == DATA)
         meta = sum(r.length for r in mem.log if r.klass in META_CLASSES)
         assert (data, meta) == (2048, 16)
@@ -310,8 +313,8 @@ class TestRoundTrip:
     def test_no_tree_or_vn_classes_ever(self, keys):
         eng, mem = make_engine(keys)
         obj = ObjectDescriptor("w", 0, 3000, mac_granularity=512)
-        eng.store(obj, 1, bytes(3000))
-        eng.store(obj, 2, bytes(100), offset=40)
+        store(eng, obj, 1, bytes(3000))
+        store(eng, obj, 2, bytes(100), offset=40)
         eng.load(obj, 2, offset=50, length=10)
         assert {r.klass for r in mem.log} == {DATA, MAC_LINE}
 
@@ -322,7 +325,7 @@ class TestRoundTrip:
         eng, mem = make_engine(keys)
         obj = ObjectDescriptor("w", 0x4000, 96, mac_granularity=64)
         data = random.Random(4).randbytes(96)
-        eng.store(obj, 9, data)
+        store(eng, obj, 9, data)
         ct = mem.peek(0x4000, 96)
         assert ct == keystream_xor_at(enc_key, 0x4000, 9, 0, data)
         assert ct != data
@@ -341,11 +344,11 @@ class TestRoundTrip:
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("p", 0x800, size, mac_granularity=64)
         payload = bytes(rng.randrange(256) for _ in range(size))
-        eng.store(obj, 6, payload)
-        out, accepted, _ = eng.load(obj, 6)
-        assert accepted and out == payload
+        store(eng, obj, 6, payload)
+        out = eng.load(obj, 6, 0, obj.size)
+        assert out == payload
         if length and off16 + length <= size:
-            sub, _, _ = eng.load(obj, 6, offset=off16, length=length)
+            sub = eng.load(obj, 6, offset=off16, length=length)
             assert sub == payload[off16 : off16 + length]
 
 
@@ -353,16 +356,16 @@ class TestLedgerShadow:
     def test_ledger_rejects_same_block_same_vn(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        eng.store(obj, 2, bytes(16))
+        store(eng, obj, 2, bytes(16))
         with pytest.raises(SecurityInvariantFault):
-            eng.store(obj, 2, bytes(4), offset=8)  # block 0 again under VN 2
+            store(eng, obj, 2, bytes(4), offset=8)  # block 0 again under VN 2
 
     def test_ledger_allows_new_vn_or_disjoint_blocks(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        eng.store(obj, 2, bytes(16))
-        eng.store(obj, 2, bytes(16), offset=16)  # next cipher block
-        eng.store(obj, 3, bytes(16))  # same block, advanced VN
+        store(eng, obj, 2, bytes(16))
+        store(eng, obj, 2, bytes(16), offset=16)  # next cipher block
+        store(eng, obj, 3, bytes(16))  # same block, advanced VN
 
     def test_ledger_direct(self):
         led = WriteLedger()
@@ -371,37 +374,35 @@ class TestLedgerShadow:
         led.record(0, 3, 8)
         with pytest.raises(SecurityInvariantFault):
             led.record(3, 5, 7)
-        assert len(led) == 9
         led.clear()
         led.record(3, 5, 7)
 
     def test_shadow_rejects_stale_vn_read(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        eng.store(obj, 1, bytes(64))
-        eng.store(obj, 2, bytes(64))
+        store(eng, obj, 1, bytes(64))
+        store(eng, obj, 2, bytes(64))
         with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 1)
+            eng.load(obj, 1, 0, obj.size)
 
     def test_shadow_rejects_never_written(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 128, mac_granularity=64)
-        eng.store(obj, 1, bytes(64))
+        store(eng, obj, 1, bytes(64))
         with pytest.raises(SecurityInvariantFault):
             eng.load(obj, 1, offset=64, length=64)
         with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 1)  # spans written + unwritten
+            eng.load(obj, 1, 0, obj.size)  # spans written + unwritten
 
     def test_shadow_partial_overwrite_history(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 128, mac_granularity=16)
-        eng.store(obj, 1, bytes(128))
-        eng.store(obj, 2, bytes(32), offset=48)
+        store(eng, obj, 1, bytes(128))
+        store(eng, obj, 2, bytes(32), offset=48)
         # overwritten middle reads only under the new VN
         with pytest.raises(SecurityInvariantFault):
             eng.load(obj, 1, offset=48, length=32)
-        out, accepted, _ = eng.load(obj, 2, offset=48, length=32)
-        assert accepted
+        eng.load(obj, 2, offset=48, length=32)
         # chunk-aligned epochs: untouched head/tail still read under VN 1
         eng.load(obj, 1, offset=0, length=48)
         eng.load(obj, 1, offset=80, length=48)
@@ -415,28 +416,20 @@ class TestLedgerShadow:
         chunk boundaries to stay independently readable."""
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 128, mac_granularity=128)
-        eng.store(obj, 1, bytes(128))
-        eng.store(obj, 2, bytes(32), offset=48)
+        store(eng, obj, 1, bytes(128))
+        store(eng, obj, 2, bytes(32), offset=48)
         with pytest.raises(TamperDetected):
             eng.load(obj, 1, offset=0, length=48)
-
-    def test_written_ranges_exposed(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 128, mac_granularity=64)
-        eng.store(obj, 1, bytes(64))
-        eng.store(obj, 2, bytes(32), offset=64)
-        assert eng.written_ranges("x") == ((0, 64, 1), (64, 96, 2))
-        assert eng.written_ranges("missing") == ()
 
     def test_debug_off_skips_bookkeeping(self, keys):
         eng, _ = make_engine(keys, debug=False)
         obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        eng.store(obj, 2, bytes(64))
-        eng.store(obj, 2, bytes(64))  # no ledger: not rejected
+        store(eng, obj, 2, bytes(64))
+        store(eng, obj, 2, bytes(64))  # no ledger: not rejected
         # never-written reads hit the MAC check instead of the shadow
         other = ObjectDescriptor("y", 0x1000, 64, mac_granularity=64)
         with pytest.raises(TamperDetected):
-            eng.load(other, 1)
+            eng.load(other, 1, 0, other.size)
 
 
 class TestDetection:
@@ -444,14 +437,14 @@ class TestDetection:
         eng, mem = make_engine(keys)
         obj = ObjectDescriptor("t", 0x3000, size, mac_granularity=k)
         data = random.Random(7).randbytes(size)
-        eng.store(obj, 4, data)
+        store(eng, obj, 4, data)
         return eng, mem, obj, data
 
     def test_data_bitflip_detected(self, keys):
         eng, mem, obj, _ = self._stored(keys)
         mem.inject(BitFlip(0x3000 + 70, 5))
         with pytest.raises(TamperDetected) as exc:
-            eng.load(obj, 4)
+            eng.load(obj, 4, 0, obj.size)
         assert exc.value.addr == 0x3000 + 64  # chunk base is reported
 
     def test_mac_bitflip_detected(self, keys):
@@ -463,10 +456,10 @@ class TestDetection:
     def test_replay_detected(self, keys):
         eng, mem, obj, data = self._stored(keys)
         sid = mem.snapshot(obj.base, obj.end - obj.base)
-        eng.store(obj, 5, data)  # fresh epoch of the same object
+        store(eng, obj, 5, data)  # fresh epoch of the same object
         mem.inject(Replay(sid))
         with pytest.raises(TamperDetected):
-            eng.load(obj, 5)
+            eng.load(obj, 5, 0, obj.size)
 
     def test_relocate_within_object_detected(self, keys):
         eng, mem, obj, _ = self._stored(keys)
@@ -481,18 +474,18 @@ class TestDetection:
         b = ObjectDescriptor("b", 0x10000, 64, mac_granularity=64)
         da = random.Random(8).randbytes(64)
         db = random.Random(9).randbytes(64)
-        eng.store(a, 6, da)
-        eng.store(b, 6, db)
+        store(eng, a, 6, da)
+        store(eng, b, 6, db)
         # graft a's ciphertext and MAC into b's slots: same VN, wrong address
         mem.inject(Splice(b.base, mem.peek(a.base, 64)))
         mem.inject(Splice(b.mac_addr(0), mem.peek(a.mac_addr(0), MAC_BYTES)))
         with pytest.raises(TamperDetected):
-            eng.load(b, 6)
+            eng.load(b, 6, 0, b.size)
 
     def test_untampered_loads_still_pass(self, keys):
         eng, mem, obj, data = self._stored(keys)
-        out, accepted, _ = eng.load(obj, 4)
-        assert accepted and out == data
+        out = eng.load(obj, 4, 0, obj.size)
+        assert out == data
 
 
 class TestCryptoOffIdentity:
@@ -502,9 +495,9 @@ class TestCryptoOffIdentity:
             eng, mem = make_engine(keys, crypto=crypto)
             obj = ObjectDescriptor("w", 0x1000, 3000, mac_granularity=512)
             other = ObjectDescriptor("f", 0x8000, 700, mac_granularity=256)
-            eng.store(obj, 1, bytes(3000))
-            eng.store(other, 1, bytes(700))
-            eng.store(obj, 2, bytes(600), offset=16)
+            store(eng, obj, 1, bytes(3000))
+            store(eng, other, 1, bytes(700))
+            store(eng, obj, 2, bytes(600), offset=16)
             eng.load(obj, 2, offset=16, length=600)
             eng.load(other, 1, offset=128, length=300)
             logs.append([(r.op, r.klass, r.addr, r.length) for r in mem.log])
@@ -513,6 +506,6 @@ class TestCryptoOffIdentity:
     def test_crypto_off_payload_is_zeros(self, keys):
         eng, _ = make_engine(keys, crypto=False)
         obj = ObjectDescriptor("w", 0, 64, mac_granularity=64)
-        eng.store(obj, 1, b"\xff" * 64)
-        out, accepted, _ = eng.load(obj, 1)
-        assert accepted and out == bytes(64)
+        store(eng, obj, 1, b"\xff" * 64)
+        out = eng.load(obj, 1, 0, obj.size)
+        assert out == bytes(64)

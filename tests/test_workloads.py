@@ -64,15 +64,7 @@ def resolve_writes(trace: Trace):
     out = []
     for e in trace.events:
         if e.op in UPDATE_OPS:
-            import mgxsim.mgx as mgx
-
-            fn = {
-                "update_i": mgx.update_input,
-                "update_w": mgx.update_weights,
-                "update_genome": mgx.update_genome,
-                "update_query": mgx.update_query,
-            }[e.op]
-            state = fn(state)
+            state, _ = state.advance(e.op)
         elif e.op == WRITE:
             out.append((e.obj_id, e.vn_source.resolve(state), e.offset, e.length))
     return out
@@ -145,7 +137,7 @@ class TestTraceBuilder:
         assert t.payload_bytes() == 160
         assert t.groups() == [0, 1]
         assert t.compute_macs == {0: 5.0, 1: 0.0}
-        assert t.data_span_end == 128
+        assert max(o.base + o.size for o in t.objects.values()) == 128
         assert t.span_end == o.end
 
 
@@ -242,7 +234,7 @@ class TestCnnInference:
             "w_fc": 14336,
         }
         assert t.span_end == 47360
-        assert t.data_span_end == 47104
+        assert max(o.base + o.size for o in t.objects.values()) == 47104
 
     def test_micro_frozen_events(self, micro_graph):
         t = cnn_inference_trace(micro_graph, 1)
@@ -619,6 +611,26 @@ class TestExportImport:
             assert f1.read() == f2.read()
         with open(p1 + ".meta.json", "rb") as f1, open(p2 + ".meta.json", "rb") as f2:
             assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize(
+        "workload,args",
+        [
+            ("micro", {}),
+            ("micro", {"task": "training"}),
+            ("rnn", {}),
+            ("pruned", {}),
+            ("h264", {}),
+            ("gact", {}),
+            ("stream", {}),
+        ],
+    )
+    def test_generator_defaults_reimport(self, tmp_path, workload, args):
+        # import_trace rejects overlapping objects and out-of-object rows;
+        # no generator's own output may trip those checks
+        t = build_trace(workload, args=args)
+        path = str(tmp_path / "t.csv")
+        export_trace(t, path)
+        assert _events(import_trace(path)) == _events(t)
 
     def test_missing_file_and_sidecar(self, tmp_path, micro_graph):
         with pytest.raises(ConfigError):
