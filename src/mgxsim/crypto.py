@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -41,6 +42,13 @@ class EncryptionKey:
         if len(self.key_bytes) != 16:
             raise ValueError(f"encryption key must be 16 bytes, got {len(self.key_bytes)}")
 
+    @cached_property
+    def _ecb(self):
+        """The key's one AES-ECB context. ECB carries no state from one block
+        to the next, so every keystream call update()s it; it is never
+        finalized."""
+        return Cipher(algorithms.AES(self.key_bytes), modes.ECB()).encryptor()
+
 
 @dataclass(frozen=True)
 class MacKey:
@@ -51,6 +59,11 @@ class MacKey:
     def __post_init__(self):
         if not 8 <= len(self.key_bytes) <= 64:
             raise ValueError("MAC key must be 8..64 bytes (BLAKE2b keyed-hash limit)")
+
+    @cached_property
+    def _blake2b(self):
+        """Pre-keyed BLAKE2b state; each MAC starts from a copy of it."""
+        return hashlib.blake2b(key=self.key_bytes, digest_size=MAC_BYTES)
 
 
 @dataclass(frozen=True)
@@ -73,8 +86,7 @@ def _raw_keystream(key: EncryptionKey, first_block_pa: int, vn: int, nblocks: in
         material = b"".join(
             struct.pack(">QQ", (first_block_pa + 16 * i) & _MASK64, vn) for i in range(nblocks)
         )
-    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
-    return enc.update(material) + enc.finalize()
+    return key._ecb.update(material)
 
 
 def _xor(data: bytes, pad: bytes) -> bytes:
@@ -122,7 +134,7 @@ def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> MacTag:
     The ciphertext is length-prefixed so (ct="ab", pa) and (ct="a", pa) can
     never collide through concatenation ambiguity.
     """
-    h = hashlib.blake2b(key=key.key_bytes, digest_size=MAC_BYTES)
+    h = key._blake2b.copy()
     h.update(struct.pack(">Q", len(ciphertext)))
     h.update(ciphertext)
     h.update(struct.pack(">QQ", pa & _MASK64, vn & _MASK64))

@@ -15,6 +15,8 @@ from typing import NamedTuple, Union
 from .errors import AddressError
 
 LINE = 64
+# Granularity of the sparse byte store (not of any modeled access).
+PAGE = 4096
 
 # Access classes. Schemes tag every access they issue with one of these.
 DATA = "data"
@@ -66,13 +68,17 @@ TamperAction = Union[BitFlip, Replay, Relocate, Splice]
 
 
 class PhysicalMemory:
-    """Sparse line-backed memory with a 0x00 fill for never-written bytes."""
+    """Sparse page-backed memory with a 0x00 fill for never-written bytes.
+
+    Bytes live in PAGE-sized bytearrays allocated on first write, so a peek or
+    poke copies one slice per page it touches, whatever its length.
+    """
 
     def __init__(self, capacity: int = 8 << 30):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._lines: dict[int, bytearray] = {}
+        self._pages: dict[int, bytearray] = {}
         self.log: list[AccessRecord] = []
         self._snapshots: dict[int, tuple[int, bytes]] = {}
         self._next_snapshot = 0
@@ -86,44 +92,35 @@ class PhysicalMemory:
     def peek(self, addr: int, length: int) -> bytes:
         """Read without logging (tamper/test plumbing)."""
         self._check(addr, length)
-        if length == 0:
-            return b""
-        first = addr // LINE
-        last = (addr + length - 1) // LINE
-        if first == last:
-            line = self._lines.get(first)
-            off = addr - first * LINE
-            if line is None:
-                return bytes(length)
-            return bytes(line[off : off + length])
+        page, off = divmod(addr, PAGE)
+        if off + length <= PAGE:
+            buf = self._pages.get(page)
+            return bytes(length) if buf is None else bytes(buf[off : off + length])
         parts = []
-        pos = addr
-        remaining = length
-        for ln in range(first, last + 1):
-            off = pos - ln * LINE
-            take = min(LINE - off, remaining)
-            line = self._lines.get(ln)
-            parts.append(bytes(take) if line is None else bytes(line[off : off + take]))
-            pos += take
-            remaining -= take
+        while length:
+            take = min(PAGE - off, length)
+            buf = self._pages.get(page)
+            parts.append(bytes(take) if buf is None else buf[off : off + take])
+            page += 1
+            off = 0
+            length -= take
         return b"".join(parts)
 
     def poke(self, addr: int, data: bytes):
         """Write without logging (tamper/test plumbing)."""
         self._check(addr, len(data))
-        pos = addr
+        page, off = divmod(addr, PAGE)
         view = memoryview(data)
-        while view:
-            ln = pos // LINE
-            off = pos - ln * LINE
-            take = min(LINE - off, len(view))
-            line = self._lines.get(ln)
-            if line is None:
-                line = bytearray(LINE)
-                self._lines[ln] = line
-            line[off : off + take] = view[:take]
+        pos = 0
+        while pos < len(view):
+            take = min(PAGE - off, len(view) - pos)
+            buf = self._pages.get(page)
+            if buf is None:
+                buf = self._pages[page] = bytearray(PAGE)
+            buf[off : off + take] = view[pos : pos + take]
             pos += take
-            view = view[take:]
+            page += 1
+            off = 0
 
     # -- logged access (the accelerator-side interface) ---------------------
 

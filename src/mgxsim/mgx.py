@@ -19,6 +19,7 @@ optional debug ledger asserts that at cipher-block granularity.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -134,22 +135,43 @@ class ObjectDescriptor:
 
 
 class WriteLedger:
-    """Debug record of every (cipher-block, VN) write pair within a key epoch."""
+    """Debug record of every (cipher-block, VN) write pair within a key epoch.
+
+    Per VN, the written blocks are kept as a sorted flat list of boundaries
+    [s0, e0, s1, e1, ...] of disjoint, merged half-open intervals, so a record
+    costs O(log n) in the intervals of its VN, not O(blocks).
+    """
 
     def __init__(self):
-        self._pairs: set[tuple[int, int]] = set()
+        self._bounds: dict[int, list[int]] = {}
 
     def record(self, first_block: int, last_block: int, vn: int):
-        for b in range(first_block, last_block + 1):
-            pair = (b, vn)
-            if pair in self._pairs:
-                raise SecurityInvariantFault(
-                    f"counter reuse: cipher block 0x{b * 16:x} written twice under VN {vn}"
-                )
-            self._pairs.add(pair)
+        lo, hi = first_block, last_block + 1
+        bounds = self._bounds.setdefault(vn, [])
+        i = bisect_right(bounds, lo)
+        if i % 2:
+            repeated = lo  # lo falls inside a written interval
+        elif i < len(bounds) and bounds[i] < hi:
+            repeated = bounds[i]  # a written interval starts inside [lo, hi)
+        else:
+            repeated = None
+        if repeated is not None:
+            raise SecurityInvariantFault(
+                f"counter reuse: cipher block 0x{repeated * 16:x} written twice under VN {vn}"
+            )
+        joins_left = i > 0 and bounds[i - 1] == lo
+        joins_right = i < len(bounds) and bounds[i] == hi
+        if joins_left and joins_right:
+            del bounds[i - 1 : i + 1]
+        elif joins_left:
+            bounds[i - 1] = hi
+        elif joins_right:
+            bounds[i] = lo
+        else:
+            bounds[i:i] = (lo, hi)
 
     def clear(self):
-        self._pairs.clear()
+        self._bounds.clear()
 
 
 class MgxMee:
@@ -170,7 +192,8 @@ class MgxMee:
         self.crypto = crypto
         self.debug = debug
         self.ledger = WriteLedger()
-        # obj_id -> append-only list of (start, end, vn); newest last
+        # obj_id -> sorted, disjoint (start, end, vn) byte ranges, each under
+        # the VN of its most recent write; adjacent same-VN ranges are merged
         self._shadow: dict[str, list[tuple[int, int, int]]] = {}
         self.rekey_events = 0
 
@@ -209,7 +232,7 @@ class MgxMee:
             self.ledger.record(
                 (obj.base + offset) // 16, (obj.base + end - 1) // 16, vn
             )
-            self._shadow.setdefault(obj.obj_id, []).append((offset, end, vn))
+            self._overwrite_shadow(self._shadow.setdefault(obj.obj_id, []), offset, end, vn)
         if self.crypto:
             ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, plaintext(offset, length))
         else:
@@ -270,30 +293,52 @@ class MgxMee:
 
     # -- debug bookkeeping --------------------------------------------------
 
+    @staticmethod
+    def _overwrite_shadow(ranges: list[tuple[int, int, int]], start: int, end: int, vn: int):
+        """Make [start, end) one range under `vn`, trimming what it overlaps
+        and merging with same-VN neighbours it touches."""
+        lo = bisect_left(ranges, (start,))
+        if lo and ranges[lo - 1][1] >= start:
+            lo -= 1
+        hi = bisect_left(ranges, (end + 1,), lo)
+        keep = []
+        if lo < hi:
+            ls, _, lvn = ranges[lo]
+            if ls < start:
+                if lvn == vn:
+                    start = ls
+                else:
+                    keep.append((ls, start, lvn))
+        keep.append((start, end, vn))
+        if lo < hi:
+            _, re, rvn = ranges[hi - 1]
+            if re > end:
+                if rvn == vn:
+                    keep[-1] = (start, re, vn)
+                else:
+                    keep.append((end, re, rvn))
+        ranges[lo:hi] = keep
+
     def _check_shadow(self, obj: ObjectDescriptor, vn: int, start: int, end: int):
         """Every byte in [start, end) must have been written, most recently
-        under `vn`. Walks this object's write history newest-first."""
-        remaining = [(start, end)]
-        for ws, we, wvn in reversed(self._shadow.get(obj.obj_id, [])):
-            if not remaining:
-                break
-            nxt = []
-            for s, e in remaining:
-                if we <= s or ws >= e:
-                    nxt.append((s, e))
-                    continue
-                if wvn != vn:
-                    raise SecurityInvariantFault(
-                        f"read of {obj.obj_id}[{max(s, ws)}:{min(e, we)}] under VN {vn}, "
-                        f"but most recent write used VN {wvn}"
-                    )
-                if s < ws:
-                    nxt.append((s, ws))
-                if we < e:
-                    nxt.append((we, e))
-            remaining = nxt
-        if remaining:
-            s, e = remaining[0]
-            raise SecurityInvariantFault(
-                f"read of never-written bytes {obj.obj_id}[{s}:{e}]"
-            )
+        under `vn`. Walks only the ranges the read overlaps, in address
+        order, and reports the lowest-address fault."""
+        ranges = self._shadow.get(obj.obj_id, [])
+        i = bisect_left(ranges, (start,))
+        if i and ranges[i - 1][1] > start:
+            i -= 1
+        pos = start
+        while pos < end:
+            if i == len(ranges) or ranges[i][0] > pos:
+                gap_end = end if i == len(ranges) else min(ranges[i][0], end)
+                raise SecurityInvariantFault(
+                    f"read of never-written bytes {obj.obj_id}[{pos}:{gap_end}]"
+                )
+            _, we, wvn = ranges[i]
+            if wvn != vn:
+                raise SecurityInvariantFault(
+                    f"read of {obj.obj_id}[{pos}:{min(end, we)}] under VN {vn}, "
+                    f"but most recent write used VN {wvn}"
+                )
+            pos = we
+            i += 1

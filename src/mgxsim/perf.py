@@ -148,10 +148,12 @@ def estimate_time(
 
 
 def traffic_increase(result: ReplayResult) -> float:
+    return _increase(result, ProtectionStats.from_log(result.log))
+
+
+def _increase(result: ReplayResult, stats: ProtectionStats) -> float:
     payload = result.trace.payload_bytes()
-    if payload == 0:
-        return 1.0
-    return ProtectionStats.from_log(result.log).total_bytes / payload
+    return stats.total_bytes / payload if payload else 1.0
 
 
 @dataclass
@@ -176,12 +178,14 @@ def evaluate(
 ) -> SimResult:
     dram = dram or DramModel()
     compute = compute or ComputeModel()
+    stats = ProtectionStats.from_log(result.log)
+    groups = cost_groups(result, dram, compute)
     return SimResult(
         replay=result,
-        stats=ProtectionStats.from_log(result.log),
-        groups=cost_groups(result, dram, compute),
-        est_time=estimate_time(result, dram, compute),
-        traffic_increase=traffic_increase(result),
+        stats=stats,
+        groups=groups,
+        est_time=sum(c.cycles for c in groups),
+        traffic_increase=_increase(result, stats),
         dram=dram,
         compute=compute,
     )

@@ -53,7 +53,9 @@ class VnSource(NamedTuple):
         kind, sep, arg = text.partition(":")
         if kind not in VN_KINDS:
             raise ConfigError(f"unknown VN source kind {kind!r}")
-        return cls(kind, int(arg)) if sep else cls(kind)
+        src = cls(kind, int(arg)) if sep else cls(kind)
+        src.resolve(MgxState())  # the argument must fit its kind's field
+        return src
 
     def resolve(self, state: MgxState) -> int:
         if self.kind not in VN_KINDS:

@@ -254,6 +254,13 @@ class TestCorruptedTraceExits:
         rc = entry(["run", "--workload", path])
         self._assert_corrupted(rc, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("source", ["feature:0", "frame:300"])
+    def test_vn_argument_outside_field(self, tmp_path, capsys, source):
+        path, rows, _ = self._micro_export(tmp_path)
+        self._rewrite_first_write(path, rows, 2, source)
+        rc = entry(["run", "--workload", path])
+        self._assert_corrupted(rc, capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_overlapping_objects(self, tmp_path, capsys, command):
         path, _, meta = self._micro_export(tmp_path)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgxsim.dram import (
@@ -11,6 +11,7 @@ from mgxsim.dram import (
     LINE,
     MAC_LINE,
     META_CLASSES,
+    PAGE,
     TREE_NODE,
     VN_LINE,
     AccessRecord,
@@ -48,21 +49,36 @@ class TestStore:
         assert mem.peek(0, 32) == b"a" * 8 + b"b" * 8 + b"a" * 16
 
     @given(
+        capacity=st.sampled_from([1024, 5 * PAGE + 100]),
         writes=st.lists(
-            st.tuples(st.integers(0, 500), st.binary(min_size=1, max_size=150)),
+            st.tuples(
+                st.floats(0, 1),
+                st.binary(min_size=1, max_size=150)
+                | st.integers(PAGE - 50, 2 * PAGE + 50).map(lambda n: bytes([n % 251]) * n),
+            ),
             max_size=20,
-        )
+        ),
+        reads=st.lists(
+            st.tuples(st.integers(0, 6 * PAGE), st.integers(0, 2 * PAGE + 50)), max_size=8
+        ),
     )
+    # a read that ends one byte past a page boundary
+    @example(capacity=5 * PAGE + 100, writes=[(0.0, b"\x01" * 2 * PAGE)], reads=[(PAGE - 10, 11)])
     @settings(max_examples=50, deadline=None)
-    def test_matches_flat_shadow(self, writes):
-        mem = PhysicalMemory(capacity=1024)
-        shadow = bytearray(1024)
-        for addr, data in writes:
-            if addr + len(data) > 1024:
+    def test_matches_flat_shadow(self, capacity, writes, reads):
+        mem = PhysicalMemory(capacity=capacity)
+        shadow = bytearray(capacity)
+        for frac, data in writes:
+            addr = int(frac * capacity)
+            if addr + len(data) > capacity:
                 continue
             mem.poke(addr, data)
             shadow[addr : addr + len(data)] = data
-        assert mem.peek(0, 1024) == bytes(shadow)
+        assert mem.peek(0, capacity) == bytes(shadow)
+        for start, length in reads:
+            lo = start % capacity
+            hi = min(capacity, lo + length)
+            assert mem.peek(lo, hi - lo) == bytes(shadow[lo:hi])
 
     def test_capacity_enforced(self):
         mem = PhysicalMemory(capacity=128)

@@ -377,6 +377,60 @@ class TestLedgerShadow:
         led.clear()
         led.record(3, 5, 7)
 
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 8), st.integers(1, 3)), max_size=30
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ledger_matches_pair_set(self, ops):
+        led, pairs = WriteLedger(), set()
+        for first, extra, vn in ops:
+            blocks = range(first, first + extra + 1)
+            repeated = next((b for b in blocks if (b, vn) in pairs), None)
+            if repeated is None:
+                led.record(first, first + extra, vn)
+                pairs.update((b, vn) for b in blocks)
+            else:
+                with pytest.raises(
+                    SecurityInvariantFault, match=f"block 0x{repeated * 16:x} written twice"
+                ):
+                    led.record(first, first + extra, vn)
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(), st.integers(0, 15), st.integers(1, 16), st.integers(1, 3)
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shadow_matches_per_byte_vns(self, keys, ops):
+        # crypto off: only the debug shadow can fault a load
+        eng, _ = make_engine(keys, crypto=False)
+        obj = ObjectDescriptor("x", 0, 16, mac_granularity=16)
+        byte_vns = [None] * obj.size
+        for is_store, offset, length, vn in ops:
+            length = min(length, obj.size - offset)
+            if is_store:
+                eng.rekey()  # a fresh ledger epoch, so a VN may repeat
+                store(eng, obj, vn, bytes(length), offset)
+                byte_vns[offset : offset + length] = [vn] * length
+                continue
+            end = offset + length
+            bad = next((i for i in range(offset, end) if byte_vns[i] != vn), None)
+            if bad is None:
+                eng.load(obj, vn, offset, length)
+                continue
+            # the fault names the lowest run of bytes that share one wrong VN
+            # (None: never written)
+            run_end = bad
+            while run_end < end and byte_vns[run_end] == byte_vns[bad]:
+                run_end += 1
+            with pytest.raises(SecurityInvariantFault, match=rf"x\[{bad}:{run_end}\]"):
+                eng.load(obj, vn, offset, length)
+
     def test_shadow_rejects_stale_vn_read(self, keys):
         eng, _ = make_engine(keys)
         obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
