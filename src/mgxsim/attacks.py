@@ -30,15 +30,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .baseline import BaselineConfig, BaselineGeometry
+from .baseline import CTR_W, BaselineGeometry
+from .crypto import MAC_BYTES
 from .dram import LINE, BitFlip, PhysicalMemory, Relocate, Replay, Splice
 from .errors import ConfigError
-from .replay import ReplayResult, baseline_region_size, replay
+from .replay import ReplayResult, baseline_config, replay
 from .workloads.trace import READ, WRITE, Trace
 
 ATTACKS = ("bitflip", "splice", "relocate", "replay")
-
-_MAC_SLOT_W = 7  # packed tag width inside a baseline MAC line
 
 
 @dataclass
@@ -158,13 +157,12 @@ def _relocate_hooks(index, rng, scheme, geom):
             if not sources:
                 continue
             src_block = rng.choice(sources)
-            actions = [Relocate(src_block, dst_block, LINE)]
-            if geom is not None:
-                sl, ss = geom.mac_slot(geom.block_index(src_block))
-                dl, ds = geom.mac_slot(geom.block_index(dst_block))
-                actions.append(
-                    Relocate(sl + ss * _MAC_SLOT_W, dl + ds * _MAC_SLOT_W, _MAC_SLOT_W)
-                )
+            sl, ss = geom.mac_slot(geom.block_index(src_block))
+            dl, ds = geom.mac_slot(geom.block_index(dst_block))
+            actions = [
+                Relocate(src_block, dst_block, LINE),
+                Relocate(sl + ss * CTR_W, dl + ds * CTR_W, CTR_W),
+            ]
             return {r: lambda mem: [mem.inject(a) for a in actions]}
         # mgx and none: move another chunk-sized unit of written data (and its
         # tag, when one exists) over the chunk the read will consume.
@@ -184,7 +182,7 @@ def _relocate_hooks(index, rng, scheme, geom):
         so, sc, scs = rng.choice(sources)
         actions = [Relocate(so.base + scs, obj.base + cs, span)]
         if scheme == "mgx":
-            actions.append(Relocate(so.mac_addr(sc), obj.mac_addr(c), 8))
+            actions.append(Relocate(so.mac_addr(sc), obj.mac_addr(c), MAC_BYTES))
         return {r: lambda mem: [mem.inject(a) for a in actions]}
     raise ConfigError("no relocation source found for this trace")
 
@@ -200,18 +198,16 @@ def _replay_hooks(index, rng, scheme, geom):
     ranges: list[tuple[int, int]]
     if scheme == "baseline":
         block_addr = (obj.base + b) // LINE * LINE
-        ranges = [(block_addr, LINE)]
-        if geom is not None:
-            blk = geom.block_index(block_addr)
-            mac_line, _ = geom.mac_slot(blk)
-            leaf = geom.level_line_addr(0, blk // geom.cfg.arity)
-            ranges += [(mac_line, LINE), (leaf, LINE)]
+        blk = geom.block_index(block_addr)
+        mac_line, _ = geom.mac_slot(blk)
+        leaf = geom.level_line_addr(0, blk // geom.cfg.arity)
+        ranges = [(block_addr, LINE), (mac_line, LINE), (leaf, LINE)]
     else:
         c = b // obj.mac_granularity
         cs, ce = obj.chunk_extent(c)
         ranges = [(obj.base + cs, ce - cs)]
         if scheme == "mgx":
-            ranges.append((obj.mac_addr(c), 8))
+            ranges.append((obj.mac_addr(c), MAC_BYTES))
     sids: list[int] = []
 
     def take(mem: PhysicalMemory):
@@ -250,14 +246,7 @@ def run_campaign(
     index = _TraceIndex(trace)
     geom = None
     if scheme == "baseline":
-        geom = BaselineGeometry(
-            BaselineConfig(
-                region_base=0,
-                region_size=baseline_region_size(trace, region_mb),
-                arity=tree_arity,
-                cache_bytes=cache_kb * 1024,
-            )
-        )
+        geom = BaselineGeometry(baseline_config(trace, region_mb, cache_kb, tree_arity))
     result = CampaignResult(scheme, attack, trace.workload)
     build = _BUILDERS[attack]
     for t in range(trials):

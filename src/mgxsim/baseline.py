@@ -4,7 +4,7 @@ MACs, and a counter tree rooted on-chip.
 Layout conventions (all metadata lives in untrusted memory directly after the
 protected region):
 
-    [region_base, region_base + region_size)      64-byte data blocks
+    data region:  64-byte blocks at [0, region_size)
     mac region:   one 56-bit tag per data block, packed 8 per 64-byte line
     level 0:      counter lines, `arity` 56-bit VNs (one per data block) plus a
                   56-bit embedded MAC per 64-byte line
@@ -37,14 +37,13 @@ from .errors import ConfigError, TamperDetected
 from .mgx import ObjectDescriptor
 
 VN_LIMIT = 1 << 56  # counters are 56-bit; reaching the limit forces a re-key
-_CTR_W = 7  # packed width of one counter / one stored tag, bytes
+CTR_W = 7  # packed width of one counter / one stored tag, bytes
 _MAC_OFF = 56  # embedded MAC offset inside a counter line
 _MAC_SLOTS = 8  # data MAC tags per 64-byte line, independent of tree arity
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    region_base: int = 0
     region_size: int = 128 << 20
     arity: int = 8
     cache_bytes: int = 4096
@@ -52,8 +51,6 @@ class BaselineConfig:
     def __post_init__(self):
         if self.arity not in (2, 4, 8):
             raise ConfigError(f"tree arity must be 2, 4 or 8, got {self.arity}")
-        if self.region_base % LINE:
-            raise ConfigError("region base must be 64-byte aligned")
         if self.region_size <= 0 or self.region_size % (LINE * _MAC_SLOTS):
             raise ConfigError("region size must be a positive multiple of 512 bytes")
         if self.cache_bytes < LINE:
@@ -80,7 +77,7 @@ class BaselineGeometry:
                 )
             counts.append(counts[-1] // cfg.arity)
         self.level_counts = counts
-        self.mac_base = cfg.region_base + cfg.region_size
+        self.mac_base = cfg.region_size
         bases = []
         cursor = self.mac_base + self.mac_lines * LINE
         for n in counts:
@@ -91,10 +88,10 @@ class BaselineGeometry:
         self.root_fanout = counts[-1]
 
     def contains(self, addr: int) -> bool:
-        return self.cfg.region_base <= addr < self.cfg.region_base + self.cfg.region_size
+        return 0 <= addr < self.cfg.region_size
 
     def block_index(self, pa: int) -> int:
-        return (pa - self.cfg.region_base) // LINE
+        return pa // LINE
 
     def mac_slot(self, block: int) -> tuple[int, int]:
         return self.mac_base + (block // _MAC_SLOTS) * LINE, block % _MAC_SLOTS
@@ -106,16 +103,16 @@ class BaselineGeometry:
 def pack_counter_line(counters: list[int], mac7: bytes) -> bytes:
     out = bytearray(LINE)
     for i, c in enumerate(counters):
-        out[i * _CTR_W : (i + 1) * _CTR_W] = c.to_bytes(_CTR_W, "big")
-    out[_MAC_OFF : _MAC_OFF + _CTR_W] = mac7
+        out[i * CTR_W : (i + 1) * CTR_W] = c.to_bytes(CTR_W, "big")
+    out[_MAC_OFF : _MAC_OFF + CTR_W] = mac7
     return bytes(out)
 
 
 def unpack_counter_line(raw: bytes, arity: int) -> tuple[list[int], bytes]:
     counters = [
-        int.from_bytes(raw[i * _CTR_W : (i + 1) * _CTR_W], "big") for i in range(arity)
+        int.from_bytes(raw[i * CTR_W : (i + 1) * CTR_W], "big") for i in range(arity)
     ]
-    return counters, raw[_MAC_OFF : _MAC_OFF + _CTR_W]
+    return counters, raw[_MAC_OFF : _MAC_OFF + CTR_W]
 
 
 class _CounterLine:
@@ -207,12 +204,7 @@ class BaselineMee:
 
     def _bump_parent(self, level: int, index: int) -> int:
         if level == len(self.geom.level_counts) - 1:
-            nv = self.root[index] + 1
-            if nv >= VN_LIMIT:
-                self.rekey_events += 1
-                nv = 1
-            self.root[index] = nv
-            return nv
+            return self._bump(self.root, index)
         parent = self._ensure_counter(level + 1, index // self.geom.cfg.arity)
         nv = self._bump(parent.counters, index % self.geom.cfg.arity)
         parent.dirty = True
@@ -228,9 +220,9 @@ class BaselineMee:
                 if self.crypto:
                     mac7 = compute_mac(
                         self.mac_key, self._counters_bytes(entry.counters), addr, pctr
-                    ).tag[:_CTR_W]
+                    ).tag[:CTR_W]
                 else:
-                    mac7 = bytes(_CTR_W)
+                    mac7 = bytes(CTR_W)
                 klass = VN_LINE if entry.level == 0 else TREE_NODE
                 self.mem.write(addr, pack_counter_line(entry.counters, mac7), klass)
             finally:
@@ -240,7 +232,7 @@ class BaselineMee:
         else:
             out = bytearray(LINE)
             for i, tag in enumerate(entry.slots):
-                out[i * _CTR_W : (i + 1) * _CTR_W] = tag
+                out[i * CTR_W : (i + 1) * CTR_W] = tag
             self.mem.write(addr, bytes(out), MAC_LINE)
 
     def _make_room(self):
@@ -252,7 +244,7 @@ class BaselineMee:
 
     @staticmethod
     def _counters_bytes(counters: list[int]) -> bytes:
-        return b"".join(c.to_bytes(_CTR_W, "big") for c in counters)
+        return b"".join(c.to_bytes(CTR_W, "big") for c in counters)
 
     def _ensure_counter(self, level: int, index: int) -> _CounterLine:
         addr = self.geom.level_line_addr(level, index)
@@ -297,7 +289,7 @@ class BaselineMee:
                 else:
                     want = compute_mac(
                         self.mac_key, self._counters_bytes(counters), addr, pctr
-                    ).tag[:_CTR_W]
+                    ).tag[:CTR_W]
                     if want != stored:
                         raise TamperDetected("counter line MAC mismatch", addr)
             entry = _CounterLine(level, index, counters)
@@ -312,7 +304,7 @@ class BaselineMee:
             return entry
         self._make_room()
         raw = self.mem.read(addr, LINE, MAC_LINE)
-        slots = [bytes(raw[i * _CTR_W : (i + 1) * _CTR_W]) for i in range(_MAC_SLOTS)]
+        slots = [bytes(raw[i * CTR_W : (i + 1) * CTR_W]) for i in range(_MAC_SLOTS)]
         entry = _MacLine(line_index, slots)
         self._cache[addr] = entry
         return entry
@@ -347,7 +339,7 @@ class BaselineMee:
         mac_line_addr, slot = self.geom.mac_slot(block)
         mline = self._ensure_mac_line((mac_line_addr - self.geom.mac_base) // LINE)
         if self.crypto:
-            mline.slots[slot] = compute_mac(self.mac_key, ct, pa, vn).tag[:_CTR_W]
+            mline.slots[slot] = compute_mac(self.mac_key, ct, pa, vn).tag[:CTR_W]
         mline.dirty = True
 
     def read_block(self, pa: int) -> bytes:
@@ -367,7 +359,7 @@ class BaselineMee:
         mline = self._ensure_mac_line((mac_line_addr - self.geom.mac_base) // LINE)
         if not self.crypto:
             return bytes(LINE)
-        want = compute_mac(self.mac_key, ct, pa, vn).tag[:_CTR_W]
+        want = compute_mac(self.mac_key, ct, pa, vn).tag[:CTR_W]
         if want != mline.slots[slot]:
             raise TamperDetected("data block MAC mismatch", pa)
         return keystream_xor(self.enc_key, pa, vn, ct)

@@ -30,7 +30,7 @@ from .errors import (
     VerifyMismatch,
 )
 from .perf import STATS_HEADER, stats_row, write_stats_csv
-from .replay import SCHEMES
+from .replay import PAYLOAD_MODES, SCHEMES
 from .workloads import export_trace
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tree-arity", type=int, dest="tree_arity", choices=(2, 4, 8))
     p.add_argument("--mac-granularity", type=int, dest="mac_granularity")
     p.add_argument("--seed", type=int)
-    p.add_argument("--payload-mode", dest="payload_mode", choices=("fast", "real", "verify"))
+    p.add_argument("--payload-mode", dest="payload_mode", choices=PAYLOAD_MODES)
     p.add_argument("--out", help="write results as CSV to this path")
     p.add_argument(
         "--arg",

@@ -9,9 +9,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .perf import ComputeModel, DramModel, SimResult, simulate, stats_row
-from .replay import SCHEMES
-
-_PAYLOAD_MODES = ("fast", "real", "verify")
+from .replay import PAYLOAD_MODES, SCHEMES
 
 
 @dataclass
@@ -25,7 +23,6 @@ class ExperimentConfig:
     mac_granularity: int = 1024
     seed: int = 0
     payload_mode: str = "fast"
-    debug_ledger: bool = True
     background_writes: bool = True
     macs_per_cycle: float = 2048.0
     bytes_per_cycle_per_channel: float = 8.0
@@ -36,9 +33,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.payload_mode not in _PAYLOAD_MODES:
+        if self.payload_mode not in PAYLOAD_MODES:
             raise ConfigError(
-                f"unknown payload mode {self.payload_mode!r}; expected one of {_PAYLOAD_MODES}"
+                f"unknown payload mode {self.payload_mode!r}; expected one of {PAYLOAD_MODES}"
             )
         if self.channels < 1:
             raise ConfigError("channels must be at least 1")
@@ -106,7 +103,7 @@ class ExperimentConfig:
         )
 
 
-def run_experiment(cfg: ExperimentConfig, trace=None, hooks=None) -> SimResult:
+def run_experiment(cfg: ExperimentConfig, trace=None) -> SimResult:
     """Build the trace (unless given), replay it, and evaluate the models.
 
     Tamper rejections and verify-mode payload mismatches propagate as their
@@ -120,11 +117,9 @@ def run_experiment(cfg: ExperimentConfig, trace=None, hooks=None) -> SimResult:
         cfg.dram_model(),
         cfg.compute_model(),
         payload_mode=cfg.payload_mode,
-        hooks=hooks,
         region_mb=cfg.region_mb,
         cache_kb=cfg.cache_kb,
         tree_arity=cfg.tree_arity,
-        debug_ledger=cfg.debug_ledger,
     )
 
 

@@ -31,7 +31,6 @@ class AccessRecord(NamedTuple):
     klass: str  # DATA | VN_LINE | MAC_LINE | TREE_NODE
     addr: int
     length: int
-    timestamp: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class PhysicalMemory:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._pages: dict[int, bytearray] = {}
-        self.log: list[AccessRecord] = []
+        self.log: list[AccessRecord] = []  # in issue order: the index is the time
         self._snapshots: dict[int, tuple[int, bytes]] = {}
         self._next_snapshot = 0
 
@@ -126,12 +125,12 @@ class PhysicalMemory:
 
     def read(self, addr: int, length: int, klass: str = DATA) -> bytes:
         out = self.peek(addr, length)
-        self.log.append(AccessRecord("read", klass, addr, length, len(self.log)))
+        self.log.append(AccessRecord("read", klass, addr, length))
         return out
 
     def write(self, addr: int, data: bytes, klass: str = DATA):
         self.poke(addr, data)
-        self.log.append(AccessRecord("write", klass, addr, len(data), len(self.log)))
+        self.log.append(AccessRecord("write", klass, addr, len(data)))
 
     # -- tamper API ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ to the object. The VN layouts are:
 
 Counters only ever move forward, and an 8-bit vID is unique per producer, so
 two writes to one address can share a VN only if the schedule is broken; the
-optional debug ledger asserts that at cipher-block granularity.
+write ledger asserts that at cipher-block granularity.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .crypto import EncryptionKey, MacKey, compute_mac, keystream_xor_at
+from .crypto import MAC_BYTES, EncryptionKey, MacKey, compute_mac, keystream_xor_at
 from .dram import DATA, MAC_LINE, PhysicalMemory
 from .errors import ConfigError, SecurityInvariantFault, TamperDetected
 
-MAC_BYTES = 8
 CTR_I_LIMIT = 1 << 56
 CTR_32_LIMIT = 1 << 32
 
@@ -135,7 +134,7 @@ class ObjectDescriptor:
 
 
 class WriteLedger:
-    """Debug record of every (cipher-block, VN) write pair within a key epoch.
+    """Record of every (cipher-block, VN) write pair within a key epoch.
 
     Per VN, the written blocks are kept as a sorted flat list of boundaries
     [s0, e0, s1, e1, ...] of disjoint, merged half-open intervals, so a record
@@ -184,13 +183,11 @@ class MgxMee:
         mac_key: MacKey,
         *,
         crypto: bool = True,
-        debug: bool = True,
     ):
         self.mem = memory
         self.enc_key = enc_key
         self.mac_key = mac_key
         self.crypto = crypto
-        self.debug = debug
         self.ledger = WriteLedger()
         # obj_id -> sorted, disjoint (start, end, vn) byte ranges, each under
         # the VN of its most recent write; adjacent same-VN ranges are merged
@@ -228,11 +225,8 @@ class MgxMee:
             )
         if not length:
             return
-        if self.debug:
-            self.ledger.record(
-                (obj.base + offset) // 16, (obj.base + end - 1) // 16, vn
-            )
-            self._overwrite_shadow(self._shadow.setdefault(obj.obj_id, []), offset, end, vn)
+        self.ledger.record((obj.base + offset) // 16, (obj.base + end - 1) // 16, vn)
+        self._overwrite_shadow(self._shadow.setdefault(obj.obj_id, []), offset, end, vn)
         if self.crypto:
             ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, plaintext(offset, length))
         else:
@@ -258,9 +252,8 @@ class MgxMee:
         chunk MAC under the caller-regenerated VN, and return the decrypted
         requested bytes.
 
-        Any MAC mismatch raises TamperDetected. With debug on, also asserts
-        that every requested byte was most recently written under exactly
-        this VN.
+        Any MAC mismatch raises TamperDetected. Before that, asserts that
+        every requested byte was most recently written under exactly this VN.
         """
         end = offset + length
         if offset < 0 or length < 0 or end > obj.size:
@@ -269,8 +262,7 @@ class MgxMee:
             )
         if length == 0:
             return b""
-        if self.debug:
-            self._check_shadow(obj, vn, offset, end)
+        self._check_shadow(obj, vn, offset, end)
         chunks = obj.covering_chunks(offset, length)
         span_start, _ = obj.chunk_extent(chunks[0])
         _, span_end = obj.chunk_extent(chunks[-1])
@@ -291,7 +283,7 @@ class MgxMee:
         pt = keystream_xor_at(self.enc_key, obj.base, vn, span_start, span_ct)
         return pt[offset - span_start : end - span_start]
 
-    # -- debug bookkeeping --------------------------------------------------
+    # -- schedule bookkeeping -----------------------------------------------
 
     @staticmethod
     def _overwrite_shadow(ranges: list[tuple[int, int, int]], start: int, end: int, vn: int):

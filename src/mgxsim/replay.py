@@ -41,6 +41,7 @@ from .workloads.payload import payload_for
 from .workloads.trace import READ, UPDATE_OPS, WRITE, Trace
 
 SCHEMES = ("none", "baseline", "mgx")
+PAYLOAD_MODES = ("fast", "real", "verify")
 
 Hook = Callable[[PhysicalMemory], None]
 
@@ -98,22 +99,20 @@ class ReplayResult:
         return self.completed and self.detected is None and self.mismatch is None
 
 
-def _memory_for(trace: Trace, scheme: str, region_size: int | None) -> PhysicalMemory:
-    if scheme == "baseline":
-        # Metadata sits after the region; leave generous headroom above it.
-        need = region_size + region_size // 4
-    else:
-        need = trace.span_end
+def _memory(need: int) -> PhysicalMemory:
     return PhysicalMemory(capacity=max(_next_pow2(need), 1 << 20))
 
 
-def baseline_region_size(trace: Trace, region_mb: int = 128) -> int:
-    """Protected region size a baseline replay of this trace will use: the
-    configured size, grown to the next power of two when the trace needs more."""
+def baseline_config(
+    trace: Trace, region_mb: int = 128, cache_kb: int = 4, tree_arity: int = 8
+) -> BaselineConfig:
+    """The baseline engine's configuration for a replay of this trace. The
+    protected region has the configured size, grown to the next power of two
+    when the trace needs more."""
     size = max(region_mb << 20, 1 << 20)
     if trace.span_end > size:
         size = _next_pow2(trace.span_end)
-    return size
+    return BaselineConfig(region_size=size, arity=tree_arity, cache_bytes=cache_kb * 1024)
 
 
 def replay(
@@ -125,40 +124,36 @@ def replay(
     region_mb: int = 128,
     cache_kb: int = 4,
     tree_arity: int = 8,
-    debug_ledger: bool = True,
-    seed: int | None = None,
 ) -> ReplayResult:
     """Run every trace event through the chosen scheme and collect the log.
 
     `hooks[i]` callables run against physical memory immediately before event
-    i executes. A TamperDetected from any engine check aborts the run and is
-    recorded on the result rather than raised; ConfigError and invariant
-    faults propagate, since they mean the input or the schedule is broken.
+    i executes. The keys derive from `trace.seed`. A TamperDetected from any
+    engine check aborts the run and is recorded on the result rather than
+    raised; ConfigError and invariant faults propagate, since they mean the
+    input or the schedule is broken.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if payload_mode not in ("fast", "real", "verify"):
+    if payload_mode not in PAYLOAD_MODES:
         raise ConfigError(f"unknown payload mode {payload_mode!r}")
     use_crypto = payload_mode != "fast"
-    enc_key, mac_key = derive_keys(trace.seed if seed is None else seed)
+    enc_key, mac_key = derive_keys(trace.seed)
 
-    region_size = baseline_region_size(trace, region_mb) if scheme == "baseline" else None
-    memory = _memory_for(trace, scheme, region_size)
     engine: BaselineMee | MgxMee | PlainEngine
     if scheme == "baseline":
-        cfg = BaselineConfig(
-            region_base=0,
-            region_size=region_size,
-            arity=tree_arity,
-            cache_bytes=cache_kb * 1024,
-        )
+        cfg = baseline_config(trace, region_mb, cache_kb, tree_arity)
+        # Metadata sits after the region; leave generous headroom above it.
+        memory = _memory(cfg.region_size + cfg.region_size // 4)
         engine = BaselineMee(
             cfg, memory, enc_key, mac_key, crypto=use_crypto, objects=trace.objects.values()
         )
-    elif scheme == "mgx":
-        engine = MgxMee(memory, enc_key, mac_key, crypto=use_crypto, debug=debug_ledger)
     else:
-        engine = PlainEngine(memory)
+        memory = _memory(trace.span_end)
+        if scheme == "mgx":
+            engine = MgxMee(memory, enc_key, mac_key, crypto=use_crypto)
+        else:
+            engine = PlainEngine(memory)
 
     result = ReplayResult(scheme, payload_mode, trace, memory, memory.log)
     state = MgxState()

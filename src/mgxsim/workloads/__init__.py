@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 from ..errors import ConfigError
 from .cnn import cnn_inference_trace, cnn_training_trace
 from .gact import gact_trace
 from .graph import PRESETS, NetworkGraph, load_graph, load_preset
-from .h264 import DEFAULT_PATTERN, h264_trace
+from .h264 import h264_trace
 from .payload import payload_for
 from .pruned import pruned_trace
 from .rnn import rnn_trace, unroll
@@ -58,22 +60,39 @@ def build_trace(workload: str, *, seed: int = 0, mac_granularity: int = 1024,
         graph = None
     if graph is not None:
         if task == "training":
-            return cnn_training_trace(graph, a.pop("iterations", 1), **common, **a)
+            return _generate(cnn_training_trace, a, graph, **common)
         if task != "inference":
             raise ConfigError(f"unknown task {task!r} (inference|training)")
-        return cnn_inference_trace(graph, a.pop("num_inputs", 1), **common, **a)
+        return _generate(cnn_inference_trace, a, graph, **common)
     if workload == "rnn":
         cell = load_graph(a.pop("cell")) if "cell" in a else load_preset("micro")
-        return rnn_trace(cell, a.pop("timesteps", 4), task=task, **common, **a)
+        a.setdefault("timesteps", 4)
+        return _generate(rnn_trace, a, cell, task=task, **common)
     if workload == "pruned":
-        return pruned_trace(**common, **a)
+        return _generate(pruned_trace, a, **common)
     if workload == "h264":
-        return h264_trace(a.pop("pattern", DEFAULT_PATTERN), **common, **a)
+        return _generate(h264_trace, a, **common)
     if workload == "gact":
-        return gact_trace(**common, **a)
+        return _generate(gact_trace, a, **common)
     if workload == "stream":
-        return streaming_trace(a.pop("total_bytes", 10 << 20), **common, **a)
+        return _generate(streaming_trace, a, **common)
     raise ConfigError(
         f"unknown workload {workload!r}; expected a preset ({', '.join(PRESETS)}), "
         "a .json network, a .csv trace, or rnn|pruned|h264|gact|stream"
     )
+
+
+def _generate(gen, args: dict, *lead, **fixed) -> Trace:
+    """Call `gen(*lead, **fixed, **args)` after checking that every user
+    argument in `args` is a parameter `gen` takes, and that its value has
+    the parameter's annotated type (an int passes for a float)."""
+    params = inspect.signature(gen, eval_str=True).parameters
+    taken = set(list(params)[: len(lead)]) | set(fixed)
+    for name, value in args.items():
+        p = params.get(name)
+        if p is None or name in taken:
+            raise ConfigError(f"{gen.__name__} takes no --arg {name!r}")
+        want = (int, float) if p.annotation is float else p.annotation
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(f"--arg {name}={value!r} must be {p.annotation.__name__}")
+    return gen(*lead, **fixed, **args)

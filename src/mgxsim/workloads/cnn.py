@@ -81,7 +81,6 @@ def cnn_inference_trace(
     graph: NetworkGraph,
     num_inputs: int = 1,
     *,
-    base: int = 0,
     mac_granularity: int = 1024,
     seed: int = 0,
     reload_model_every: int = 0,
@@ -91,7 +90,7 @@ def cnn_inference_trace(
     n, 2n, ... (a mid-run model swap)."""
     if num_inputs < 0:
         raise ConfigError("num_inputs must be >= 0")
-    b = TraceBuilder(f"{graph.name}-inference", seed=seed, base=base, mac_granularity=mac_granularity)
+    b = TraceBuilder(f"{graph.name}-inference", seed=seed, mac_granularity=mac_granularity)
     objs = _Objects(b, graph, gradients=False)
     _store_model(b, graph, objs)
     for n in range(num_inputs):
@@ -105,7 +104,6 @@ def cnn_training_trace(
     graph: NetworkGraph,
     iterations: int = 1,
     *,
-    base: int = 0,
     mac_granularity: int = 1024,
     seed: int = 0,
 ) -> Trace:
@@ -124,7 +122,7 @@ def cnn_training_trace(
         raise ConfigError(
             f"training requires a chain-shaped graph; {forked[0]!r} feeds multiple vertices"
         )
-    b = TraceBuilder(f"{graph.name}-training", seed=seed, base=base, mac_granularity=mac_granularity)
+    b = TraceBuilder(f"{graph.name}-training", seed=seed, mac_granularity=mac_granularity)
     objs = _Objects(b, graph, gradients=True)
     _store_model(b, graph, objs)
     last = graph.layers[-1]

@@ -40,7 +40,6 @@ def gact_trace(
     query_bytes: int = 256,
     traceback_bytes: int = 4096,
     lookups_per_query: int = 4,
-    base: int = 0,
     mac_granularity: int = 1024,
     seed: int = 0,
 ) -> Trace:
@@ -54,8 +53,7 @@ def gact_trace(
     if query_bytes % 64 or traceback_bytes % 64:
         raise ConfigError("query and traceback sizes must be multiples of 64 bytes")
     b = TraceBuilder(
-        f"gact-g{genomes}b{batches}q{queries_per_batch}", seed=seed, base=base,
-        mac_granularity=mac_granularity,
+        f"gact-g{genomes}b{batches}q{queries_per_batch}", seed=seed, mac_granularity=mac_granularity
     )
     rng = random.Random(seed)
     reference = b.alloc("reference", reference_bytes)

@@ -63,7 +63,6 @@ def h264_trace(
     buffer_count: int = 3,
     frame_bytes: int = 352 * 288,
     streams: int = 1,
-    base: int = 0,
     mac_granularity: int = 1024,
     seed: int = 0,
 ) -> Trace:
@@ -72,7 +71,7 @@ def h264_trace(
     if frame_bytes % 64:
         raise ConfigError("frame size must be a multiple of 64 bytes")
     order = decode_order(pattern)
-    b = TraceBuilder(f"h264-{len(pattern)}f", seed=seed, base=base, mac_granularity=mac_granularity)
+    b = TraceBuilder(f"h264-{len(pattern)}f", seed=seed, mac_granularity=mac_granularity)
     bufs = [b.alloc(f"framebuf{i}", frame_bytes) for i in range(buffer_count)]
     for _ in range(streams):
         b.update("update_i")

@@ -54,7 +54,6 @@ def pruned_trace(
     sparsity: float = 0.9,
     seed: int = 0,
     num_inputs: int = 1,
-    base: int = 0,
     mac_granularity: int = 1024,
 ) -> Trace:
     """A pipeline of `layers` pruned layers over `num_inputs` inputs.
@@ -70,8 +69,7 @@ def pruned_trace(
     if layers + 1 > 255:
         raise ConfigError("pipeline needs more vIDs than the 8-bit field holds")
     b = TraceBuilder(
-        f"pruned-{layers}x{rows}x{cols}-s{sparsity}", seed=seed, base=base,
-        mac_granularity=mac_granularity,
+        f"pruned-{layers}x{rows}x{cols}-s{sparsity}", seed=seed, mac_granularity=mac_granularity
     )
     rng = random.Random(seed)
     edges = [_CsrEdge(b, f"e{l}", rows, cols) for l in range(layers + 1)]

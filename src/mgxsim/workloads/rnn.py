@@ -58,7 +58,6 @@ def rnn_trace(
     *,
     task: str = "inference",
     sequences: int = 1,
-    base: int = 0,
     mac_granularity: int = 1024,
     seed: int = 0,
 ) -> Trace:
@@ -66,13 +65,9 @@ def rnn_trace(
     inputs/iterations play for the feedforward generators."""
     g = unroll(cell, timesteps)
     if task == "inference":
-        t = cnn_inference_trace(
-            g, sequences, base=base, mac_granularity=mac_granularity, seed=seed
-        )
+        t = cnn_inference_trace(g, sequences, mac_granularity=mac_granularity, seed=seed)
     elif task == "training":
-        t = cnn_training_trace(
-            g, sequences, base=base, mac_granularity=mac_granularity, seed=seed
-        )
+        t = cnn_training_trace(g, sequences, mac_granularity=mac_granularity, seed=seed)
     else:
         raise ConfigError(f"unknown task {task!r} (inference|training)")
     t.workload = f"{cell.name}-rnn-T{timesteps}-{task}"

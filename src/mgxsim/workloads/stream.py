@@ -11,7 +11,6 @@ def streaming_trace(
     total_bytes: int = 10 << 20,
     *,
     object_bytes: int = 1 << 20,
-    base: int = 0,
     mac_granularity: int = 1024,
     seed: int = 0,
 ) -> Trace:
@@ -23,8 +22,7 @@ def streaming_trace(
     count = (total_bytes + object_bytes - 1) // object_bytes
     if count > 255:
         raise ConfigError("too many stream objects for distinct vIDs; enlarge object_bytes")
-    b = TraceBuilder(f"stream-{total_bytes >> 20}MiB", seed=seed, base=base,
-                     mac_granularity=mac_granularity)
+    b = TraceBuilder(f"stream-{total_bytes >> 20}MiB", seed=seed, mac_granularity=mac_granularity)
     objs = []
     remaining = total_bytes
     for i in range(count):

@@ -100,18 +100,16 @@ class Trace:
 class TraceBuilder:
     """Incremental construction helper used by the generators."""
 
-    def __init__(self, workload: str, seed: int = 0, base: int = 0, mac_granularity: int = 1024):
+    def __init__(self, workload: str, seed: int = 0, mac_granularity: int = 1024):
         self.trace = Trace(workload, seed=seed)
-        self._cursor = _align64(base)
+        self._cursor = 0
         self._group = -1
         self.mac_granularity = mac_granularity
 
-    def alloc(self, obj_id: str, size: int, mac_granularity: int | None = None) -> ObjectDescriptor:
+    def alloc(self, obj_id: str, size: int) -> ObjectDescriptor:
         if obj_id in self.trace.objects:
             raise ConfigError(f"duplicate object id {obj_id}")
-        k = mac_granularity if mac_granularity is not None else self.mac_granularity
-        base = self._cursor
-        obj = ObjectDescriptor(obj_id, base, size, k)
+        obj = ObjectDescriptor(obj_id, self._cursor, size, self.mac_granularity)
         self._cursor = _align64(obj.end)
         self.trace.objects[obj_id] = obj
         return obj

@@ -101,7 +101,7 @@ def test_c1_functional_round_trip(bank):
 
 
 def test_c2_write_uniqueness_ledger(bank):
-    """The debug ledger observes zero repeated (address-block, VN) write pairs
+    """The write ledger observes zero repeated (address-block, VN) write pairs
     across all round-trip workloads; a deliberate repeat trips it."""
     for key in ROUND_TRIP:
         # The ledger (on by default) faults on the first repeated pair, so a

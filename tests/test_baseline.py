@@ -25,7 +25,7 @@ MB = 1 << 20
 def make_engine(region_size=128 * MB, arity=8, cache=4096, *, crypto=True, mem=None):
     mem = mem or PhysicalMemory(capacity=1 << 40)
     eng = BaselineMee(
-        BaselineConfig(0, region_size, arity, cache),
+        BaselineConfig(region_size, arity, cache),
         mem,
         pytest.enc_key,
         pytest.mac_key,
@@ -56,10 +56,6 @@ class TestConfigValidation:
             BaselineConfig(region_size=0)
         BaselineConfig(region_size=512)
 
-    def test_region_base_alignment(self):
-        with pytest.raises(ConfigError):
-            BaselineConfig(region_base=32)
-
     def test_cache_minimum(self):
         with pytest.raises(ConfigError):
             BaselineConfig(cache_bytes=32)
@@ -78,7 +74,7 @@ class TestGeometryFrozen:
     """Hand-computed layout for the default 128 MiB / 8-ary configuration."""
 
     def test_128mb_layout(self):
-        g = BaselineGeometry(BaselineConfig(0, 128 * MB, 8, 4096))
+        g = BaselineGeometry(BaselineConfig(128 * MB, 8, 4096))
         assert g.blocks == 2**21
         assert g.mac_lines == 2**18
         assert g.mac_base == 0x08000000
@@ -95,7 +91,7 @@ class TestGeometryFrozen:
         assert g.root_fanout == 8
 
     def test_small_region_layout(self):
-        g = BaselineGeometry(BaselineConfig(0, 32768, 8, 1024))
+        g = BaselineGeometry(BaselineConfig(32768, 8, 1024))
         assert g.blocks == 512
         assert g.mac_base == 32768
         assert g.level_counts == [64, 8]
@@ -103,7 +99,7 @@ class TestGeometryFrozen:
         assert g.root_fanout == 8
 
     def test_address_helpers(self):
-        g = BaselineGeometry(BaselineConfig(0, 128 * MB, 8, 4096))
+        g = BaselineGeometry(BaselineConfig(128 * MB, 8, 4096))
         assert g.contains(0) and g.contains(128 * MB - 1)
         assert not g.contains(128 * MB)
         assert g.block_index(64 * 7) == 7
@@ -217,7 +213,7 @@ class TestObjectInterface:
     def test_objects_must_be_line_aligned(self):
         with pytest.raises(ConfigError):
             BaselineMee(
-                BaselineConfig(0, 32768),
+                BaselineConfig(32768),
                 PhysicalMemory(capacity=1 << 20),
                 pytest.enc_key,
                 pytest.mac_key,

@@ -118,6 +118,14 @@ class TestConfigExits:
         rc = entry(["run", "--workload", "micro", "--arg", "noequals"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("arg", ["bogus=1", "num_inputs=abc", "base=4096"])
+    def test_bad_workload_arg(self, capsys, arg):
+        rc = entry(["run", "--workload", "micro", "--arg", arg])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert arg.split("=")[0] in err
+
     def test_missing_config_file(self, capsys):
         rc = entry(["run", "--config", "/nonexistent/cfg.json"])
         assert rc == EXIT_CONFIG
@@ -147,22 +155,22 @@ class TestTamperExit:
         err = capsys.readouterr().err
         assert rc == EXIT_TAMPER and "tampering detected" in err
 
-    def test_mgx_without_ledger_hits_mac_check(self, tmp_path, capsys):
-        trace_csv = read_before_write_trace_csv(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "workload": trace_csv,
-                    "scheme": "mgx",
-                    "payload_mode": "real",
-                    "debug_ledger": False,
-                }
-            )
-        )
-        rc = entry(["run", "--config", str(cfg)])
+    def test_mgx_stale_chunk_hits_mac_check(self, tmp_path, capsys):
+        # The lower half was last written under feature:1, so the schedule
+        # checks pass; its chunk's MAC now covers the upper half's feature:2
+        # rewrite, so the read fails the MAC check.
+        b = TraceBuilder("stale", mac_granularity=128)
+        o = b.alloc("o", 128)
+        b.update("update_i")
+        b.new_group()
+        b.write(o, VnSource("feature", 1))
+        b.write(o, VnSource("feature", 2), 64, 64)
+        b.read(o, VnSource("feature", 1), 0, 64)
+        trace_csv = str(tmp_path / "stale.csv")
+        export_trace(b.trace, trace_csv)
+        rc = entry(["run", "--workload", trace_csv, "--scheme", "mgx", "--payload-mode", "real"])
         err = capsys.readouterr().err
-        assert rc == EXIT_TAMPER and "tampering detected" in err
+        assert rc == EXIT_TAMPER and "tampering detected: chunk MAC mismatch" in err
 
 
 class TestUndetectedExit:

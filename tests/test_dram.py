@@ -98,14 +98,15 @@ class TestStore:
 
 class TestLogging:
     def test_read_write_logged_with_class_and_timestamp(self):
+        # a record's timestamp is its index in the log
         mem = PhysicalMemory()
         mem.write(0, bytes(64), VN_LINE)
         mem.read(64, 64, DATA)
         mem.read(128, 8, MAC_LINE)
         assert mem.log == [
-            AccessRecord("write", VN_LINE, 0, 64, 0),
-            AccessRecord("read", DATA, 64, 64, 1),
-            AccessRecord("read", MAC_LINE, 128, 8, 2),
+            AccessRecord("write", VN_LINE, 0, 64),
+            AccessRecord("read", DATA, 64, 64),
+            AccessRecord("read", MAC_LINE, 128, 8),
         ]
 
     def test_peek_poke_and_tampering_unlogged(self):

@@ -1,4 +1,4 @@
-"""Object-granularity engine: VN algebra, chunk MACs, debug invariants.
+"""Object-granularity engine: VN algebra, chunk MACs, schedule invariants.
 
 Frozen expected values below were computed by hand from the VN layouts
 (shift-or of independent counter fields) and from the descriptor's
@@ -44,10 +44,10 @@ from mgxsim.mgx import (
 )
 
 
-def make_engine(keys, *, crypto=True, debug=True, capacity=1 << 20):
+def make_engine(keys, *, crypto=True, capacity=1 << 20):
     enc_key, mac_key = keys
     mem = PhysicalMemory(capacity)
-    eng = MgxMee(mem, enc_key, mac_key, crypto=crypto, debug=debug)
+    eng = MgxMee(mem, enc_key, mac_key, crypto=crypto)
     return eng, mem
 
 
@@ -407,7 +407,7 @@ class TestLedgerShadow:
     )
     @settings(max_examples=300, deadline=None)
     def test_shadow_matches_per_byte_vns(self, keys, ops):
-        # crypto off: only the debug shadow can fault a load
+        # crypto off: only the shadow can fault a load
         eng, _ = make_engine(keys, crypto=False)
         obj = ObjectDescriptor("x", 0, 16, mac_granularity=16)
         byte_vns = [None] * obj.size
@@ -474,16 +474,6 @@ class TestLedgerShadow:
         store(eng, obj, 2, bytes(32), offset=48)
         with pytest.raises(TamperDetected):
             eng.load(obj, 1, offset=0, length=48)
-
-    def test_debug_off_skips_bookkeeping(self, keys):
-        eng, _ = make_engine(keys, debug=False)
-        obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        store(eng, obj, 2, bytes(64))
-        store(eng, obj, 2, bytes(64))  # no ledger: not rejected
-        # never-written reads hit the MAC check instead of the shadow
-        other = ObjectDescriptor("y", 0x1000, 64, mac_granularity=64)
-        with pytest.raises(TamperDetected):
-            eng.load(other, 1, 0, other.size)
 
 
 class TestDetection:

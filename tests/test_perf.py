@@ -40,10 +40,10 @@ def synthetic_result() -> ReplayResult:
     trace = Trace("synthetic")
     trace.compute_macs = {0: 4096.0, 1: 0.0, 2: 2_048_000.0, 7: 8192.0}
     log = [
-        AccessRecord("read", DATA, 0x000, 1024, 0),
-        AccessRecord("write", DATA, 0x400, 512, 1),
-        AccessRecord("write", DATA, 0x600, 2048, 2),
-        AccessRecord("write", DATA, 0xE00, 4096, 3),
+        AccessRecord("read", DATA, 0x000, 1024),
+        AccessRecord("write", DATA, 0x400, 512),
+        AccessRecord("write", DATA, 0x600, 2048),
+        AccessRecord("write", DATA, 0xE00, 4096),
     ]
     return ReplayResult(
         scheme="none",
@@ -75,11 +75,11 @@ class TestModels:
 class TestProtectionStats:
     def test_from_log_frozen_counts(self):
         log = [
-            AccessRecord("read", DATA, 0, 64, 0),
-            AccessRecord("read", DATA, 64, 64, 1),
-            AccessRecord("write", DATA, 0, 128, 2),
-            AccessRecord("read", VN_LINE, 4096, 64, 3),
-            AccessRecord("write", MAC_LINE, 8192, 8, 4),
+            AccessRecord("read", DATA, 0, 64),
+            AccessRecord("read", DATA, 64, 64),
+            AccessRecord("write", DATA, 0, 128),
+            AccessRecord("read", VN_LINE, 4096, 64),
+            AccessRecord("write", MAC_LINE, 8192, 8),
         ]
         s = ProtectionStats.from_log(log)
         assert s.read_bytes == {DATA: 128, VN_LINE: 64}

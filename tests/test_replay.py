@@ -8,12 +8,14 @@ on it.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from mgxsim.dram import DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, BitFlip, Replay
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import COUNTERS, MgxState, ObjectDescriptor
-from mgxsim.replay import SCHEMES, baseline_region_size, derive_keys, replay
+from mgxsim.replay import SCHEMES, baseline_config, derive_keys, replay
 from mgxsim.workloads import (
     Trace,
     TraceEvent,
@@ -289,7 +291,6 @@ class TestInputValidation:
         b.write(o, src)  # same VN, same blocks: broken schedule
         with pytest.raises(SecurityInvariantFault):
             replay(b.trace, "mgx")
-        assert replay(b.trace, "mgx", debug_ledger=False).completed
         assert replay(b.trace, "baseline").completed  # VNs are stored, not derived
 
 
@@ -297,14 +298,14 @@ class TestRegionSizing:
     def test_default_and_growth(self):
         b = TraceBuilder("small", mac_granularity=1024)
         b.alloc("o", 1 << 20)
-        assert baseline_region_size(b.trace, 128) == 128 << 20
+        assert baseline_config(b.trace, 128).region_size == 128 << 20
 
         big = TraceBuilder("big", mac_granularity=1024)
         big.alloc("o", 200 << 20)
-        assert baseline_region_size(big.trace, 128) == 256 << 20
+        assert baseline_config(big.trace, 128).region_size == 256 << 20
 
     def test_floor_one_mb(self):
-        assert baseline_region_size(Trace("empty"), 0) == 1 << 20
+        assert baseline_config(Trace("empty"), 0).region_size == 1 << 20
 
     def test_grown_region_replays(self, micro_graph):
         # a 1 MB configured region is smaller than the micro trace span;
@@ -316,8 +317,8 @@ class TestRegionSizing:
 class TestKeying:
     def test_seed_changes_ciphertext_not_stream(self):
         trace, o = tiny_trace()
-        r1 = replay(trace, "mgx", payload_mode="real", seed=1)
-        r2 = replay(trace, "mgx", payload_mode="real", seed=2)
+        r1 = replay(dataclasses.replace(trace, seed=1), "mgx", payload_mode="real")
+        r2 = replay(dataclasses.replace(trace, seed=2), "mgx", payload_mode="real")
         assert stream_of(r1) == stream_of(r2)
         assert r1.memory.peek(o.base, o.size) != r2.memory.peek(o.base, o.size)
 
