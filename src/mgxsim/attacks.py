@@ -55,11 +55,6 @@ class CampaignResult:
     def detection_rate(self) -> float:
         return self.detected / self.trials if self.trials else 0.0
 
-    @property
-    def corruption_rate(self) -> float:
-        """Fraction of trials where tampered data was consumed unnoticed."""
-        return self.silent / self.trials if self.trials else 0.0
-
 
 class _TraceIndex:
     """Per-trace candidate tables shared by all trials of a campaign."""
@@ -188,10 +183,6 @@ def _relocate_hooks(index, rng, scheme, geom):
 
 
 def _replay_hooks(index, rng, scheme, geom):
-    if not index.replay_candidates:
-        raise ConfigError(
-            "trace has no byte written twice before a read; replay attacks need one"
-        )
     r, w1, lo, hi = rng.choice(index.replay_candidates)
     obj = index.trace.objects[index.trace.events[r].obj_id]
     b = rng.randrange(lo, hi)
@@ -240,10 +231,15 @@ def run_campaign(
     cache_kb: int = 4,
     tree_arity: int = 8,
 ) -> CampaignResult:
-    """Run `trials` independent randomized attacks of one class."""
+    """Run `trials` independent randomized attacks of one class. With
+    trials=0 this only checks that the trace admits the attack."""
     if attack not in ATTACKS:
         raise ConfigError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
     index = _TraceIndex(trace)
+    if attack == "replay" and not index.replay_candidates:
+        raise ConfigError(
+            "trace has no byte written twice before a read; replay attacks need one"
+        )
     geom = None
     if scheme == "baseline":
         geom = BaselineGeometry(baseline_config(trace, region_mb, cache_kb, tree_arity))

@@ -40,6 +40,7 @@ VN_LIMIT = 1 << 56  # counters are 56-bit; reaching the limit forces a re-key
 CTR_W = 7  # packed width of one counter / one stored tag, bytes
 _MAC_OFF = 56  # embedded MAC offset inside a counter line
 _MAC_SLOTS = 8  # data MAC tags per 64-byte line, independent of tree arity
+_MAC = -1  # cache level of a data-MAC line; counter lines use tree levels 0..
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,12 @@ class BaselineGeometry:
         return self.level_bases[level] + index * LINE
 
 
-def pack_counter_line(counters: list[int], mac7: bytes) -> bytes:
+def pack_counter_line(counters: list[int]) -> bytearray:
+    """A counter line with its embedded MAC field still zero."""
     out = bytearray(LINE)
     for i, c in enumerate(counters):
         out[i * CTR_W : (i + 1) * CTR_W] = c.to_bytes(CTR_W, "big")
-    out[_MAC_OFF : _MAC_OFF + CTR_W] = mac7
-    return bytes(out)
+    return out
 
 
 def unpack_counter_line(raw: bytes, arity: int) -> tuple[list[int], bytes]:
@@ -115,23 +116,22 @@ def unpack_counter_line(raw: bytes, arity: int) -> tuple[list[int], bytes]:
     return counters, raw[_MAC_OFF : _MAC_OFF + CTR_W]
 
 
-class _CounterLine:
-    __slots__ = ("level", "index", "counters", "dirty")
+def _klass(level: int) -> str:
+    return MAC_LINE if level == _MAC else VN_LINE if level == 0 else TREE_NODE
 
-    def __init__(self, level, index, counters, dirty=False):
+
+class _Line:
+    """One cached metadata line. A counter line (tree level >= 0) keeps its
+    counters as ints in `body`; a data-MAC line (level _MAC) keeps its packed
+    64 bytes as a bytearray."""
+
+    __slots__ = ("level", "index", "body", "dirty")
+
+    def __init__(self, level, index, body):
         self.level = level
         self.index = index
-        self.counters = counters
-        self.dirty = dirty
-
-
-class _MacLine:
-    __slots__ = ("index", "slots", "dirty")
-
-    def __init__(self, index, slots, dirty=False):
-        self.index = index
-        self.slots = slots  # list of 7-byte tags
-        self.dirty = dirty
+        self.body = body
+        self.dirty = False
 
 
 class BaselineMee:
@@ -141,7 +141,8 @@ class BaselineMee:
     the engine moves zero payloads and skips cipher/MAC arithmetic while
     producing the identical access stream; integrity checks are meaningful only
     with crypto=True. Every object in `objects` must start on a 64-byte line,
-    since the object interface widens each access to whole lines.
+    since the object interface widens each access to whole lines, and must lie
+    inside the region: nothing outside it is protected.
     """
 
     def __init__(
@@ -164,12 +165,20 @@ class BaselineMee:
                 raise ConfigError(
                     f"object {obj.obj_id} base 0x{obj.base:x} not 64-byte aligned"
                 )
+            if obj.base + obj.size > config.region_size:
+                raise ConfigError(
+                    f"object {obj.obj_id} ends at 0x{obj.base + obj.size:x}, "
+                    f"past the 0x{config.region_size:x}-byte protected region"
+                )
         self.mem = memory
         self.enc_key = enc_key
         self.mac_key = mac_key
         self.crypto = crypto
-        self._cache: OrderedDict[int, _CounterLine | _MacLine] = OrderedDict()
+        self._cache: OrderedDict[int, _Line] = OrderedDict()
         self._capacity = config.cache_bytes // LINE
+        # First line address per cache level; index _MAC (-1) is the MAC region.
+        self._bases = [*self.geom.level_bases, self.geom.mac_base]
+        self._ctr_bytes = config.arity * CTR_W
         # Write-back generation per counter-line address; lets a miss in
         # flight notice that the line it is resolving was filled, modified
         # and evicted again by its own eviction cascade.
@@ -178,7 +187,7 @@ class BaselineMee:
         # can recurse into arbitrary evictions before the line lands in
         # memory). A fill during that window must not trust the stale memory
         # copy; it gets the live in-flight line instead. Value is
-        # [refcount, entry] — re-eviction of a resurrected line nests.
+        # [refcount, line] — re-eviction of a resurrected line nests.
         self._wb_inflight: dict[int, list] = {}
         self.root = [0] * self.geom.root_fanout
         self.rekey_events = 0
@@ -199,168 +208,142 @@ class BaselineMee:
     def _parent_counter(self, level: int, index: int) -> int:
         if level == len(self.geom.level_counts) - 1:
             return self.root[index]
-        parent = self._ensure_counter(level + 1, index // self.geom.cfg.arity)
-        return parent.counters[index % self.geom.cfg.arity]
+        parent = self._line(level + 1, index // self.geom.cfg.arity)
+        return parent.body[index % self.geom.cfg.arity]
 
     def _bump_parent(self, level: int, index: int) -> int:
         if level == len(self.geom.level_counts) - 1:
             return self._bump(self.root, index)
-        parent = self._ensure_counter(level + 1, index // self.geom.cfg.arity)
-        nv = self._bump(parent.counters, index % self.geom.cfg.arity)
+        parent = self._line(level + 1, index // self.geom.cfg.arity)
+        nv = self._bump(parent.body, index % self.geom.cfg.arity)
         parent.dirty = True
         return nv
 
-    def _writeback(self, addr: int, entry: _CounterLine | _MacLine):
-        if isinstance(entry, _CounterLine):
-            slot = self._wb_inflight.setdefault(addr, [0, entry])
-            slot[0] += 1
-            try:
-                pctr = self._bump_parent(entry.level, entry.index)
-                self._wb_gen[addr] = self._wb_gen.get(addr, 0) + 1
-                if self.crypto:
-                    mac7 = compute_mac(
-                        self.mac_key, self._counters_bytes(entry.counters), addr, pctr
-                    ).tag[:CTR_W]
-                else:
-                    mac7 = bytes(CTR_W)
-                klass = VN_LINE if entry.level == 0 else TREE_NODE
-                self.mem.write(addr, pack_counter_line(entry.counters, mac7), klass)
-            finally:
-                slot[0] -= 1
-                if slot[0] == 0:
-                    del self._wb_inflight[addr]
-        else:
-            out = bytearray(LINE)
-            for i, tag in enumerate(entry.slots):
-                out[i * CTR_W : (i + 1) * CTR_W] = tag
-            self.mem.write(addr, bytes(out), MAC_LINE)
+    def _line_mac(self, raw: bytes, addr: int, pctr: int) -> bytes:
+        """Embedded MAC of a packed counter line under its parent counter."""
+        return compute_mac(self.mac_key, raw[: self._ctr_bytes], addr, pctr)[:CTR_W]
+
+    def _writeback(self, addr: int, line: _Line):
+        if line.level == _MAC:
+            self.mem.write(addr, line.body, MAC_LINE)
+            return
+        slot = self._wb_inflight.setdefault(addr, [0, line])
+        slot[0] += 1
+        try:
+            pctr = self._bump_parent(line.level, line.index)
+            self._wb_gen[addr] = self._wb_gen.get(addr, 0) + 1
+            raw = pack_counter_line(line.body)
+            if self.crypto:
+                raw[_MAC_OFF : _MAC_OFF + CTR_W] = self._line_mac(raw, addr, pctr)
+            self.mem.write(addr, raw, _klass(line.level))
+        finally:
+            slot[0] -= 1
+            if slot[0] == 0:
+                del self._wb_inflight[addr]
 
     def _make_room(self):
         while len(self._cache) >= self._capacity:
-            victim, entry = next(iter(self._cache.items()))
+            victim, line = next(iter(self._cache.items()))
             del self._cache[victim]
-            if entry.dirty:
-                self._writeback(victim, entry)
+            if line.dirty:
+                self._writeback(victim, line)
 
-    @staticmethod
-    def _counters_bytes(counters: list[int]) -> bytes:
-        return b"".join(c.to_bytes(CTR_W, "big") for c in counters)
-
-    def _ensure_counter(self, level: int, index: int) -> _CounterLine:
-        addr = self.geom.level_line_addr(level, index)
+    def _line(self, level: int, index: int) -> _Line:
+        """The cached line `index` of a tree level or of the MAC region
+        (_MAC), read from memory and verified on a miss."""
+        addr = self._bases[level] + index * LINE
         while True:
-            entry = self._cache.get(addr)
-            if entry is not None:
+            line = self._cache.get(addr)
+            if line is not None:
                 self._cache.move_to_end(addr)
-                return entry
+                return line
             # Capture the parent counter before making room: making room may
             # evict the parent line, but the captured value only goes stale if
             # this very line is written back meanwhile — caught below.
             gen = self._wb_gen.get(addr, 0)
-            pctr = self._parent_counter(level, index)
+            pctr = 0 if level == _MAC else self._parent_counter(level, index)
             self._make_room()
-            entry = self._cache.get(addr)
-            if entry is not None:
+            line = self._cache.get(addr)
+            if line is not None:
                 # A victim's write-back cascade resolved this line on our
                 # behalf; it is verified and may already carry a counter bump.
                 self._cache.move_to_end(addr)
-                return entry
+                return line
             if self._wb_gen.get(addr, 0) != gen:
                 # Filled, modified and evicted again while room was being
                 # made; the captured parent counter is stale. Start over.
                 continue
+            raw = self.mem.read(addr, LINE, _klass(level))
             infl = self._wb_inflight.get(addr)
             if infl is not None:
                 # The line is mid write-back: memory does not hold it yet,
-                # so the fill (traffic still issued) returns the live copy.
-                self.mem.read(addr, LINE, VN_LINE if level == 0 else TREE_NODE)
-                entry = infl[1]
-                entry.dirty = False
-                self._cache[addr] = entry
-                return entry
-            raw = self.mem.read(addr, LINE, VN_LINE if level == 0 else TREE_NODE)
-            counters, stored = unpack_counter_line(raw, self.geom.cfg.arity)
-            if self.crypto:
-                if pctr == 0:
-                    if raw != bytes(LINE):
-                        raise TamperDetected(
-                            "counter line modified before first writeback", addr
-                        )
-                else:
-                    want = compute_mac(
-                        self.mac_key, self._counters_bytes(counters), addr, pctr
-                    ).tag[:CTR_W]
-                    if want != stored:
+                # so the fill (traffic still issued) takes the live copy.
+                line = infl[1]
+                line.dirty = False
+            elif level == _MAC:
+                line = _Line(level, index, bytearray(raw))
+            else:
+                counters, stored = unpack_counter_line(raw, self.geom.cfg.arity)
+                if self.crypto:
+                    if pctr == 0:
+                        if raw != bytes(LINE):
+                            raise TamperDetected(
+                                "counter line modified before first writeback", addr
+                            )
+                    elif self._line_mac(raw, addr, pctr) != stored:
                         raise TamperDetected("counter line MAC mismatch", addr)
-            entry = _CounterLine(level, index, counters)
-            self._cache[addr] = entry
-            return entry
-
-    def _ensure_mac_line(self, line_index: int) -> _MacLine:
-        addr = self.geom.mac_base + line_index * LINE
-        entry = self._cache.get(addr)
-        if entry is not None:
-            self._cache.move_to_end(addr)
-            return entry
-        self._make_room()
-        raw = self.mem.read(addr, LINE, MAC_LINE)
-        slots = [bytes(raw[i * CTR_W : (i + 1) * CTR_W]) for i in range(_MAC_SLOTS)]
-        entry = _MacLine(line_index, slots)
-        self._cache[addr] = entry
-        return entry
+                line = _Line(level, index, counters)
+            self._cache[addr] = line
+            return line
 
     def flush(self):
         """Write back every dirty cached line (end-of-run bookkeeping)."""
         while self._cache:
-            addr, entry = self._cache.popitem(last=False)
-            if entry.dirty:
-                self._writeback(addr, entry)
+            addr, line = self._cache.popitem(last=False)
+            if line.dirty:
+                self._writeback(addr, line)
 
     # -- block interface ----------------------------------------------------
 
-    def write_block(self, pa: int, plaintext: bytes | None = None) -> None:
+    def _block(self, pa: int) -> int:
+        if pa % LINE or not self.geom.contains(pa):
+            raise ConfigError(
+                f"block address 0x{pa:x} is not a 64-byte aligned address "
+                "inside the protected region"
+            )
+        return pa // LINE
+
+    def write_block(self, pa: int, plaintext: bytes) -> None:
         """Encrypt and store one 64-byte block."""
-        if pa % LINE:
-            raise ConfigError(f"block address 0x{pa:x} not 64-byte aligned")
-        if not self.geom.contains(pa):
-            self.mem.write(pa, plaintext if plaintext is not None else bytes(LINE), DATA)
-            return
-        if plaintext is not None and len(plaintext) != LINE:
+        block = self._block(pa)
+        if len(plaintext) != LINE:
             raise ValueError("block writes take exactly 64 bytes")
-        block = self.geom.block_index(pa)
-        leaf = self._ensure_counter(0, block // self.geom.cfg.arity)
-        vn = self._bump(leaf.counters, block % self.geom.cfg.arity)
+        arity = self.geom.cfg.arity
+        leaf = self._line(0, block // arity)
+        vn = self._bump(leaf.body, block % arity)
         leaf.dirty = True
-        if self.crypto:
-            ct = keystream_xor(self.enc_key, pa, vn, plaintext or bytes(LINE))
-        else:
-            ct = bytes(LINE)
+        ct = keystream_xor(self.enc_key, pa, vn, plaintext) if self.crypto else bytes(LINE)
         self.mem.write(pa, ct, DATA)
-        mac_line_addr, slot = self.geom.mac_slot(block)
-        mline = self._ensure_mac_line((mac_line_addr - self.geom.mac_base) // LINE)
+        mline = self._line(_MAC, block // _MAC_SLOTS)
         if self.crypto:
-            mline.slots[slot] = compute_mac(self.mac_key, ct, pa, vn).tag[:CTR_W]
+            s = block % _MAC_SLOTS * CTR_W
+            mline.body[s : s + CTR_W] = compute_mac(self.mac_key, ct, pa, vn)[:CTR_W]
         mline.dirty = True
 
     def read_block(self, pa: int) -> bytes:
         """Fetch, authenticate and decrypt one block. Every integrity failure
         raises TamperDetected."""
-        if pa % LINE:
-            raise ConfigError(f"block address 0x{pa:x} not 64-byte aligned")
-        if not self.geom.contains(pa):
-            return self.mem.read(pa, LINE, DATA)
-        block = self.geom.block_index(pa)
-        leaf = self._ensure_counter(0, block // self.geom.cfg.arity)
-        vn = leaf.counters[block % self.geom.cfg.arity]
+        block = self._block(pa)
+        arity = self.geom.cfg.arity
+        vn = self._line(0, block // arity).body[block % arity]
         if vn == 0:
             raise TamperDetected("read of never-written block", pa)
         ct = self.mem.read(pa, LINE, DATA)
-        mac_line_addr, slot = self.geom.mac_slot(block)
-        mline = self._ensure_mac_line((mac_line_addr - self.geom.mac_base) // LINE)
+        mline = self._line(_MAC, block // _MAC_SLOTS)
         if not self.crypto:
             return bytes(LINE)
-        want = compute_mac(self.mac_key, ct, pa, vn).tag[:CTR_W]
-        if want != mline.slots[slot]:
+        s = block % _MAC_SLOTS * CTR_W
+        if compute_mac(self.mac_key, ct, pa, vn)[:CTR_W] != mline.body[s : s + CTR_W]:
             raise TamperDetected("data block MAC mismatch", pa)
         return keystream_xor(self.enc_key, pa, vn, ct)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .attacks import ATTACKS, run_campaign
 from .config import ExperimentConfig, run_experiment, sweep_experiment
@@ -113,6 +114,15 @@ def _load_config(args) -> ExperimentConfig:
             k, v = item.split("=", 1)
             extra[k] = _parse_value(v)
         cfg = cfg.with_overrides(workload_args=extra)
+    if cfg.workload.endswith(".csv"):
+        # An imported trace fixes its own layout and payload seed (build_trace
+        # rejects --arg). `attack` still seeds its trials with --seed.
+        swept = getattr(args, "param", None)
+        for flag, name in (("--mac-granularity", "mac_granularity"), ("--seed", "seed")):
+            if name == "seed" and args.command == "attack":
+                continue
+            if getattr(args, name) is not None or swept == name:
+                raise ConfigError(f"a .csv trace takes no {flag} (or --param {name})")
     return cfg
 
 
@@ -158,19 +168,21 @@ def cmd_attack(args) -> int:
         raise ConfigError("attack campaigns need a protecting scheme (baseline or mgx)")
     trace = cfg.build_trace()
     attacks = ATTACKS if args.attack == "all" else (args.attack,)
+    campaign = partial(
+        run_campaign,
+        trace,
+        cfg.scheme,
+        seed=cfg.seed,
+        region_mb=cfg.region_mb,
+        cache_kb=cfg.cache_kb,
+        tree_arity=cfg.tree_arity,
+    )
+    for attack in attacks:
+        campaign(attack, trials=0)  # every precondition before any output
     rows = []
     missed = 0
     for attack in attacks:
-        res = run_campaign(
-            trace,
-            cfg.scheme,
-            attack,
-            trials=args.trials,
-            seed=cfg.seed,
-            region_mb=cfg.region_mb,
-            cache_kb=cfg.cache_kb,
-            tree_arity=cfg.tree_arity,
-        )
+        res = campaign(attack, trials=args.trials)
         print(
             f"workload={res.workload} scheme={res.scheme} attack={res.attack} "
             f"trials={res.trials} detected={res.detected} silent={res.silent} "

@@ -1,5 +1,5 @@
 """Experiment configuration: one flat record driving trace generation,
-replay, and the timing model, with JSON round-trip for batch runs."""
+replay, and the timing model, loadable from JSON for batch runs."""
 
 from __future__ import annotations
 
@@ -50,9 +50,6 @@ class ExperimentConfig:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}
@@ -71,10 +68,6 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(data)
-
-    def to_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
 
     def with_overrides(self, **kv) -> "ExperimentConfig":
         return dataclasses.replace(self, **{k: v for k, v in kv.items() if v is not None})

@@ -66,15 +66,6 @@ class MacKey:
         return hashlib.blake2b(key=self.key_bytes, digest_size=MAC_BYTES)
 
 
-@dataclass(frozen=True)
-class MacTag:
-    tag: bytes
-
-    def __post_init__(self):
-        if len(self.tag) != MAC_BYTES:
-            raise ValueError(f"MAC tag must be {MAC_BYTES} bytes")
-
-
 def _raw_keystream(key: EncryptionKey, first_block_pa: int, vn: int, nblocks: int) -> bytes:
     """AES-ECB over the counter stream; pa advances by 16 per block."""
     if nblocks >= _NUMPY_CUTOVER:
@@ -100,12 +91,7 @@ def keystream_xor(key: EncryptionKey, base_pa: int, vn: int, data: bytes) -> byt
     XOR is an involution, so the same call performs both directions. A trailing
     partial block consumes a truncated keystream block. Empty input is allowed.
     """
-    if base_pa % CIPHER_BLOCK:
-        raise AlignmentError(f"base_pa 0x{base_pa:x} not {CIPHER_BLOCK}-byte aligned")
-    if not data:
-        return b""
-    nblocks = (len(data) + CIPHER_BLOCK - 1) // CIPHER_BLOCK
-    return _xor(data, _raw_keystream(key, base_pa, vn, nblocks))
+    return keystream_xor_at(key, base_pa, vn, 0, data)
 
 
 def keystream_xor_at(key: EncryptionKey, base_pa: int, vn: int, offset: int, data: bytes) -> bytes:
@@ -128,7 +114,7 @@ def keystream_xor_at(key: EncryptionKey, base_pa: int, vn: int, offset: int, dat
     return _xor(data, pad[skip : skip + len(data)])
 
 
-def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> MacTag:
+def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> bytes:
     """64-bit MAC binding ciphertext to its address and version number.
 
     The ciphertext is length-prefixed so (ct="ab", pa) and (ct="a", pa) can
@@ -138,5 +124,5 @@ def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> MacTag:
     h.update(struct.pack(">Q", len(ciphertext)))
     h.update(ciphertext)
     h.update(struct.pack(">QQ", pa & _MASK64, vn & _MASK64))
-    return MacTag(h.digest())
+    return h.digest()
 

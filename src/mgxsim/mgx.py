@@ -242,7 +242,7 @@ class MgxMee:
                 after = self.mem.read(obj.base + end, ce - end, DATA)
             if self.crypto:
                 chunk_ct = before + ct[max(cs - offset, 0) : ce - offset] + after
-                tag = compute_mac(self.mac_key, chunk_ct, obj.base + cs, vn).tag
+                tag = compute_mac(self.mac_key, chunk_ct, obj.base + cs, vn)
             else:
                 tag = bytes(MAC_BYTES)
             self.mem.write(obj.mac_addr(c), tag, MAC_LINE)
@@ -273,7 +273,7 @@ class MgxMee:
             if self.crypto:
                 want = compute_mac(
                     self.mac_key, span_ct[cs - span_start : ce - span_start], obj.base + cs, vn
-                ).tag
+                )
                 if want != stored:
                     raise TamperDetected(
                         f"chunk MAC mismatch in object {obj.obj_id}", obj.base + cs

@@ -30,9 +30,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
-from .baseline import BaselineConfig, BaselineMee
+from .baseline import BaselineConfig, BaselineGeometry, BaselineMee
 from .crypto import EncryptionKey, MacKey
 from .dram import DATA, AccessRecord, PhysicalMemory
 from .errors import ConfigError, TamperDetected, VerifyMismatch
@@ -89,7 +89,6 @@ class ReplayResult:
     completed: bool = False
     events_processed: int = 0
     detected: TamperDetected | None = None
-    detected_at_event: int | None = None
     mismatch: VerifyMismatch | None = None
     rekey_events: int = 0
     state: MgxState = field(default_factory=MgxState)
@@ -120,15 +119,15 @@ def replay(
     scheme: str = "mgx",
     *,
     payload_mode: str = "fast",
-    hooks: dict[int, Iterable[Hook] | Hook] | None = None,
+    hooks: dict[int, Hook] | None = None,
     region_mb: int = 128,
     cache_kb: int = 4,
     tree_arity: int = 8,
 ) -> ReplayResult:
     """Run every trace event through the chosen scheme and collect the log.
 
-    `hooks[i]` callables run against physical memory immediately before event
-    i executes. The keys derive from `trace.seed`. A TamperDetected from any
+    `hooks[i]` runs against physical memory immediately before event i
+    executes. The keys derive from `trace.seed`. A TamperDetected from any
     engine check aborts the run and is recorded on the result rather than
     raised; ConfigError and invariant faults propagate, since they mean the
     input or the schedule is broken.
@@ -143,8 +142,7 @@ def replay(
     engine: BaselineMee | MgxMee | PlainEngine
     if scheme == "baseline":
         cfg = baseline_config(trace, region_mb, cache_kb, tree_arity)
-        # Metadata sits after the region; leave generous headroom above it.
-        memory = _memory(cfg.region_size + cfg.region_size // 4)
+        memory = _memory(BaselineGeometry(cfg).meta_end)  # the region, then its metadata
         engine = BaselineMee(
             cfg, memory, enc_key, mac_key, crypto=use_crypto, objects=trace.objects.values()
         )
@@ -174,7 +172,8 @@ def replay(
 
     try:
         for i, ev in enumerate(trace.events):
-            for hook in _hooks_at(hooks, i):
+            hook = hooks.get(i)
+            if hook is not None:
                 hook(memory)
             mark_group(ev.group)
             if ev.op in UPDATE_OPS:
@@ -193,12 +192,12 @@ def replay(
                 )
             vn = ev.vn_source.resolve(state)
             if ev.op == WRITE:
-                plaintext = partial(payload_for, obj, vn) if use_crypto else _zeros
+                plaintext = partial(payload_for, obj.obj_id, vn) if use_crypto else _zeros
                 engine.store(obj, vn, ev.offset, ev.length, plaintext)
             elif ev.op == READ:
                 got = engine.load(obj, vn, ev.offset, ev.length)
                 if payload_mode == "verify":
-                    want = payload_for(obj, vn, ev.offset, ev.length)
+                    want = payload_for(obj.obj_id, vn, ev.offset, ev.length)
                     if got != want:
                         raise VerifyMismatch(
                             f"event {i}: {ev.obj_id}[{ev.offset}:{ev.offset + ev.length}] "
@@ -217,7 +216,6 @@ def replay(
         result.completed = True
     except TamperDetected as td:
         result.detected = td
-        result.detected_at_event = result.events_processed
     except VerifyMismatch as vm:
         result.mismatch = vm
 
@@ -225,12 +223,3 @@ def replay(
     result.rekey_events = engine.rekey_events
     result.state = state
     return result
-
-
-def _hooks_at(hooks, i) -> Iterable[Hook]:
-    h = hooks.get(i)
-    if h is None:
-        return ()
-    if callable(h):
-        return (h,)
-    return h

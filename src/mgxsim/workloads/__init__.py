@@ -47,11 +47,13 @@ def build_trace(workload: str, *, seed: int = 0, mac_granularity: int = 1024,
     special generators rnn | pruned | h264 | gact | stream. Generator keyword
     arguments come through `args`.
     """
+    if workload.endswith(".csv"):
+        if args:
+            raise ConfigError(f"a .csv trace takes no --arg or workload_args, got {sorted(args)}")
+        return import_trace(workload)
     a = dict(args or {})
     task = a.pop("task", "inference")
     common = {"seed": seed, "mac_granularity": mac_granularity}
-    if workload.endswith(".csv"):
-        return import_trace(workload)
     if workload.endswith(".json"):
         graph = load_graph(workload)
     elif workload in PRESETS:

@@ -28,12 +28,9 @@ def _stream(obj_id: str, vn: int, upto: int) -> bytes:
     return blob
 
 
-def payload_for(obj, vn: int, offset: int, length: int) -> bytes:
-    """Expected plaintext of obj[offset:offset+length] for a write under vn.
-
-    `obj` may be an ObjectDescriptor or a plain object id string.
-    """
-    obj_id = obj if isinstance(obj, str) else obj.obj_id
+def payload_for(obj_id: str, vn: int, offset: int, length: int) -> bytes:
+    """Expected plaintext of object `obj_id`'s bytes [offset, offset+length)
+    for a write under vn."""
     if length <= 0:
         return b""
     return _stream(obj_id, vn, offset + length)[offset : offset + length]

@@ -89,13 +89,6 @@ class Trace:
         """Bytes an unprotected accelerator would move for this trace."""
         return sum(e.length for e in self.events if e.op in (READ, WRITE))
 
-    def groups(self) -> list[int]:
-        seen: list[int] = []
-        for e in self.events:
-            if not seen or e.group != seen[-1]:
-                seen.append(e.group)
-        return seen
-
 
 class TraceBuilder:
     """Incremental construction helper used by the generators."""

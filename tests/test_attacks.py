@@ -26,7 +26,6 @@ class TestProtectedSchemesDetect:
         assert res.detected == 12
         assert res.silent == 0 and res.clean == 0
         assert res.detection_rate == 1.0
-        assert res.corruption_rate == 0.0
 
     def test_h264_frame_replay_detected(self):
         t = h264_trace("IBPB" * 2, frame_bytes=512, streams=2)
@@ -39,8 +38,7 @@ class TestUnprotectedSchemeFails:
     def test_bitflips_corrupt_silently(self, attack_trace):
         res = run_campaign(attack_trace, "none", "bitflip", trials=8, seed=1)
         assert res.detected == 0
-        assert res.silent == 8
-        assert res.corruption_rate == 1.0
+        assert res.silent == res.trials == 8
 
     def test_splice_corrupts_silently(self, attack_trace):
         res = run_campaign(attack_trace, "none", "splice", trials=8, seed=1)
@@ -90,7 +88,7 @@ class TestValidation:
 class TestCampaignResult:
     def test_rates_with_zero_trials(self):
         r = CampaignResult("mgx", "bitflip", "w")
-        assert r.detection_rate == 0.0 and r.corruption_rate == 0.0
+        assert r.detection_rate == 0.0
 
     def test_examples_capped_at_five(self, attack_trace):
         res = run_campaign(attack_trace, "mgx", "bitflip", trials=8, seed=0)

@@ -109,7 +109,9 @@ class TestGeometryFrozen:
 
     def test_counter_line_packing_roundtrip(self):
         counters = [1, VN_LIMIT - 1, 0, 7, 8, 9, 10, 11]
-        raw = pack_counter_line(counters, b"seven07")
+        raw = pack_counter_line(counters)
+        assert raw[56:] == bytes(8)
+        raw[56:63] = b"seven07"
         got, mac7 = unpack_counter_line(raw, 8)
         assert got == counters and mac7 == b"seven07"
 
@@ -151,12 +153,15 @@ class TestAccessPatterns:
         eng.write_block(64, bytes(64))  # same leaf line, same MAC line
         assert [(r.op, r.klass) for r in mem.log[mark:]] == [("write", "data")]
 
-    def test_bypass_outside_region(self):
+    def test_block_outside_region_rejected(self):
+        # nothing outside the region is protected, so nothing passes there
         eng, mem = make_engine(region_size=32768)
-        eng.write_block(1 << 30, b"z" * 64)
-        pt = eng.read_block(1 << 30)
-        assert pt == b"z" * 64
-        assert [(r.op, r.klass) for r in mem.log] == [("write", "data"), ("read", "data")]
+        for pa in (32768, 1 << 30, -64):
+            with pytest.raises(ConfigError, match="inside the protected region"):
+                eng.write_block(pa, b"z" * 64)
+            with pytest.raises(ConfigError, match="inside the protected region"):
+                eng.read_block(pa)
+        assert mem.log == []
 
     def test_alignment_and_length_errors(self):
         eng, _ = make_engine()
@@ -172,7 +177,7 @@ class TestAccessPatterns:
         cap = 512 // 64
         rng = random.Random(3)
         for _ in range(500):
-            eng.write_block(rng.randrange(1024) * 64)
+            eng.write_block(rng.randrange(1024) * 64, bytes(64))
             assert len(eng._cache) <= cap
         eng.flush()
         assert len(eng._cache) == 0
@@ -180,7 +185,7 @@ class TestAccessPatterns:
     def test_flush_writes_back_all_dirty_state(self):
         eng, mem = make_engine(region_size=32768, cache=1 << 20)
         for blk in range(16):
-            eng.write_block(blk * 64)
+            eng.write_block(blk * 64, bytes(64))
         mark = len(mem.log)
         eng.flush()
         wrote = {(r.klass, r.addr) for r in mem.log[mark:] if r.op == "write"}
@@ -220,38 +225,20 @@ class TestObjectInterface:
                 objects=[ObjectDescriptor("o", 16, 64, 64)],
             )
 
+    def test_objects_must_lie_in_region(self):
+        def engine(base, size):
+            return BaselineMee(
+                BaselineConfig(32768),
+                PhysicalMemory(capacity=1 << 20),
+                pytest.enc_key,
+                pytest.mac_key,
+                objects=[ObjectDescriptor("o", base, size, 64)],
+            )
 
-class TestRoundTrip:
-    def test_write_read_many_blocks_with_eviction_and_restart(self):
-        eng, mem = make_engine(region_size=16384, arity=2, cache=256)
-        rng = random.Random(5)
-        shadow = {}
-        for _ in range(800):
-            blk = rng.randrange(256)
-            if blk in shadow and rng.random() < 0.5:
-                pt = eng.read_block(blk * 64)
-                assert pt == shadow[blk]
-            else:
-                data = rng.randbytes(64)
-                eng.write_block(blk * 64, data)
-                shadow[blk] = data
-        eng.flush()
-        # Cold restart on the same memory: only the on-chip root carries over.
-        eng2, _ = make_engine(region_size=16384, arity=2, cache=256, mem=mem)
-        eng2.root = list(eng.root)
-        for blk, data in shadow.items():
-            pt = eng2.read_block(blk * 64)
-            assert pt == data
-
-    def test_ciphertext_differs_from_plaintext_and_across_rewrites(self):
-        eng, mem = make_engine(region_size=32768)
-        data = b"\xAA" * 64
-        eng.write_block(0, data)
-        ct1 = mem.peek(0, 64)
-        eng.write_block(0, data)
-        ct2 = mem.peek(0, 64)
-        assert ct1 != data and ct2 != data
-        assert ct1 != ct2  # VN bump refreshes the keystream
+        engine(32768 - 128, 128)  # ends exactly at the region's end
+        for base, size in ((32768 - 64, 128), (32768, 64), (1 << 30, 64)):
+            with pytest.raises(ConfigError, match="past the"):
+                engine(base, size)
 
 
 class TestDetection:
@@ -332,10 +319,10 @@ class TestRekey:
         eng, _ = make_engine(region_size=32768)
         eng.write_block(0, bytes(64))
         leaf = eng._cache[eng.geom.level_line_addr(0, 0)]
-        leaf.counters[0] = VN_LIMIT - 1
+        leaf.body[0] = VN_LIMIT - 1
         eng.write_block(0, bytes(64))
         assert eng.rekey_events == 1
-        assert leaf.counters[0] == 1
+        assert leaf.body[0] == 1
 
     def test_parent_counter_wrap_on_writeback(self):
         eng, _ = make_engine(region_size=32768)
@@ -343,10 +330,10 @@ class TestRekey:
         # pretend the leaf line has been written back VN_LIMIT-1 times, then
         # trigger one more parent bump (as a leaf write-back would)
         parent = eng._cache[eng.geom.level_line_addr(1, 0)]
-        parent.counters[0] = VN_LIMIT - 1
+        parent.body[0] = VN_LIMIT - 1
         assert eng._bump_parent(0, 0) == 1
         assert eng.rekey_events == 1
-        assert parent.counters[0] == 1 and parent.dirty
+        assert parent.body[0] == 1 and parent.dirty
 
     def test_root_counter_wrap(self):
         # region 32768 has stored levels [64, 8]; level 1 is topmost stored,
@@ -375,7 +362,7 @@ class TestCryptoOffIdentity:
             eng, mem = make_engine(region_size=32768, cache=512, crypto=crypto)
             for op, pa in ops:
                 if op == "w":
-                    eng.write_block(pa)
+                    eng.write_block(pa, bytes(64))
                 else:
                     eng.read_block(pa)
             eng.flush()
@@ -413,7 +400,7 @@ class TestOracleParity:
             oracle = BaselineOracle(region, arity, cache)
             for op, pa in ops:
                 if op == "w":
-                    eng.write_block(pa)
+                    eng.write_block(pa, bytes(64))
                     oracle.write(pa)
                 else:
                     eng.read_block(pa)
@@ -424,27 +411,38 @@ class TestOracleParity:
             want = [tuple(a) for a in oracle.accesses]
             assert got == want, f"divergence for seed {seed}"
 
-    def test_bypass_mix_exact_match(self):
-        rng = random.Random(99)
-        eng, mem = make_engine(region_size=32768, cache=512, crypto=False)
-        oracle = BaselineOracle(32768, 8, 512)
-        written: set[int] = set()
-        for _ in range(200):
-            if rng.random() < 0.3:
-                pa = (1 << 30) + rng.randrange(64) * 64  # bypass: no VN state
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("region,arity,cache", TestOracleParity.CONFIGS)
+    def test_write_read_many_blocks_with_eviction_and_restart(self, region, arity, cache):
+        # with crypto on, every read checks the counter values and MACs that
+        # the shared line fill and write-back carried through memory
+        eng, mem = make_engine(region_size=region, arity=arity, cache=cache)
+        rng = random.Random(5)
+        shadow = {}
+        for _ in range(800):
+            blk = rng.randrange(region // 64)
+            if blk in shadow and rng.random() < 0.5:
+                pt = eng.read_block(blk * 64)
+                assert pt == shadow[blk]
             else:
-                pa = rng.randrange(512) * 64
-            # in-region reads need a prior write (VN 0 is rejected even with
-            # crypto off), so fall back to a write for unseen blocks
-            if pa in written and rng.random() < 0.5:
-                eng.read_block(pa)
-                oracle.read(pa)
-            else:
-                eng.write_block(pa)
-                oracle.write(pa)
-                written.add(pa)
+                data = rng.randbytes(64)
+                eng.write_block(blk * 64, data)
+                shadow[blk] = data
         eng.flush()
-        oracle.flush()
-        assert [(r.op, r.klass, r.addr, r.length) for r in mem.log] == [
-            tuple(a) for a in oracle.accesses
-        ]
+        # Cold restart on the same memory: only the on-chip root carries over.
+        eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
+        eng2.root = list(eng.root)
+        for blk, data in shadow.items():
+            pt = eng2.read_block(blk * 64)
+            assert pt == data
+
+    def test_ciphertext_differs_from_plaintext_and_across_rewrites(self):
+        eng, mem = make_engine(region_size=32768)
+        data = b"\xAA" * 64
+        eng.write_block(0, data)
+        ct1 = mem.peek(0, 64)
+        eng.write_block(0, data)
+        ct2 = mem.peek(0, 64)
+        assert ct1 != data and ct2 != data
+        assert ct1 != ct2  # VN bump refreshes the keystream

@@ -2,12 +2,16 @@
 methods by name from outside the package. A rename or move under src/ would
 break the benchmark without failing any other test; this one installs the
 tracer, runs one small replay under each protecting scheme, and checks that
-every site resolved and that the byte store and the mgx ledger were seen."""
+every site resolved and that the byte store and the mgx ledger were seen.
+A real-mode replay under each scheme checks that the crypto spans see the
+functions each engine calls."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import mgxsim.perf
 import mgxsim.replay
@@ -39,3 +43,21 @@ def test_every_span_site_resolves_and_records():
     assert tracer.total("mgx.ledger", field=0) > 0
     assert tracer.total("baseline.store", field=0) > 0
     assert not hasattr(mgxsim.replay.replay, "__wrapped__")
+
+
+@pytest.mark.parametrize("scheme", ["mgx", "baseline"])
+def test_crypto_spans_record_real_mode(scheme):
+    # each scheme binds its own crypto names, so each is traced on its own
+    spans = load_spans()
+    tracer = spans.Tracer()
+    wl = mgxsim.workloads
+    trace = wl.cnn_inference_trace(wl.load_preset("micro"), 1)
+    try:
+        tracer.install("mgxsim")
+        res = mgxsim.replay.replay(trace, scheme, payload_mode="real")
+    finally:
+        tracer.remove()
+    assert res.clean
+    for name in ("crypto.keystream", "crypto.mac"):
+        assert tracer.total(name, field=0) > 0, name
+        assert tracer.total(name, field=3) > 0, name

@@ -4,6 +4,7 @@ and the experiment-config record behind it."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -101,9 +102,9 @@ class TestRunCommand:
         assert rc == EXIT_OK and "workload=h264-4f" in out
 
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):
-        cfg_path = str(tmp_path / "cfg.json")
-        ExperimentConfig(workload="micro", scheme="baseline", cache_kb=8).to_json(cfg_path)
-        rc = entry(["run", "--config", cfg_path, "--scheme", "mgx"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"workload": "micro", "scheme": "baseline", "cache_kb": 8}))
+        rc = entry(["run", "--config", str(cfg_path), "--scheme", "mgx"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK and "scheme=mgx" in out
 
@@ -384,6 +385,57 @@ class TestAttackCommand:
         assert len(rows) == 1 and rows[0]["detected"] == "5"
 
 
+    @pytest.mark.parametrize("scheme", ["mgx", "baseline"])
+    def test_unmet_precondition_stops_before_any_campaign(self, capsys, scheme):
+        # single-input micro writes every byte once: no replay candidate
+        rc = entry(["attack", "--workload", "micro", "--scheme", scheme, "--trials", "1"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "replay" in err
+
+
+class TestCsvWorkloadFlags:
+    """An imported trace fixes its layout and payload seed, so flags that
+    would shape a generated trace are rejected rather than ignored."""
+
+    COMMANDS = {
+        "run": ["run"],
+        "verify": ["verify"],
+        "sweep": ["sweep", "--param", "channels", "--values", "1"],
+        "attack": ["attack", "--attack", "bitflip", "--trials", "1"],
+    }
+
+    @pytest.fixture
+    def csv_path(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        export_trace(build_trace("micro"), path)
+        return path
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "flag,value", [("--arg", "num_inputs=2"), ("--mac-granularity", "64"), ("--seed", "9")]
+    )
+    def test_flag_rejected(self, capsys, csv_path, command, flag, value):
+        rc = entry(self.COMMANDS[command] + ["--workload", csv_path, flag, value])
+        out, err = capsys.readouterr()
+        if command == "attack" and flag == "--seed":
+            assert rc == EXIT_OK and "detected=1" in out  # seeds the trials
+            return
+        assert rc == EXIT_CONFIG and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+    def test_config_workload_args_rejected(self, capsys, csv_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workload": csv_path, "workload_args": {"num_inputs": 2}}))
+        rc = entry(["run", "--config", str(cfg)])
+        assert rc == EXIT_CONFIG and "--arg" in capsys.readouterr().err
+
+    def test_swept_seed_rejected(self, capsys, csv_path):
+        rc = entry(["sweep", "--workload", csv_path, "--param", "seed", "--values", "1,2"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == "" and "--param seed" in err
+
+
 class TestExperimentConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -407,9 +459,9 @@ class TestExperimentConfig:
 
     def test_json_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(workload="h264", channels=4, workload_args={"pattern": "IBPB"})
-        path = str(tmp_path / "cfg.json")
-        cfg.to_json(path)
-        assert ExperimentConfig.from_json(path) == cfg
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert ExperimentConfig.from_json(str(path)) == cfg
 
     def test_from_json_rejects_non_object(self, tmp_path):
         p = tmp_path / "arr.json"

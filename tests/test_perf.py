@@ -248,7 +248,7 @@ class TestH264Timing:
         t = h264_trace("IBPB" * 2, frame_bytes=1024, mac_granularity=512)
         res = replay(t, "mgx")
         costs = cost_groups(res)
-        assert [c.group for c in costs] == t.groups()
+        assert [c.group for c in costs] == sorted({e.group for e in t.events})
         # every decode group moves at least one frame worth of traffic
         for c in costs[1:]:
             assert c.read_bytes + c.write_bytes >= 1024
