@@ -138,19 +138,57 @@ def _splice_hooks(index, rng, scheme, geom):
     return {r: inject}
 
 
+def _relocation_sources(index, scheme, r, obj, b) -> list:
+    """Where a relocate attack on byte `b` of `obj`, consumed by read `r`,
+    can copy from: block addresses under the baseline, else (object, chunk,
+    chunk start) of a chunk-sized unit of written data."""
+    if scheme == "baseline":
+        dst_block = (obj.base + b) // LINE * LINE
+        sources = [
+            (index.trace.objects[o].base + (s // LINE) * LINE)
+            for o, s, e in index.established_writes(r)
+            if e - (s // LINE) * LINE >= LINE
+        ]
+        return [a for a in sources if a != dst_block]
+    c = b // obj.mac_granularity
+    cs, ce = obj.chunk_extent(c)
+    span = ce - cs
+    sources = []
+    for o, s, e in index.established_writes(r):
+        so = index.trace.objects[o]
+        for sc in so.covering_chunks(s, e - s):
+            scs, sce = so.chunk_extent(sc)
+            if scs >= s and sce <= e and sce - scs == span:
+                if so.obj_id != obj.obj_id or sc != c:
+                    sources.append((so, sc, scs))
+    return sources
+
+
+def _has_relocation_source(index, scheme) -> bool:
+    """Whether any byte of any read has a relocation source. Targets in one
+    read differ only in the one unit they exclude and, for chunks, in the
+    length of the object's last chunk, so the first two units of a read and
+    its last one stand for all of them."""
+    for r in index.reads:
+        ev = index.trace.events[r]
+        obj = index.trace.objects[ev.obj_id]
+        unit = LINE if scheme == "baseline" else obj.mac_granularity
+        end = ev.offset + ev.length
+        first, last = ev.offset // unit, (end - 1) // unit
+        for u in {first, min(first + 1, last), last}:
+            if _relocation_sources(index, scheme, r, obj, max(ev.offset, u * unit)):
+                return True
+    return False
+
+
 def _relocate_hooks(index, rng, scheme, geom):
     for _ in range(64):
         r, obj, b = _pick_read(index, rng)
+        sources = _relocation_sources(index, scheme, r, obj, b)
+        if not sources:
+            continue
         if scheme == "baseline":
             dst_block = (obj.base + b) // LINE * LINE
-            sources = [
-                (index.trace.objects[o].base + (s // LINE) * LINE)
-                for o, s, e in index.established_writes(r)
-                if e - (s // LINE) * LINE >= LINE
-            ]
-            sources = [a for a in sources if a != dst_block]
-            if not sources:
-                continue
             src_block = rng.choice(sources)
             sl, ss = geom.mac_slot(geom.block_index(src_block))
             dl, ds = geom.mac_slot(geom.block_index(dst_block))
@@ -163,19 +201,8 @@ def _relocate_hooks(index, rng, scheme, geom):
         # tag, when one exists) over the chunk the read will consume.
         c = b // obj.mac_granularity
         cs, ce = obj.chunk_extent(c)
-        span = ce - cs
-        sources = []
-        for o, s, e in index.established_writes(r):
-            so = index.trace.objects[o]
-            for sc in so.covering_chunks(s, e - s):
-                scs, sce = so.chunk_extent(sc)
-                if scs >= s and sce <= e and sce - scs == span:
-                    if so.obj_id != obj.obj_id or sc != c:
-                        sources.append((so, sc, scs))
-        if not sources:
-            continue
         so, sc, scs = rng.choice(sources)
-        actions = [Relocate(so.base + scs, obj.base + cs, span)]
+        actions = [Relocate(so.base + scs, obj.base + cs, ce - cs)]
         if scheme == "mgx":
             actions.append(Relocate(so.mac_addr(sc), obj.mac_addr(c), MAC_BYTES))
         return {r: lambda mem: [mem.inject(a) for a in actions]}
@@ -240,6 +267,8 @@ def run_campaign(
         raise ConfigError(
             "trace has no byte written twice before a read; replay attacks need one"
         )
+    if attack == "relocate" and not _has_relocation_source(index, scheme):
+        raise ConfigError("no relocation source found for this trace")
     geom = None
     if scheme == "baseline":
         geom = BaselineGeometry(baseline_config(trace, region_mb, cache_kb, tree_arity))

@@ -41,6 +41,7 @@ CTR_W = 7  # packed width of one counter / one stored tag, bytes
 _MAC_OFF = 56  # embedded MAC offset inside a counter line
 _MAC_SLOTS = 8  # data MAC tags per 64-byte line, independent of tree arity
 _MAC = -1  # cache level of a data-MAC line; counter lines use tree levels 0..
+_ZERO_LINE = bytes(LINE)  # what a crypto-off engine stores
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,14 @@ class BaselineMee:
                 self._writeback(addr, line)
 
     # -- block interface ----------------------------------------------------
+    #
+    # Blocks move in runs that share one leaf counter line, `arity` blocks
+    # long; since the arity divides 8, a run also shares one MAC line. The
+    # run's first block resolves both lines through the cache. If that
+    # block's eviction cascade left both resident, they are touched once, leaf
+    # then MAC line, exactly as the rest of the run's per-block hits would
+    # leave the LRU order, and the rest of the run moves with no cache calls.
+    # Otherwise every block takes the cache path.
 
     def _block(self, pa: int) -> int:
         if pa % LINE or not self.geom.contains(pa):
@@ -313,39 +322,94 @@ class BaselineMee:
             )
         return pa // LINE
 
+    def _runs(self, first: int, count: int):
+        """(block, blocks in run, leaf line index, MAC line index) of every
+        run covering blocks [first, first + count)."""
+        arity = self.geom.cfg.arity
+        end = first + count
+        while first < end:
+            leaf_i = first // arity
+            stop = min(end, (leaf_i + 1) * arity)
+            yield first, stop - first, leaf_i, first // _MAC_SLOTS
+            first = stop
+
+    def _resident(self, leaf_i: int, mac_i: int):
+        """The leaf and MAC lines, touched in that order, if both are still
+        cached; else None."""
+        cache = self._cache
+        leaf_a = self._bases[0] + leaf_i * LINE
+        mac_a = self._bases[_MAC] + mac_i * LINE
+        leaf, mline = cache.get(leaf_a), cache.get(mac_a)
+        if leaf is None or mline is None:
+            return None
+        cache.move_to_end(leaf_a)
+        cache.move_to_end(mac_a)
+        return leaf, mline
+
+    def _write(self, first: int, data: bytes):
+        """Encrypt and store whole blocks from `first` on."""
+        arity = self.geom.cfg.arity
+        crypto, mem = self.crypto, self.mem
+        pos = 0
+        for block, n, leaf_i, mac_i in self._runs(first, len(data) // LINE):
+            held = None
+            for b in range(block, block + n):
+                pa = b * LINE
+                leaf = self._line(0, leaf_i) if held is None else held[0]
+                vn = self._bump(leaf.body, b % arity)
+                leaf.dirty = True
+                if crypto:
+                    ct = keystream_xor(self.enc_key, pa, vn, data[pos : pos + LINE])
+                else:
+                    ct = _ZERO_LINE
+                pos += LINE
+                mem.write(pa, ct, DATA)
+                mline = self._line(_MAC, mac_i) if held is None else held[1]
+                if crypto:
+                    s = b % _MAC_SLOTS * CTR_W
+                    mline.body[s : s + CTR_W] = compute_mac(self.mac_key, ct, pa, vn)[:CTR_W]
+                mline.dirty = True
+                if b == block and n > 1:
+                    held = self._resident(leaf_i, mac_i)
+
+    def _read(self, first: int, count: int) -> bytes:
+        """Fetch, authenticate and decrypt `count` blocks from `first` on."""
+        arity = self.geom.cfg.arity
+        crypto, mem = self.crypto, self.mem
+        out = []
+        for block, n, leaf_i, mac_i in self._runs(first, count):
+            held = None
+            for b in range(block, block + n):
+                pa = b * LINE
+                leaf = self._line(0, leaf_i) if held is None else held[0]
+                vn = leaf.body[b % arity]
+                if vn == 0:
+                    if held is not None:
+                        self._line(0, leaf_i)  # the touch a per-block hit makes
+                    raise TamperDetected("read of never-written block", pa)
+                ct = mem.read(pa, LINE, DATA)
+                mline = self._line(_MAC, mac_i) if held is None else held[1]
+                if crypto:
+                    s = b % _MAC_SLOTS * CTR_W
+                    tag = compute_mac(self.mac_key, ct, pa, vn)[:CTR_W]
+                    if tag != mline.body[s : s + CTR_W]:
+                        raise TamperDetected("data block MAC mismatch", pa)
+                    out.append(keystream_xor(self.enc_key, pa, vn, ct))
+                if b == block and n > 1:
+                    held = self._resident(leaf_i, mac_i)
+        return b"".join(out) if crypto else bytes(count * LINE)
+
     def write_block(self, pa: int, plaintext: bytes) -> None:
         """Encrypt and store one 64-byte block."""
         block = self._block(pa)
         if len(plaintext) != LINE:
             raise ValueError("block writes take exactly 64 bytes")
-        arity = self.geom.cfg.arity
-        leaf = self._line(0, block // arity)
-        vn = self._bump(leaf.body, block % arity)
-        leaf.dirty = True
-        ct = keystream_xor(self.enc_key, pa, vn, plaintext) if self.crypto else bytes(LINE)
-        self.mem.write(pa, ct, DATA)
-        mline = self._line(_MAC, block // _MAC_SLOTS)
-        if self.crypto:
-            s = block % _MAC_SLOTS * CTR_W
-            mline.body[s : s + CTR_W] = compute_mac(self.mac_key, ct, pa, vn)[:CTR_W]
-        mline.dirty = True
+        self._write(block, plaintext)
 
     def read_block(self, pa: int) -> bytes:
         """Fetch, authenticate and decrypt one block. Every integrity failure
         raises TamperDetected."""
-        block = self._block(pa)
-        arity = self.geom.cfg.arity
-        vn = self._line(0, block // arity).body[block % arity]
-        if vn == 0:
-            raise TamperDetected("read of never-written block", pa)
-        ct = self.mem.read(pa, LINE, DATA)
-        mline = self._line(_MAC, block // _MAC_SLOTS)
-        if not self.crypto:
-            return bytes(LINE)
-        s = block % _MAC_SLOTS * CTR_W
-        if compute_mac(self.mac_key, ct, pa, vn)[:CTR_W] != mline.body[s : s + CTR_W]:
-            raise TamperDetected("data block MAC mismatch", pa)
-        return keystream_xor(self.enc_key, pa, vn, ct)
+        return self._read(self._block(pa), 1)
 
     # -- object interface (used by the trace replayer) ----------------------
     #
@@ -355,6 +419,14 @@ class BaselineMee:
     def rekey(self):
         """Stored VNs do not depend on the accelerator's on-chip counters, so
         a wrap of one of those needs no key change here."""
+
+    def _blocks(self, obj: ObjectDescriptor, a0: int, a1: int) -> tuple[int, int]:
+        """First block and block count of obj[a0:a1], a line-aligned range,
+        checked before any traffic."""
+        if a1 == a0:
+            return 0, 0
+        self._block(obj.base + a1 - LINE)
+        return self._block(obj.base + a0), (a1 - a0) // LINE
 
     def store(
         self,
@@ -367,13 +439,12 @@ class BaselineMee:
         """Write the lines holding obj[offset:offset+length], filled whole from
         `plaintext` over the widened range (no read-modify-write)."""
         a0, a1 = _line_range(offset, length)
-        data = plaintext(a0, a1 - a0)
-        for off in range(0, a1 - a0, LINE):
-            self.write_block(obj.base + a0 + off, data[off : off + LINE])
+        first, _ = self._blocks(obj, a0, a1)
+        self._write(first, plaintext(a0, a1 - a0))
 
     def load(self, obj: ObjectDescriptor, vn: int, offset: int, length: int) -> bytes:
         a0, a1 = _line_range(offset, length)
-        pt = b"".join([self.read_block(obj.base + a) for a in range(a0, a1, LINE)])
+        pt = self._read(*self._blocks(obj, a0, a1))
         return pt[offset - a0 : offset - a0 + length]
 
 

@@ -22,7 +22,7 @@ import sys
 from functools import partial
 
 from .attacks import ATTACKS, run_campaign
-from .config import ExperimentConfig, run_experiment, sweep_experiment
+from .config import ExperimentConfig, read_config, run_experiment, sweep_experiment
 from .errors import (
     ConfigError,
     SecurityInvariantFault,
@@ -93,8 +93,8 @@ def _parse_value(text: str):
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    cfg = cfg.with_overrides(
+    from_file = read_config(args.config) if args.config else {}
+    cfg = ExperimentConfig.from_dict(from_file).with_overrides(
         workload=args.workload,
         scheme=args.scheme,
         channels=args.channels,
@@ -116,13 +116,15 @@ def _load_config(args) -> ExperimentConfig:
         cfg = cfg.with_overrides(workload_args=extra)
     if cfg.workload.endswith(".csv"):
         # An imported trace fixes its own layout and payload seed (build_trace
-        # rejects --arg). `attack` still seeds its trials with --seed.
+        # rejects --arg). `attack` still seeds its trials with the seed.
         swept = getattr(args, "param", None)
         for flag, name in (("--mac-granularity", "mac_granularity"), ("--seed", "seed")):
             if name == "seed" and args.command == "attack":
                 continue
-            if getattr(args, name) is not None or swept == name:
-                raise ConfigError(f"a .csv trace takes no {flag} (or --param {name})")
+            if getattr(args, name) is not None or swept == name or name in from_file:
+                raise ConfigError(
+                    f"a .csv trace takes no {flag} (nor --param {name} or config key {name!r})"
+                )
     return cfg
 
 

@@ -58,17 +58,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_dict(data)
-
     def with_overrides(self, **kv) -> "ExperimentConfig":
         return dataclasses.replace(self, **{k: v for k, v in kv.items() if v is not None})
 
@@ -94,6 +83,18 @@ class ExperimentConfig:
             mac_granularity=self.mac_granularity,
             args=self.workload_args,
         )
+
+
+def read_config(path: str) -> dict:
+    """The JSON object of a config file, keys as the file sets them."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return data
 
 
 def run_experiment(cfg: ExperimentConfig, trace=None) -> SimResult:

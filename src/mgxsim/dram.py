@@ -9,6 +9,7 @@ reach of tampering by construction.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -31,6 +32,70 @@ class AccessRecord(NamedTuple):
     klass: str  # DATA | VN_LINE | MAC_LINE | TREE_NODE
     addr: int
     length: int
+
+
+# (op, class) of each record kind; a kind's index is its one-byte code in the
+# log. Reads come first.
+RECORD_KINDS = tuple((op, k) for op in ("read", "write") for k in (DATA, *META_CLASSES))
+_READ_CODE = {k: i for i, (op, k) in enumerate(RECORD_KINDS) if op == "read"}
+_WRITE_CODE = {k: i for i, (op, k) in enumerate(RECORD_KINDS) if op == "write"}
+
+
+class AccessLog:
+    """The access log: a sequence of AccessRecord, in issue order (the index
+    is the time), stored as three columns: a one-byte kind code, addresses
+    and lengths. Lengths are 64-bit, since an unprotected access may exceed
+    4 GiB.
+
+    `byte_totals[code]` is the running byte count of every record kind, kept
+    as records are added and deleted.
+    """
+
+    __slots__ = ("codes", "addrs", "lengths", "byte_totals")
+
+    def __init__(self):
+        self.codes = bytearray()
+        self.addrs = array("Q")
+        self.lengths = array("Q")
+        self.byte_totals = [0] * len(RECORD_KINDS)
+
+    def add(self, code: int, addr: int, length: int):
+        self.codes.append(code)
+        self.addrs.append(addr)
+        self.lengths.append(length)
+        self.byte_totals[code] += length
+
+    def kind_counts(self) -> list[int]:
+        """Number of records of every kind, indexed by code."""
+        return [self.codes.count(code) for code in range(len(RECORD_KINDS))]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [
+                AccessRecord(*RECORD_KINDS[c], a, n)
+                for c, a, n in zip(self.codes[i], self.addrs[i], self.lengths[i])
+            ]
+        return AccessRecord(*RECORD_KINDS[self.codes[i]], self.addrs[i], self.lengths[i])
+
+    def __iter__(self):
+        for c, a, n in zip(self.codes, self.addrs, self.lengths):
+            yield AccessRecord(*RECORD_KINDS[c], a, n)
+
+    def __delitem__(self, i):
+        picked = range(len(self))[i]  # an index, or a range for a slice
+        for j in picked if isinstance(picked, range) else (picked,):
+            self.byte_totals[self.codes[j]] -= self.lengths[j]
+        del self.codes[i], self.addrs[i], self.lengths[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (AccessLog, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -78,7 +143,7 @@ class PhysicalMemory:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._pages: dict[int, bytearray] = {}
-        self.log: list[AccessRecord] = []  # in issue order: the index is the time
+        self.log = AccessLog()
         self._snapshots: dict[int, tuple[int, bytes]] = {}
         self._next_snapshot = 0
 
@@ -109,6 +174,12 @@ class PhysicalMemory:
         """Write without logging (tamper/test plumbing)."""
         self._check(addr, len(data))
         page, off = divmod(addr, PAGE)
+        if off + len(data) <= PAGE:
+            buf = self._pages.get(page)
+            if buf is None:
+                buf = self._pages[page] = bytearray(PAGE)
+            buf[off : off + len(data)] = data
+            return
         view = memoryview(data)
         pos = 0
         while pos < len(view):
@@ -125,12 +196,12 @@ class PhysicalMemory:
 
     def read(self, addr: int, length: int, klass: str = DATA) -> bytes:
         out = self.peek(addr, length)
-        self.log.append(AccessRecord("read", klass, addr, length))
+        self.log.add(_READ_CODE[klass], addr, length)
         return out
 
     def write(self, addr: int, data: bytes, klass: str = DATA):
         self.poke(addr, data)
-        self.log.append(AccessRecord("write", klass, addr, len(data)))
+        self.log.add(_WRITE_CODE[klass], addr, len(data))
 
     # -- tamper API ---------------------------------------------------------
 

@@ -12,6 +12,10 @@ charged once per group; streaming hides the rest. Background mode never
 exceeds synchronous mode for the same traffic, and extra traffic never makes
 a group faster, which gives the scheme orderings their shape.
 
+Every figure comes from the byte totals the replay recorded at the end of
+each group span and from per-kind record counts, so an evaluation costs
+O(groups), not O(log records).
+
 Traffic increase is measured in bytes: everything the engine moved (data and
 metadata classes alike) divided by the bytes the trace's events name. An
 unprotected replay moves exactly the named bytes, so its ratio is 1.0.
@@ -23,7 +27,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .dram import DATA, META_CLASSES, AccessRecord
+from .dram import DATA, META_CLASSES, RECORD_KINDS, AccessRecord
 from .errors import ConfigError
 from .replay import ReplayResult, replay
 
@@ -67,12 +71,25 @@ class ProtectionStats:
 
     @classmethod
     def from_log(cls, log: Iterable[AccessRecord]) -> "ProtectionStats":
+        """Stats of any sequence of records, walked one by one."""
         s = cls()
         for rec in log:
             bytes_d = s.read_bytes if rec.op == "read" else s.write_bytes
             count_d = s.read_accesses if rec.op == "read" else s.write_accesses
             bytes_d[rec.klass] = bytes_d.get(rec.klass, 0) + rec.length
             count_d[rec.klass] = count_d.get(rec.klass, 0) + 1
+        return s
+
+    @classmethod
+    def of_replay(cls, result: ReplayResult) -> "ProtectionStats":
+        """Stats of a replay's whole log, from the byte totals recorded at
+        its last group boundary and the log's per-kind record counts."""
+        s = cls()
+        totals = result.group_totals[-1] if result.group_totals else ()
+        for (op, klass), nbytes, count in zip(RECORD_KINDS, totals, result.log.kind_counts()):
+            if count:
+                (s.read_bytes if op == "read" else s.write_bytes)[klass] = nbytes
+                (s.read_accesses if op == "read" else s.write_accesses)[klass] = count
         return s
 
     @property
@@ -98,17 +115,19 @@ class GroupCost(NamedTuple):
     cycles: float
 
 
+_READ_KINDS = sum(op == "read" for op, _ in RECORD_KINDS)  # reads come first
+
+
 def _group_traffic(result: ReplayResult) -> dict[int, tuple[int, int]]:
-    """Aggregate (read bytes, write bytes) per group id over the log spans."""
+    """Aggregate (read bytes, write bytes) per group id over the log spans,
+    from the byte totals recorded at each span's end."""
     traffic: dict[int, tuple[int, int]] = {}
-    for g, start, end in result.group_spans:
+    r0 = w0 = 0
+    for (g, _, _), totals in zip(result.group_spans, result.group_totals):
+        r1, w1 = sum(totals[:_READ_KINDS]), sum(totals[_READ_KINDS:])
         r, w = traffic.get(g, (0, 0))
-        for rec in result.log[start:end]:
-            if rec.op == "read":
-                r += rec.length
-            else:
-                w += rec.length
-        traffic[g] = (r, w)
+        traffic[g] = (r + r1 - r0, w + w1 - w0)
+        r0, w0 = r1, w1
     return traffic
 
 
@@ -148,7 +167,7 @@ def estimate_time(
 
 
 def traffic_increase(result: ReplayResult) -> float:
-    return _increase(result, ProtectionStats.from_log(result.log))
+    return _increase(result, ProtectionStats.of_replay(result))
 
 
 def _increase(result: ReplayResult, stats: ProtectionStats) -> float:
@@ -178,7 +197,7 @@ def evaluate(
 ) -> SimResult:
     dram = dram or DramModel()
     compute = compute or ComputeModel()
-    stats = ProtectionStats.from_log(result.log)
+    stats = ProtectionStats.of_replay(result)
     groups = cost_groups(result, dram, compute)
     return SimResult(
         replay=result,

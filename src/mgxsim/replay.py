@@ -3,7 +3,8 @@
 The replayer owns the glue between symbolic traces and concrete engines: it
 holds the on-chip counter state for every scheme, resolves each event's VN
 source against it, synthesizes deterministic payloads, and collects the
-resulting DRAM access log per compute group. Every engine offers the same
+resulting DRAM access log per compute group: the log span of each group and
+the memory's per-kind byte totals at its end. Every engine offers the same
 object interface:
 
 * store(obj, vn, offset, length, plaintext): write obj[offset:offset+length];
@@ -34,7 +35,7 @@ from typing import Callable
 
 from .baseline import BaselineConfig, BaselineGeometry, BaselineMee
 from .crypto import EncryptionKey, MacKey
-from .dram import DATA, AccessRecord, PhysicalMemory
+from .dram import DATA, AccessLog, PhysicalMemory
 from .errors import ConfigError, TamperDetected, VerifyMismatch
 from .mgx import MgxMee, MgxState
 from .workloads.payload import payload_for
@@ -84,8 +85,12 @@ class ReplayResult:
     payload_mode: str
     trace: Trace
     memory: PhysicalMemory
-    log: list[AccessRecord]
+    log: AccessLog
+    # (group, first log index, end log index), one per run of events in one
+    # group, covering the log from index 0 in order
     group_spans: list[tuple[int, int, int]] = field(default_factory=list)
+    # the log's byte_totals at the end of each span
+    group_totals: list[tuple[int, ...]] = field(default_factory=list)
     completed: bool = False
     events_processed: int = 0
     detected: TamperDetected | None = None
@@ -96,6 +101,21 @@ class ReplayResult:
     @property
     def clean(self) -> bool:
         return self.completed and self.detected is None and self.mismatch is None
+
+    def mark_group(self, group: int):
+        """Open a span for `group` at the log's end, closing the open span,
+        unless that span already belongs to `group`."""
+        if self.group_spans and self.group_spans[-1][0] == group:
+            return
+        self.finish_groups()
+        self.group_spans.append((group, len(self.log), len(self.log)))
+
+    def finish_groups(self):
+        """Close the open span at the log's end and record the totals."""
+        if len(self.group_totals) < len(self.group_spans):
+            g, start, _ = self.group_spans[-1]
+            self.group_spans[-1] = (g, start, len(self.log))
+            self.group_totals.append(tuple(self.log.byte_totals))
 
 
 def _memory(need: int) -> PhysicalMemory:
@@ -157,25 +177,12 @@ def replay(
     state = MgxState()
     hooks = hooks or {}
 
-    group_starts: list[tuple[int, int]] = []  # (group, first log index)
-
-    def mark_group(g: int):
-        if not group_starts or group_starts[-1][0] != g:
-            group_starts.append((g, len(memory.log)))
-
-    def finish_groups():
-        spans = []
-        for i, (g, start) in enumerate(group_starts):
-            end = group_starts[i + 1][1] if i + 1 < len(group_starts) else len(memory.log)
-            spans.append((g, start, end))
-        result.group_spans = spans
-
     try:
         for i, ev in enumerate(trace.events):
             hook = hooks.get(i)
             if hook is not None:
                 hook(memory)
-            mark_group(ev.group)
+            result.mark_group(ev.group)
             if ev.op in UPDATE_OPS:
                 state, wrapped = state.advance(ev.op)
                 if wrapped:
@@ -211,7 +218,7 @@ def replay(
             # Drain dirty metadata; attribute the writeback burst to a final
             # group with no compute so timing models see it.
             flush_group = max(trace.compute_macs, default=-1) + 1
-            mark_group(flush_group)
+            result.mark_group(flush_group)
             engine.flush()
         result.completed = True
     except TamperDetected as td:
@@ -219,7 +226,7 @@ def replay(
     except VerifyMismatch as vm:
         result.mismatch = vm
 
-    finish_groups()
+    result.finish_groups()
     result.rekey_events = engine.rekey_events
     result.state = state
     return result

@@ -4,7 +4,8 @@ break the benchmark without failing any other test; this one installs the
 tracer, runs one small replay under each protecting scheme, and checks that
 every site resolved and that the byte store and the mgx ledger were seen.
 A real-mode replay under each scheme checks that the crypto spans see the
-functions each engine calls."""
+functions each engine calls, and the bench's stream tally must read the
+access log the same way it reads a plain list of records."""
 
 from __future__ import annotations
 
@@ -20,11 +21,15 @@ import mgxsim.workloads
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", SPANS.with_name(f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_spans():
+    return load_bench("spans")
 
 
 def test_every_span_site_resolves_and_records():
@@ -61,3 +66,23 @@ def test_crypto_spans_record_real_mode(scheme):
     for name in ("crypto.keystream", "crypto.mac"):
         assert tracer.total(name, field=0) > 0, name
         assert tracer.total(name, field=3) > 0, name
+
+
+@pytest.mark.parametrize("scheme", ["none", "mgx", "baseline"])
+def test_bench_reads_the_access_log(scheme):
+    checks = load_bench("checks")
+    tracer = load_spans().Tracer()
+    wl = mgxsim.workloads
+    trace = wl.cnn_inference_trace(wl.load_preset("micro"), 2)
+    try:
+        tracer.install("mgxsim")
+        res = mgxsim.replay.replay(trace, scheme)
+        mgxsim.perf.evaluate(res)
+    finally:
+        tracer.remove()
+    assert tracer.total("perf.evaluate", field=3) == len(res.log) > 0
+    got = checks.tally_log(res.log, res.group_spans)
+    want = checks.tally_log(list(res.log), res.group_spans)
+    assert got.records == want.records == len(res.log)
+    assert (got.bytes, got.groups) == (want.bytes, want.groups)
+    assert got.digest() == want.digest()

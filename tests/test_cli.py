@@ -12,7 +12,7 @@ import pytest
 import mgxsim.cli as cli
 from mgxsim.attacks import CampaignResult
 from mgxsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TAMPER, EXIT_UNDETECTED, EXIT_VERIFY, entry
-from mgxsim.config import ExperimentConfig, run_experiment, sweep_experiment
+from mgxsim.config import ExperimentConfig, read_config, run_experiment, sweep_experiment
 from mgxsim.errors import ConfigError
 from mgxsim.perf import STATS_HEADER
 from mgxsim.workloads import VnSource, build_trace, export_trace
@@ -393,6 +393,26 @@ class TestAttackCommand:
         assert rc == EXIT_CONFIG and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "replay" in err
 
+    @pytest.mark.parametrize("scheme", ["mgx", "baseline"])
+    def test_no_relocation_source_stops_before_any_campaign(self, capsys, tmp_path, scheme):
+        # one 64-byte object written twice, then read: a replay candidate,
+        # but nothing to relocate from
+        b = TraceBuilder("one", mac_granularity=64)
+        o = b.alloc("o", 64)
+        src = VnSource("feature", 1)
+        for _ in range(2):
+            b.update("update_i")
+            b.new_group()
+            b.write(o, src)
+        b.new_group()
+        b.read(o, src)
+        path = str(tmp_path / "one.csv")
+        export_trace(b.trace, path)
+        rc = entry(["attack", "--workload", path, "--scheme", scheme, "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == ""
+        assert err == "error: no relocation source found for this trace\n"
+
 
 class TestCsvWorkloadFlags:
     """An imported trace fixes its layout and payload seed, so flags that
@@ -430,6 +450,19 @@ class TestCsvWorkloadFlags:
         rc = entry(["run", "--config", str(cfg)])
         assert rc == EXIT_CONFIG and "--arg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_config_seed_and_granularity_rejected(self, capsys, csv_path, tmp_path, command):
+        for key, value in (("seed", 9), ("mac_granularity", 64)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"workload": csv_path, key: value}))
+            rc = entry(self.COMMANDS[command] + ["--config", str(cfg)])
+            out, err = capsys.readouterr()
+            if command == "attack" and key == "seed":
+                assert rc == EXIT_OK and "detected=1" in out  # seeds the trials
+                continue
+            assert rc == EXIT_CONFIG and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
     def test_swept_seed_rejected(self, capsys, csv_path):
         rc = entry(["sweep", "--workload", csv_path, "--param", "seed", "--values", "1,2"])
         out, err = capsys.readouterr()
@@ -461,13 +494,13 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(workload="h264", channels=4, workload_args={"pattern": "IBPB"})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
-        assert ExperimentConfig.from_json(str(path)) == cfg
+        assert ExperimentConfig.from_dict(read_config(str(path))) == cfg
 
-    def test_from_json_rejects_non_object(self, tmp_path):
+    def test_read_config_rejects_non_object(self, tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[1, 2]")
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_json(str(p))
+            read_config(str(p))
 
     def test_with_overrides_skips_none(self):
         cfg = ExperimentConfig(cache_kb=8)

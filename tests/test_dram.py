@@ -12,8 +12,10 @@ from mgxsim.dram import (
     MAC_LINE,
     META_CLASSES,
     PAGE,
+    RECORD_KINDS,
     TREE_NODE,
     VN_LINE,
+    AccessLog,
     AccessRecord,
     BitFlip,
     PhysicalMemory,
@@ -95,6 +97,26 @@ class TestStore:
     def test_zero_length_peek(self):
         assert PhysicalMemory().peek(5, 0) == b""
 
+    @pytest.mark.parametrize(
+        "addr,length",
+        [
+            (PAGE - 64, 64),  # ends exactly at a page end
+            (PAGE, 64),  # starts at a page start
+            (2 * PAGE - 1, 1),  # one byte, the last of its page
+            (PAGE + 5, 1),  # one byte
+            (PAGE - 3, 6),  # crosses into the next page
+            (PAGE - 63, 64),  # ends one byte past a page end
+        ],
+    )
+    def test_poke_page_edges(self, addr, length):
+        mem = PhysicalMemory(capacity=4 * PAGE)
+        mem.poke(0, b"\x11" * (4 * PAGE))
+        data = bytes(range(1, length + 1))
+        mem.poke(addr, data)
+        want = bytearray(b"\x11" * (4 * PAGE))
+        want[addr : addr + length] = data
+        assert mem.peek(0, 4 * PAGE) == bytes(want)
+
 
 class TestLogging:
     def test_read_write_logged_with_class_and_timestamp(self):
@@ -108,6 +130,55 @@ class TestLogging:
             AccessRecord("read", DATA, 64, 64),
             AccessRecord("read", MAC_LINE, 128, 8),
         ]
+
+    @staticmethod
+    def filled():
+        mem = PhysicalMemory(capacity=1 << 41)
+        mem.write(0, bytes(64), VN_LINE)
+        mem.read(64, 64, DATA)
+        mem.read(128, 8, MAC_LINE)
+        mem.write(1 << 40, bytes(16), TREE_NODE)
+        return mem, [
+            AccessRecord("write", VN_LINE, 0, 64),
+            AccessRecord("read", DATA, 64, 64),
+            AccessRecord("read", MAC_LINE, 128, 8),
+            AccessRecord("write", TREE_NODE, 1 << 40, 16),
+        ]
+
+    def test_log_is_a_sequence_of_records(self):
+        mem, want = self.filled()
+        log = mem.log
+        assert len(log) == 4
+        assert log == want and want == log and log != want[:3]
+        assert list(log) == want
+        assert [log[i] for i in range(-4, 4)] == want + want
+        assert log[1:3] == want[1:3] and log[::-2] == want[::-2] and log[9:] == []
+        with pytest.raises(IndexError):
+            log[4]
+        with pytest.raises(IndexError):
+            log[-5]
+
+    def test_log_totals_follow_adds_and_deletes(self):
+        mem, want = self.filled()
+        log = mem.log
+        by_kind = {kind: 0 for kind in RECORD_KINDS}
+        for rec in want:
+            by_kind[rec.op, rec.klass] += rec.length
+        assert log.byte_totals == list(by_kind.values())
+        del log[-3]
+        del want[-3]
+        assert log == want
+        by_kind["read", DATA] = 0
+        assert log.byte_totals == list(by_kind.values())
+        assert log.kind_counts() == [int(by_kind[k] > 0) for k in RECORD_KINDS]
+        with pytest.raises(IndexError):
+            del log[3]
+
+    def test_lengths_beyond_4_gib(self):
+        log = AccessLog()
+        log.add(0, 0, 5 << 32)
+        assert log[0] == AccessRecord("read", DATA, 0, 5 << 32)
+        assert log.byte_totals[0] == 5 << 32
 
     def test_peek_poke_and_tampering_unlogged(self):
         mem = PhysicalMemory()

@@ -31,30 +31,39 @@ from mgxsim.perf import (
     write_stats_csv,
 )
 from mgxsim.replay import ReplayResult, replay
-from mgxsim.workloads import Trace, VnSource, cnn_inference_trace, h264_trace
+from mgxsim.workloads import Trace, VnSource, cnn_inference_trace, gact_trace, h264_trace
 from mgxsim.workloads.trace import TraceBuilder
 
 
 def synthetic_result() -> ReplayResult:
-    """Four groups: mixed, write-only, compute-bound, and compute-only."""
+    """Four groups: mixed, write-only, compute-bound, and compute-only. The
+    records go through PhysicalMemory and the group totals are recorded the
+    way `replay` records them."""
     trace = Trace("synthetic")
     trace.compute_macs = {0: 4096.0, 1: 0.0, 2: 2_048_000.0, 7: 8192.0}
-    log = [
-        AccessRecord("read", DATA, 0x000, 1024),
-        AccessRecord("write", DATA, 0x400, 512),
-        AccessRecord("write", DATA, 0x600, 2048),
-        AccessRecord("write", DATA, 0xE00, 4096),
-    ]
-    return ReplayResult(
-        scheme="none",
-        payload_mode="fast",
-        trace=trace,
-        memory=PhysicalMemory(1 << 20),
-        log=log,
-        group_spans=[(0, 0, 2), (1, 2, 3), (2, 3, 4)],
-        completed=True,
-        events_processed=0,
-    )
+    mem = PhysicalMemory(1 << 20)
+    res = ReplayResult("none", "fast", trace, mem, mem.log, completed=True)
+    res.mark_group(0)
+    mem.read(0x000, 1024, DATA)
+    mem.write(0x400, bytes(512), DATA)
+    res.mark_group(1)
+    mem.write(0x600, bytes(2048), DATA)
+    res.mark_group(2)
+    mem.write(0xE00, bytes(4096), DATA)
+    res.finish_groups()
+    assert res.group_spans == [(0, 0, 2), (1, 2, 3), (2, 3, 4)]
+    return res
+
+
+def walked_group_bytes(res: ReplayResult) -> list[tuple[int, int, int]]:
+    """(group, read bytes, write bytes) of every costed group, summed record
+    by record over the log spans."""
+    traffic = {g: [0, 0] for g in res.trace.compute_macs}
+    for g, start, end in res.group_spans:
+        rw = traffic.setdefault(g, [0, 0])
+        for rec in res.log[start:end]:
+            rw[rec.op != "read"] += rec.length
+    return [(g, r, w) for g, (r, w) in sorted(traffic.items())]
 
 
 class TestModels:
@@ -148,6 +157,46 @@ class TestGroupCosts:
         t = estimate_time(res, DramModel(bytes_per_cycle_per_channel=1e12))
         # every group collapses to max(compute, latency)
         assert t == pytest.approx(100.0 + 100.0 + 1000.0 + 100.0)
+
+
+class TestTotalsEqualWalk:
+    """Stats and group costs come from the byte totals recorded at group
+    boundaries; they must equal a record-by-record walk of the log."""
+
+    @staticmethod
+    def check(res: ReplayResult):
+        sim = evaluate(res)
+        assert sim.stats == ProtectionStats.from_log(res.log)
+        got = [(c.group, c.read_bytes, c.write_bytes) for c in sim.groups]
+        assert got == walked_group_bytes(res)
+        assert traffic_increase(res) == sim.traffic_increase
+
+    @pytest.mark.parametrize("scheme", ["none", "mgx", "baseline"])
+    @pytest.mark.parametrize("workload", ["micro", "h264", "gact"])
+    def test_clean_replays(self, micro_graph, workload, scheme):
+        trace = {
+            "micro": lambda: cnn_inference_trace(micro_graph, 2),
+            "h264": lambda: h264_trace("IBPB", frame_bytes=4096),
+            "gact": lambda: gact_trace(
+                batches=1, queries_per_batch=2, reference_bytes=1 << 14,
+                seed_table_bytes=1 << 12, pos_table_bytes=1 << 13,
+            ),
+        }[workload]()
+        res = replay(trace, scheme)
+        assert res.completed and len(res.group_totals) == len(res.group_spans)
+        self.check(res)
+
+    def test_baseline_replay_stopped_by_tamper(self, micro_graph):
+        trace = cnn_inference_trace(micro_graph, 2)
+        reads = [i for i, ev in enumerate(trace.events) if ev.op == "read"]
+        r = reads[len(reads) // 2]
+        obj = trace.objects[trace.events[r].obj_id]
+        addr = obj.base + trace.events[r].offset
+        res = replay(trace, "baseline", payload_mode="real",
+                     hooks={r: lambda m: m.inject(BitFlip(addr, 3))})
+        assert res.detected is not None and not res.completed
+        assert 0 < res.group_spans[-1][2] == len(res.log)
+        self.check(res)
 
 
 class TestTrafficIncrease:
