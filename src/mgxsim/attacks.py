@@ -2,8 +2,10 @@
 
 Every trial picks a read the workload is guaranteed to perform, corrupts
 bytes that read depends on immediately before it executes, and replays the
-whole trace with full crypto. The outcome is classified from the replay
-result:
+whole trace with full crypto. The trials of a campaign share one clean
+replay: it is forked right before each trial's last hook, the trial runs on
+the fork, and every earlier hook of a trial runs on the shared replay, so it
+must only read memory. The outcome is classified from the trial's replay:
 
 * detected:  an integrity check raised before or at the consuming read;
 * silent:    the run completed but a load returned wrong plaintext
@@ -16,9 +18,9 @@ Campaign classes:
 * splice:    overwrite a few bytes in the range with attacker-chosen bytes.
 * relocate:  copy a different valid (ciphertext, tag) pair over the target's,
              i.e. move data the victim wrote somewhere else to this address.
-* replay:    snapshot the target bytes and their co-located metadata right
-             after an older write, let a newer write land, then restore the
-             snapshot before the consuming read.
+* replay:    copy out the target bytes and their co-located metadata right
+             after an older write, let a newer write land, then splice the
+             copy back before the consuming read.
 
 Attacks target data-plane bytes; metadata-only corruptions are exercised by
 unit tests with forced cache refills, since whether they are ever observed
@@ -32,9 +34,11 @@ from dataclasses import dataclass, field
 
 from .baseline import CTR_W, BaselineGeometry
 from .crypto import MAC_BYTES
-from .dram import LINE, BitFlip, PhysicalMemory, Relocate, Replay, Splice
+from .dram import LINE, BitFlip, PhysicalMemory, Relocate, Splice
 from .errors import ConfigError
-from .replay import ReplayResult, baseline_config, replay
+# `replay` is not called here; the benchmark's span tracer (bench/spans.py)
+# wraps `attacks.replay` by name, so the name stays importable.
+from .replay import ReplayResult, _Run, baseline_config, replay  # noqa: F401
 from .workloads.trace import READ, WRITE, Trace
 
 ATTACKS = ("bitflip", "splice", "relocate", "replay")
@@ -73,6 +77,8 @@ class _TraceIndex:
         if not self.reads:
             raise ConfigError("trace performs no reads; nothing to attack")
         self.replay_candidates = self._find_replay_candidates()
+        # _relocation_targets, computed when a campaign first needs it
+        self.relocation_targets: list[tuple[int, object, int]] | None = None
 
     def _find_replay_candidates(self) -> list[tuple[int, int, int, int]]:
         """(read_idx, older_write_idx, lo, hi): byte range of the read also
@@ -181,32 +187,61 @@ def _has_relocation_source(index, scheme) -> bool:
     return False
 
 
-def _relocate_hooks(index, rng, scheme, geom):
+def _relocation_targets(index, scheme) -> list[tuple[int, object, int]]:
+    """(read, object, first byte) of every unit (a block under the
+    baseline, else a chunk) of every read that has a relocation source."""
+    out = []
+    for r in index.reads:
+        ev = index.trace.events[r]
+        obj = index.trace.objects[ev.obj_id]
+        unit = LINE if scheme == "baseline" else obj.mac_granularity
+        end = ev.offset + ev.length
+        for u in range(ev.offset // unit, (end - 1) // unit + 1):
+            b = max(ev.offset, u * unit)
+            if _relocation_sources(index, scheme, r, obj, b):
+                out.append((r, obj, b))
+    return out
+
+
+def _relocate_target(index, rng, scheme):
+    """A (read, object, byte) whose unit has relocation sources, and those
+    sources: the first of 64 random picks that has any, else a draw from
+    every target that has some, so that a trace with few of them still
+    gets its trials."""
     for _ in range(64):
         r, obj, b = _pick_read(index, rng)
         sources = _relocation_sources(index, scheme, r, obj, b)
-        if not sources:
-            continue
-        if scheme == "baseline":
-            dst_block = (obj.base + b) // LINE * LINE
-            src_block = rng.choice(sources)
-            sl, ss = geom.mac_slot(geom.block_index(src_block))
-            dl, ds = geom.mac_slot(geom.block_index(dst_block))
-            actions = [
-                Relocate(src_block, dst_block, LINE),
-                Relocate(sl + ss * CTR_W, dl + ds * CTR_W, CTR_W),
-            ]
-            return {r: lambda mem: [mem.inject(a) for a in actions]}
-        # mgx and none: move another chunk-sized unit of written data (and its
-        # tag, when one exists) over the chunk the read will consume.
-        c = b // obj.mac_granularity
-        cs, ce = obj.chunk_extent(c)
-        so, sc, scs = rng.choice(sources)
-        actions = [Relocate(so.base + scs, obj.base + cs, ce - cs)]
-        if scheme == "mgx":
-            actions.append(Relocate(so.mac_addr(sc), obj.mac_addr(c), MAC_BYTES))
+        if sources:
+            return r, obj, b, sources
+    if index.relocation_targets is None:
+        index.relocation_targets = _relocation_targets(index, scheme)
+    if not index.relocation_targets:
+        raise ConfigError("no relocation source found for this trace")
+    r, obj, b = rng.choice(index.relocation_targets)
+    return r, obj, b, _relocation_sources(index, scheme, r, obj, b)
+
+
+def _relocate_hooks(index, rng, scheme, geom):
+    r, obj, b, sources = _relocate_target(index, rng, scheme)
+    if scheme == "baseline":
+        dst_block = (obj.base + b) // LINE * LINE
+        src_block = rng.choice(sources)
+        sl, ss = geom.mac_slot(geom.block_index(src_block))
+        dl, ds = geom.mac_slot(geom.block_index(dst_block))
+        actions = [
+            Relocate(src_block, dst_block, LINE),
+            Relocate(sl + ss * CTR_W, dl + ds * CTR_W, CTR_W),
+        ]
         return {r: lambda mem: [mem.inject(a) for a in actions]}
-    raise ConfigError("no relocation source found for this trace")
+    # mgx and none: move another chunk-sized unit of written data (and its
+    # tag, when one exists) over the chunk the read will consume.
+    c = b // obj.mac_granularity
+    cs, ce = obj.chunk_extent(c)
+    so, sc, scs = rng.choice(sources)
+    actions = [Relocate(so.base + scs, obj.base + cs, ce - cs)]
+    if scheme == "mgx":
+        actions.append(Relocate(so.mac_addr(sc), obj.mac_addr(c), MAC_BYTES))
+    return {r: lambda mem: [mem.inject(a) for a in actions]}
 
 
 def _replay_hooks(index, rng, scheme, geom):
@@ -226,15 +261,15 @@ def _replay_hooks(index, rng, scheme, geom):
         ranges = [(obj.base + cs, ce - cs)]
         if scheme == "mgx":
             ranges.append((obj.mac_addr(c), MAC_BYTES))
-    sids: list[int] = []
+    saved: list[tuple[int, bytes]] = []
 
     def take(mem: PhysicalMemory):
-        for addr, length in ranges:
-            sids.append(mem.snapshot(addr, length))
+        # only reads: it runs on the campaign's shared replay
+        saved.extend((addr, mem.peek(addr, length)) for addr, length in ranges)
 
     def restore(mem: PhysicalMemory):
-        for sid in sids:
-            mem.inject(Replay(sid))
+        for addr, blob in saved:
+            mem.inject(Splice(addr, blob))
 
     return {w1 + 1: take, r: restore}
 
@@ -245,6 +280,16 @@ _BUILDERS = {
     "relocate": _relocate_hooks,
     "replay": _replay_hooks,
 }
+
+
+def _outcome(run: ReplayResult) -> tuple[str, str]:
+    """A trial's class and what its example line says. Only these strings
+    outlive the trial's run."""
+    if run.detected is not None:
+        return "detected", f"detected ({run.detected.reason})"
+    if run.mismatch is not None:
+        return "silent", f"silent corruption at event {run.mismatch.event_index}"
+    return "clean", "no observable effect"
 
 
 def run_campaign(
@@ -259,9 +304,17 @@ def run_campaign(
     tree_arity: int = 8,
 ) -> CampaignResult:
     """Run `trials` independent randomized attacks of one class. With
-    trials=0 this only checks that the trace admits the attack."""
+    trials=0 this only checks that the trace admits the attack.
+
+    One clean verify replay is shared by all trials and forked right before
+    each trial's last hook; the fork applies that hook and runs until
+    detection, mismatch or the trace's end. Every outcome equals the one a
+    replay of the whole trace with that trial's hooks would give.
+    """
     if attack not in ATTACKS:
         raise ConfigError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
+    if trials < 0:
+        raise ConfigError(f"trials must be at least 0, got {trials}")
     index = _TraceIndex(trace)
     if attack == "replay" and not index.replay_candidates:
         raise ConfigError(
@@ -272,30 +325,40 @@ def run_campaign(
     geom = None
     if scheme == "baseline":
         geom = BaselineGeometry(baseline_config(trace, region_mb, cache_kb, tree_arity))
-    result = CampaignResult(scheme, attack, trace.workload)
     build = _BUILDERS[attack]
+    # event index -> hooks that only read memory, and -> (trial, last hook)
+    readers: dict[int, list] = {}
+    finals: dict[int, list] = {}
     for t in range(trials):
-        rng = random.Random(seed + t)
-        hooks = build(index, rng, scheme, geom)
-        run = replay(
-            trace,
-            scheme,
-            payload_mode="verify",
-            hooks=hooks,
-            region_mb=region_mb,
-            cache_kb=cache_kb,
-            tree_arity=tree_arity,
-        )
-        result.trials += 1
-        if run.detected is not None:
-            result.detected += 1
-            note = f"trial {t}: detected ({run.detected.reason})"
-        elif run.mismatch is not None:
-            result.silent += 1
-            note = f"trial {t}: silent corruption at event {run.mismatch.event_index}"
-        else:
-            result.clean += 1
-            note = f"trial {t}: no observable effect"
+        hooks = build(index, random.Random(seed + t), scheme, geom)
+        *before, last = sorted(hooks)
+        for i in before:
+            readers.setdefault(i, []).append(hooks[i])
+        finals.setdefault(last, []).append((t, hooks[last]))
+    outcomes: dict[int, tuple[str, str]] = {}
+    if trials:
+        shared = _Run(trace, scheme, "verify", region_mb, cache_kb, tree_arity)
+        for i in sorted(readers.keys() | finals.keys()):
+            shared.run(i, {})
+            if shared.over:
+                break
+            for hook in readers.pop(i, ()):
+                hook(shared.result.memory)
+            for t, hook in finals.pop(i, ()):
+                trial = shared.fork()
+                hook(trial.result.memory)
+                trial.run(len(trace.events), {})
+                outcomes[t] = _outcome(trial.result)
+                del trial  # before the next fork is made, not after
+        # Trials whose last hook comes after the event that ended the shared
+        # run: their own replays would end there the same way.
+        for waiting in finals.values():
+            for t, _ in waiting:
+                outcomes[t] = _outcome(shared.result)
+    result = CampaignResult(scheme, attack, trace.workload, trials=trials)
+    for t in range(trials):
+        kind, what = outcomes[t]
+        setattr(result, kind, getattr(result, kind) + 1)
         if len(result.examples) < 5:
-            result.examples.append(note)
+            result.examples.append(f"trial {t}: {what}")
     return result

@@ -27,6 +27,7 @@ been written and reject on read.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -192,6 +193,22 @@ class BaselineMee:
         self._wb_inflight: dict[int, list] = {}
         self.root = [0] * self.geom.root_fanout
         self.rekey_events = 0
+
+    def fork(self, memory: PhysicalMemory) -> "BaselineMee":
+        """A copy of this engine over `memory`, taken between two accesses:
+        its own cached lines (bodies, dirty bits and LRU order), root and
+        write-back generations. No write-back is in flight between accesses.
+        Geometry and keys are shared: neither changes after construction."""
+        twin = copy.copy(self)
+        twin.mem = memory
+        twin._cache = OrderedDict()
+        for addr, line in self._cache.items():
+            twin._cache[addr] = copied = _Line(line.level, line.index, line.body[:])
+            copied.dirty = line.dirty
+        twin._wb_gen = dict(self._wb_gen)
+        twin._wb_inflight = {}
+        twin.root = self.root[:]
+        return twin
 
     # -- cache internals ----------------------------------------------------
 

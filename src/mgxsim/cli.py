@@ -165,6 +165,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     cfg = _load_config(args)
     if cfg.scheme not in ("baseline", "mgx"):
         raise ConfigError("attack campaigns need a protecting scheme (baseline or mgx)")

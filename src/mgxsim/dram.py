@@ -147,6 +147,19 @@ class PhysicalMemory:
         self._snapshots: dict[int, tuple[int, bytes]] = {}
         self._next_snapshot = 0
 
+    def fork(self) -> "PhysicalMemory":
+        """A copy with its own pages, log and snapshots."""
+        twin = PhysicalMemory(self.capacity)
+        twin._pages = {n: page[:] for n, page in self._pages.items()}
+        log, src = twin.log, self.log
+        log.codes.extend(src.codes)
+        log.addrs.extend(src.addrs)
+        log.lengths.extend(src.lengths)
+        log.byte_totals[:] = src.byte_totals
+        twin._snapshots = dict(self._snapshots)
+        twin._next_snapshot = self._next_snapshot
+        return twin
+
     # -- raw access ---------------------------------------------------------
 
     def _check(self, addr: int, length: int):

@@ -172,6 +172,11 @@ class WriteLedger:
     def clear(self):
         self._bounds.clear()
 
+    def copy(self) -> "WriteLedger":
+        twin = WriteLedger()
+        twin._bounds = {vn: bounds[:] for vn, bounds in self._bounds.items()}
+        return twin
+
 
 class MgxMee:
     """Encryption and integrity engine for accelerator-managed objects."""
@@ -199,6 +204,15 @@ class MgxMee:
         ledger epoch."""
         self.rekey_events += 1
         self.ledger.clear()
+
+    def fork(self, memory: PhysicalMemory) -> "MgxMee":
+        """A copy of this engine over `memory`, with its own ledger and read
+        shadow. The keys are shared: they hold no state between calls."""
+        twin = MgxMee(memory, self.enc_key, self.mac_key, crypto=self.crypto)
+        twin.ledger = self.ledger.copy()
+        twin._shadow = {obj_id: ranges[:] for obj_id, ranges in self._shadow.items()}
+        twin.rekey_events = self.rekey_events
+        return twin
 
     # -- data path ----------------------------------------------------------
 

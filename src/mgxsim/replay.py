@@ -14,7 +14,10 @@ object interface:
 * rekey(): an on-chip counter wrapped.
 
 Tamper hooks run between events so attack campaigns can snapshot and corrupt
-memory at precise points.
+memory at precise points. Between two events a run can also be forked: every
+engine, and the memory, offers fork(memory) -> a copy that shares no mutable
+state with the original, so a campaign replays the clean prefix once and runs
+each trial on a fork taken at its tamper point.
 
 Payload modes:
 
@@ -28,8 +31,9 @@ Payload modes:
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -63,6 +67,9 @@ class PlainEngine:
 
     def load(self, obj, vn: int, offset: int, length: int) -> bytes:
         return self.mem.read(obj.base + offset, length, DATA)
+
+    def fork(self, memory: PhysicalMemory) -> "PlainEngine":
+        return PlainEngine(memory)
 
 
 def _zeros(offset: int, length: int) -> bytes:
@@ -152,81 +159,132 @@ def replay(
     raised; ConfigError and invariant faults propagate, since they mean the
     input or the schedule is broken.
     """
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if payload_mode not in PAYLOAD_MODES:
-        raise ConfigError(f"unknown payload mode {payload_mode!r}")
-    use_crypto = payload_mode != "fast"
-    enc_key, mac_key = derive_keys(trace.seed)
+    run = _Run(trace, scheme, payload_mode, region_mb, cache_kb, tree_arity)
+    run.run(len(trace.events), hooks or {})
+    return run.finish()
 
-    engine: BaselineMee | MgxMee | PlainEngine
-    if scheme == "baseline":
-        cfg = baseline_config(trace, region_mb, cache_kb, tree_arity)
-        memory = _memory(BaselineGeometry(cfg).meta_end)  # the region, then its metadata
-        engine = BaselineMee(
-            cfg, memory, enc_key, mac_key, crypto=use_crypto, objects=trace.objects.values()
-        )
-    else:
-        memory = _memory(trace.span_end)
-        if scheme == "mgx":
-            engine = MgxMee(memory, enc_key, mac_key, crypto=use_crypto)
-        else:
-            engine = PlainEngine(memory)
 
-    result = ReplayResult(scheme, payload_mode, trace, memory, memory.log)
-    state = MgxState()
-    hooks = hooks or {}
+class _Run:
+    """One replay in progress: the engine over its memory, the on-chip
+    counters and the result so far, advanced by `run` and copied between two
+    events by `fork`, so that copies of one prefix can go on differently."""
 
-    try:
-        for i, ev in enumerate(trace.events):
-            hook = hooks.get(i)
-            if hook is not None:
-                hook(memory)
-            result.mark_group(ev.group)
-            if ev.op in UPDATE_OPS:
-                state, wrapped = state.advance(ev.op)
-                if wrapped:
-                    engine.rekey()
-                result.events_processed = i + 1
-                continue
-            obj = trace.objects.get(ev.obj_id)
-            if obj is None:
-                raise ConfigError(f"event {i} references unknown object {ev.obj_id!r}")
-            if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
-                raise ConfigError(
-                    f"event {i} range [{ev.offset},{ev.offset + ev.length}) exceeds "
-                    f"object {obj.obj_id} of size {obj.size}"
-                )
-            vn = ev.vn_source.resolve(state)
-            if ev.op == WRITE:
-                plaintext = partial(payload_for, obj.obj_id, vn) if use_crypto else _zeros
-                engine.store(obj, vn, ev.offset, ev.length, plaintext)
-            elif ev.op == READ:
-                got = engine.load(obj, vn, ev.offset, ev.length)
-                if payload_mode == "verify":
-                    want = payload_for(obj.obj_id, vn, ev.offset, ev.length)
-                    if got != want:
-                        raise VerifyMismatch(
-                            f"event {i}: {ev.obj_id}[{ev.offset}:{ev.offset + ev.length}] "
-                            "differs from the expected payload",
-                            event_index=i,
-                        )
-            else:
-                raise ConfigError(f"unknown trace op {ev.op!r}")
-            result.events_processed = i + 1
+    def __init__(self, trace, scheme, payload_mode, region_mb, cache_kb, tree_arity):
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        if payload_mode not in PAYLOAD_MODES:
+            raise ConfigError(f"unknown payload mode {payload_mode!r}")
+        use_crypto = payload_mode != "fast"
+        enc_key, mac_key = derive_keys(trace.seed)
+
+        engine: BaselineMee | MgxMee | PlainEngine
         if scheme == "baseline":
-            # Drain dirty metadata; attribute the writeback burst to a final
-            # group with no compute so timing models see it.
-            flush_group = max(trace.compute_macs, default=-1) + 1
-            result.mark_group(flush_group)
-            engine.flush()
-        result.completed = True
-    except TamperDetected as td:
-        result.detected = td
-    except VerifyMismatch as vm:
-        result.mismatch = vm
+            cfg = baseline_config(trace, region_mb, cache_kb, tree_arity)
+            memory = _memory(BaselineGeometry(cfg).meta_end)  # the region, then its metadata
+            engine = BaselineMee(
+                cfg, memory, enc_key, mac_key, crypto=use_crypto, objects=trace.objects.values()
+            )
+        else:
+            memory = _memory(trace.span_end)
+            if scheme == "mgx":
+                engine = MgxMee(memory, enc_key, mac_key, crypto=use_crypto)
+            else:
+                engine = PlainEngine(memory)
+        self.trace = trace
+        self.engine = engine
+        self.result = ReplayResult(scheme, payload_mode, trace, memory, memory.log)
+        self.state = MgxState()
 
-    result.finish_groups()
-    result.rekey_events = engine.rekey_events
-    result.state = state
-    return result
+    @property
+    def over(self) -> bool:
+        r = self.result
+        return r.completed or r.detected is not None or r.mismatch is not None
+
+    def run(self, stop: int, hooks: dict[int, Hook]) -> None:
+        """Execute the events before index `stop` that have not run yet, each
+        right after its hook. Reaching the trace's end also drains the engine
+        and completes the run. A TamperDetected or VerifyMismatch ends the run
+        and is recorded without its traceback, which would keep the run's
+        frames, and with them its memory, alive after the run is dropped."""
+        if self.over:
+            return
+        trace, engine, result = self.trace, self.engine, self.result
+        memory = result.memory
+        payload_mode = result.payload_mode
+        use_crypto = payload_mode != "fast"
+        state = self.state
+        start = result.events_processed
+        try:
+            for i, ev in enumerate(trace.events[start:stop], start):
+                hook = hooks.get(i)
+                if hook is not None:
+                    hook(memory)
+                result.mark_group(ev.group)
+                if ev.op in UPDATE_OPS:
+                    state, wrapped = state.advance(ev.op)
+                    if wrapped:
+                        engine.rekey()
+                    result.events_processed = i + 1
+                    continue
+                obj = trace.objects.get(ev.obj_id)
+                if obj is None:
+                    raise ConfigError(f"event {i} references unknown object {ev.obj_id!r}")
+                if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
+                    raise ConfigError(
+                        f"event {i} range [{ev.offset},{ev.offset + ev.length}) exceeds "
+                        f"object {obj.obj_id} of size {obj.size}"
+                    )
+                vn = ev.vn_source.resolve(state)
+                if ev.op == WRITE:
+                    plaintext = partial(payload_for, obj.obj_id, vn) if use_crypto else _zeros
+                    engine.store(obj, vn, ev.offset, ev.length, plaintext)
+                elif ev.op == READ:
+                    got = engine.load(obj, vn, ev.offset, ev.length)
+                    if payload_mode == "verify":
+                        want = payload_for(obj.obj_id, vn, ev.offset, ev.length)
+                        if got != want:
+                            raise VerifyMismatch(
+                                f"event {i}: {ev.obj_id}[{ev.offset}:{ev.offset + ev.length}] "
+                                "differs from the expected payload",
+                                event_index=i,
+                            )
+                else:
+                    raise ConfigError(f"unknown trace op {ev.op!r}")
+                result.events_processed = i + 1
+            if stop == len(trace.events):
+                if isinstance(engine, BaselineMee):
+                    # Drain dirty metadata; attribute the writeback burst to a
+                    # final group with no compute so timing models see it.
+                    flush_group = max(trace.compute_macs, default=-1) + 1
+                    result.mark_group(flush_group)
+                    engine.flush()
+                result.completed = True
+        except TamperDetected as td:
+            result.detected = td.with_traceback(None)
+        except VerifyMismatch as vm:
+            result.mismatch = vm.with_traceback(None)
+        finally:
+            self.state = state
+
+    def fork(self) -> "_Run":
+        """A copy of this run, taken between two events, that shares nothing
+        mutable with it: running one leaves the other as it was."""
+        twin = copy.copy(self)
+        memory = self.result.memory.fork()
+        twin.engine = self.engine.fork(memory)
+        twin.result = replace(
+            self.result,
+            memory=memory,
+            log=memory.log,
+            group_spans=list(self.result.group_spans),
+            group_totals=list(self.result.group_totals),
+        )
+        return twin
+
+    def finish(self) -> ReplayResult:
+        """Close the open group span and return the result."""
+        result = self.result
+        result.finish_groups()
+        result.rekey_events = self.engine.rekey_events
+        result.state = self.state
+        return result

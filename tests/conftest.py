@@ -9,7 +9,8 @@ from __future__ import annotations
 import pytest
 
 from mgxsim.replay import derive_keys
-from mgxsim.workloads import load_preset
+from mgxsim.workloads import VnSource, load_preset
+from mgxsim.workloads.trace import TraceBuilder
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,24 @@ def micro_graph():
 @pytest.fixture(scope="session")
 def lenet_graph():
     return load_preset("lenet")
+
+
+@pytest.fixture(scope="session")
+def rare_relocation_trace():
+    """Two 64-byte objects: `a` written twice and read 300 times before `b`
+    is written and `a` read once more. Only that last read has a relocation
+    source, so random picks of a read rarely find one."""
+    b = TraceBuilder("rare", mac_granularity=64)
+    a = b.alloc("a", 64)
+    other = b.alloc("b", 64)
+    src = VnSource("feature", 1)
+    for _ in range(2):
+        b.update("update_i")
+        b.new_group()
+        b.write(a, src)
+    b.new_group()
+    for _ in range(300):
+        b.read(a, src)
+    b.write(other, src)
+    b.read(a, src)
+    return b.trace

@@ -414,6 +414,24 @@ class TestAttackCommand:
         assert err == "error: no relocation source found for this trace\n"
 
 
+    def test_rare_relocation_source_still_found(self, capsys, tmp_path, rare_relocation_trace):
+        path = str(tmp_path / "rare.csv")
+        export_trace(rare_relocation_trace, path)
+        rc = entry(["attack", "--workload", path, "--trials", "20"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert "attack=relocate trials=20 detected=20" in out
+        assert out.count("detection_rate=1.0000") == 4
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        rc = entry(["attack", "--workload", "micro", "--arg", "num_inputs=2",
+                    "--attack", "bitflip", "--trials", trials])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--trials" in err
+
+
 class TestCsvWorkloadFlags:
     """An imported trace fixes its layout and payload seed, so flags that
     would shape a generated trace are rejected rather than ignored."""

@@ -15,7 +15,7 @@ import pytest
 from mgxsim.dram import DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, BitFlip, Replay
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import COUNTERS, MgxState, ObjectDescriptor
-from mgxsim.replay import SCHEMES, baseline_config, derive_keys, replay
+from mgxsim.replay import SCHEMES, _Run, baseline_config, derive_keys, replay
 from mgxsim.workloads import (
     Trace,
     TraceEvent,
@@ -243,6 +243,45 @@ class TestDetectionRecording:
 
         res = replay(trace, "mgx", payload_mode="real", hooks={2: snap, 4: roll})
         assert isinstance(res.detected, TamperDetected) and res.events_processed == 4
+
+
+class TestFork:
+    """A run forked between two events, and the run it was forked from,
+    both finish exactly as a straight replay does."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.clean and got.events_processed == want.events_processed
+        assert list(got.log) == list(want.log)
+        assert got.log.byte_totals == want.log.byte_totals
+        assert got.group_spans == want.group_spans
+        assert got.group_totals == want.group_totals
+        assert got.rekey_events == want.rekey_events
+        assert got.state == want.state
+        assert got.memory._pages == want.memory._pages
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fork_at_every_event(self, scheme, micro_graph):
+        # a 1 KiB, arity-4 cache: forks are taken with dirty lines cached and
+        # a nontrivial LRU order
+        kw = dict(payload_mode="verify", cache_kb=1, tree_arity=4)
+        traces = [
+            cnn_inference_trace(micro_graph, 2),
+            h264_trace("IBPB" * 2, frame_bytes=512, streams=2),
+        ]
+        for trace in traces:
+            want = replay(trace, scheme, **kw)
+            end = len(trace.events)
+            for i in range(end + 1):
+                run = _Run(trace, scheme, "verify", 128, 1, 4)
+                run.run(i, {})
+                if scheme == "baseline":
+                    assert not run.engine._wb_inflight
+                fork = run.fork()
+                fork.run(end, {})
+                self.assert_same(fork.finish(), want)
+                run.run(end, {})
+                self.assert_same(run.finish(), want)
 
 
 class TestInputValidation:
