@@ -328,8 +328,12 @@ class BaselineMee:
     # run's first block resolves both lines through the cache. If that
     # block's eviction cascade left both resident, they are touched once, leaf
     # then MAC line, exactly as the rest of the run's per-block hits would
-    # leave the LRU order, and the rest of the run moves with no cache calls.
-    # Otherwise every block takes the cache path.
+    # leave the LRU order, and the rest of the run moves as one access with no
+    # cache calls: its counters are bumped or read in the held leaf line, its
+    # data crosses memory in one call that logs one record per block, and a
+    # write encrypts it with one keystream call. Otherwise every block takes
+    # the cache path. A read decrypts all of its blocks with one keystream
+    # call at its end.
 
     def _block(self, pa: int) -> int:
         if pa % LINE or not self.geom.contains(pa):
@@ -363,58 +367,121 @@ class BaselineMee:
         cache.move_to_end(mac_a)
         return leaf, mline
 
+    def _tag(self, b: int, ct: bytes, vn: int) -> bytes:
+        """The stored MAC tag of data block `b`."""
+        return compute_mac(self.mac_key, ct, b * LINE, vn)[:CTR_W]
+
     def _write(self, first: int, data: bytes):
         """Encrypt and store whole blocks from `first` on."""
-        arity = self.geom.cfg.arity
-        crypto, mem = self.crypto, self.mem
-        pos = 0
         for block, n, leaf_i, mac_i in self._runs(first, len(data) // LINE):
-            held = None
-            for b in range(block, block + n):
-                pa = b * LINE
-                leaf = self._line(0, leaf_i) if held is None else held[0]
-                vn = self._bump(leaf.body, b % arity)
-                leaf.dirty = True
-                if crypto:
-                    ct = keystream_xor(self.enc_key, pa, vn, data[pos : pos + LINE])
-                else:
-                    ct = _ZERO_LINE
-                pos += LINE
-                mem.write(pa, ct, DATA)
-                mline = self._line(_MAC, mac_i) if held is None else held[1]
-                if crypto:
-                    s = b % _MAC_SLOTS * CTR_W
-                    mline.body[s : s + CTR_W] = compute_mac(self.mac_key, ct, pa, vn)[:CTR_W]
-                mline.dirty = True
-                if b == block and n > 1:
-                    held = self._resident(leaf_i, mac_i)
+            pos = (block - first) * LINE
+            self._write_one(block, leaf_i, mac_i, data[pos : pos + LINE])
+            held = self._resident(leaf_i, mac_i) if n > 1 else None
+            if held is None:
+                for b in range(block + 1, block + n):
+                    pos += LINE
+                    self._write_one(b, leaf_i, mac_i, data[pos : pos + LINE])
+            else:
+                self._write_held(held, block + 1, data[pos + LINE : pos + n * LINE])
+
+    def _write_one(self, b: int, leaf_i: int, mac_i: int, plaintext: bytes):
+        pa = b * LINE
+        leaf = self._line(0, leaf_i)
+        vn = self._bump(leaf.body, b % self.geom.cfg.arity)
+        leaf.dirty = True
+        ct = keystream_xor(self.enc_key, pa, vn, plaintext) if self.crypto else _ZERO_LINE
+        self.mem.write(pa, ct, DATA)
+        mline = self._line(_MAC, mac_i)
+        if self.crypto:
+            s = b % _MAC_SLOTS * CTR_W
+            mline.body[s : s + CTR_W] = self._tag(b, ct, vn)
+        mline.dirty = True
+
+    def _write_held(self, held, b: int, plaintext: bytes):
+        """Store the blocks from `b` on, all in the run of the held lines.
+        Their tags sit side by side in the MAC line."""
+        leaf, mline = held
+        slot = b % self.geom.cfg.arity
+        vns = [self._bump(leaf.body, v) for v in range(slot, slot + len(plaintext) // LINE)]
+        pa = b * LINE
+        if self.crypto:
+            ct = keystream_xor(self.enc_key, pa, vns, plaintext)
+            s = b % _MAC_SLOTS * CTR_W
+            mline.body[s : s + len(vns) * CTR_W] = b"".join(
+                self._tag(b + i, ct[i * LINE : (i + 1) * LINE], vn) for i, vn in enumerate(vns)
+            )
+        else:
+            ct = bytes(len(plaintext))
+        self.mem.write(pa, ct, DATA, lines=True)
 
     def _read(self, first: int, count: int) -> bytes:
         """Fetch, authenticate and decrypt `count` blocks from `first` on."""
-        arity = self.geom.cfg.arity
-        crypto, mem = self.crypto, self.mem
-        out = []
-        for block, n, leaf_i, mac_i in self._runs(first, count):
-            held = None
-            for b in range(block, block + n):
-                pa = b * LINE
-                leaf = self._line(0, leaf_i) if held is None else held[0]
-                vn = leaf.body[b % arity]
-                if vn == 0:
-                    if held is not None:
-                        self._line(0, leaf_i)  # the touch a per-block hit makes
-                    raise TamperDetected("read of never-written block", pa)
-                ct = mem.read(pa, LINE, DATA)
-                mline = self._line(_MAC, mac_i) if held is None else held[1]
-                if crypto:
-                    s = b % _MAC_SLOTS * CTR_W
-                    tag = compute_mac(self.mac_key, ct, pa, vn)[:CTR_W]
-                    if tag != mline.body[s : s + CTR_W]:
-                        raise TamperDetected("data block MAC mismatch", pa)
-                    out.append(keystream_xor(self.enc_key, pa, vn, ct))
-                if b == block and n > 1:
-                    held = self._resident(leaf_i, mac_i)
-        return b"".join(out) if crypto else bytes(count * LINE)
+        cts, vns = [], []  # ciphertext and VN of each verified block, in order
+        try:
+            for block, n, leaf_i, mac_i in self._runs(first, count):
+                self._read_one(block, leaf_i, mac_i, cts, vns)
+                held = self._resident(leaf_i, mac_i) if n > 1 else None
+                if held is None:
+                    for b in range(block + 1, block + n):
+                        self._read_one(b, leaf_i, mac_i, cts, vns)
+                else:
+                    self._read_held(held, leaf_i, block + 1, block + n, cts, vns)
+        finally:
+            # Decrypt every block verified so far in one call, also when a
+            # check stops the read: an engine that decrypts each block as it
+            # arrives has decrypted those already.
+            pt = keystream_xor(self.enc_key, first * LINE, vns, b"".join(cts)) if cts else b""
+        return pt if self.crypto else bytes(count * LINE)
+
+    def _read_one(self, b: int, leaf_i: int, mac_i: int, cts: list, vns: list):
+        pa = b * LINE
+        vn = self._line(0, leaf_i).body[b % self.geom.cfg.arity]
+        if vn == 0:
+            raise TamperDetected("read of never-written block", pa)
+        ct = self.mem.read(pa, LINE, DATA)
+        mline = self._line(_MAC, mac_i)
+        if self.crypto:
+            s = b % _MAC_SLOTS * CTR_W
+            if self._tag(b, ct, vn) != mline.body[s : s + CTR_W]:
+                raise TamperDetected("data block MAC mismatch", pa)
+            cts.append(ct)
+            vns.append(vn)
+
+    def _read_held(self, held, leaf_i: int, b: int, end: int, cts: list, vns: list):
+        """Fetch and authenticate blocks [b, end), all in the run of the held
+        lines. The log gets what the per-block path logs: every block up to
+        and including a MAC mismatch, none from a never-written one on. So
+        the blocks are checked on a peek first, and the logged fetch stops
+        where the per-block path would have stopped."""
+        leaf, mline = held
+        slot = b % self.geom.cfg.arity
+        run_vns = leaf.body[slot : slot + end - b]
+        written = run_vns.index(0) if 0 in run_vns else len(run_vns)
+        pa = b * LINE
+        good = written
+        if self.crypto:
+            ct = self.mem.peek(pa, written * LINE)
+            s = b % _MAC_SLOTS * CTR_W
+            good = next(
+                (
+                    i
+                    for i in range(written)
+                    if self._tag(b + i, ct[i * LINE : (i + 1) * LINE], run_vns[i])
+                    != mline.body[s + i * CTR_W : s + (i + 1) * CTR_W]
+                ),
+                written,
+            )
+        fetched = min(good + 1, written)
+        if fetched:
+            ct = self.mem.read(pa, fetched * LINE, DATA, lines=True)
+            if self.crypto:
+                cts.append(ct[: good * LINE])
+                vns.extend(run_vns[:good])
+        if good < written:
+            raise TamperDetected("data block MAC mismatch", (b + good) * LINE)
+        if written < len(run_vns):
+            self._line(0, leaf_i)  # the touch a per-block hit makes
+            raise TamperDetected("read of never-written block", (b + written) * LINE)
 
     def write_block(self, pa: int, plaintext: bytes) -> None:
         """Encrypt and store one 64-byte block."""

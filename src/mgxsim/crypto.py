@@ -3,9 +3,11 @@
 Ciphertext is produced by XORing data with an AES-128 keystream. The 128-bit
 counter for a 16-byte cipher block is the concatenation of the 64-bit physical
 address of that block (high half) and the 64-bit version number (low half), so
-the counter of block i within a write is (base_pa + 16*i) || vn. Reusing a
-(pa, vn) pair under one key would reuse keystream; the schemes above this layer
-are responsible for never doing that.
+the counter of block i within a write is (base_pa + 16*i) || vn. A write of
+several 64-byte lines may instead carry one VN per line, so that block i uses
+(base_pa + 16*i) || vn[i // 4]. Reusing a (pa, vn) pair under one key would
+reuse keystream; the schemes above this layer are responsible for never doing
+that.
 
 MACs are keyed BLAKE2b digests over a length-prefixed (ciphertext, pa, vn)
 tuple, truncated to 64 bits. Callers that store 56-bit tags truncate further.
@@ -17,6 +19,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -26,10 +29,18 @@ from .errors import AlignmentError
 CIPHER_BLOCK = 16
 MAC_BYTES = 8
 _MASK64 = (1 << 64) - 1
+_BLOCKS_PER_LINE = 4  # cipher blocks per 64-byte line of a per-line VN
+_CTR = struct.Struct(">QQ")  # one counter block; also the MAC's (pa, vn) tail
+_LEN = struct.Struct(">Q")  # the MAC's ciphertext length prefix
 
-# Above this block count the counter stream is assembled with numpy; below it
-# a plain struct loop is cheaper.
+# A VN for the whole range, or one per 64-byte line of it.
+Vn = Union[int, Sequence[int]]
+
+# From this many cipher blocks on, the counter stream is assembled with numpy;
+# below it a plain struct loop is cheaper. With per-line VNs the loop also
+# looks up a VN per block, so numpy pays from fewer blocks on.
 _NUMPY_CUTOVER = 32
+_NUMPY_CUTOVER_PER_LINE = 12
 
 
 @dataclass(frozen=True)
@@ -66,16 +77,27 @@ class MacKey:
         return hashlib.blake2b(key=self.key_bytes, digest_size=MAC_BYTES)
 
 
-def _raw_keystream(key: EncryptionKey, first_block_pa: int, vn: int, nblocks: int) -> bytes:
-    """AES-ECB over the counter stream; pa advances by 16 per block."""
-    if nblocks >= _NUMPY_CUTOVER:
+def _raw_keystream(key: EncryptionKey, base_pa: int, vn: Vn, first: int, nblocks: int) -> bytes:
+    """AES-ECB over the counters of cipher blocks first, first + 1, ... of the
+    grid anchored at base_pa: block i's counter is (base_pa + 16*i) || vn, or
+    || vn[i // 4] with one VN per line."""
+    per_line = not isinstance(vn, int)
+    if per_line and len(vn) * _BLOCKS_PER_LINE < first + nblocks:
+        raise ValueError("per-line VNs must cover every 64-byte line of the data")
+    if nblocks >= (_NUMPY_CUTOVER_PER_LINE if per_line else _NUMPY_CUTOVER):
+        idx = np.arange(first, first + nblocks, dtype=np.uint64)
         ctrs = np.empty((nblocks, 2), dtype=">u8")
-        ctrs[:, 0] = (first_block_pa + 16 * np.arange(nblocks, dtype=np.uint64)) & _MASK64
-        ctrs[:, 1] = vn
+        ctrs[:, 0] = (base_pa + 16 * idx) & _MASK64
+        ctrs[:, 1] = np.asarray(vn, dtype=np.uint64)[idx // _BLOCKS_PER_LINE] if per_line else vn
         material = ctrs.tobytes()
+    elif per_line:
+        material = b"".join(
+            _CTR.pack((base_pa + 16 * i) & _MASK64, vn[i // _BLOCKS_PER_LINE])
+            for i in range(first, first + nblocks)
+        )
     else:
         material = b"".join(
-            struct.pack(">QQ", (first_block_pa + 16 * i) & _MASK64, vn) for i in range(nblocks)
+            _CTR.pack((base_pa + 16 * i) & _MASK64, vn) for i in range(first, first + nblocks)
         )
     return key._ecb.update(material)
 
@@ -85,8 +107,9 @@ def _xor(data: bytes, pad: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(pad[:n], "big")).to_bytes(n, "big")
 
 
-def keystream_xor(key: EncryptionKey, base_pa: int, vn: int, data: bytes) -> bytes:
-    """Encrypt or decrypt `data` located at 16-byte-aligned address `base_pa`.
+def keystream_xor(key: EncryptionKey, base_pa: int, vn: Vn, data: bytes) -> bytes:
+    """Encrypt or decrypt `data` located at 16-byte-aligned address `base_pa`,
+    under one VN or under one VN per 64-byte line of `data`.
 
     XOR is an involution, so the same call performs both directions. A trailing
     partial block consumes a truncated keystream block. Empty input is allowed.
@@ -94,12 +117,12 @@ def keystream_xor(key: EncryptionKey, base_pa: int, vn: int, data: bytes) -> byt
     return keystream_xor_at(key, base_pa, vn, 0, data)
 
 
-def keystream_xor_at(key: EncryptionKey, base_pa: int, vn: int, offset: int, data: bytes) -> bytes:
+def keystream_xor_at(key: EncryptionKey, base_pa: int, vn: Vn, offset: int, data: bytes) -> bytes:
     """Like keystream_xor, but for data at byte `offset` from `base_pa`.
 
     The cipher-block grid is anchored at base_pa, so any sub-range of a region
     encrypted as a whole decrypts consistently regardless of how reads and
-    writes are split up.
+    writes are split up. Per-line VNs count lines from base_pa too.
     """
     if base_pa % CIPHER_BLOCK:
         raise AlignmentError(f"base_pa 0x{base_pa:x} not {CIPHER_BLOCK}-byte aligned")
@@ -110,7 +133,7 @@ def keystream_xor_at(key: EncryptionKey, base_pa: int, vn: int, offset: int, dat
     first = offset // CIPHER_BLOCK
     skip = offset % CIPHER_BLOCK
     nblocks = (skip + len(data) + CIPHER_BLOCK - 1) // CIPHER_BLOCK
-    pad = _raw_keystream(key, base_pa + 16 * first, vn, nblocks)
+    pad = _raw_keystream(key, base_pa, vn, first, nblocks)
     return _xor(data, pad[skip : skip + len(data)])
 
 
@@ -121,8 +144,6 @@ def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> bytes:
     never collide through concatenation ambiguity.
     """
     h = key._blake2b.copy()
-    h.update(struct.pack(">Q", len(ciphertext)))
-    h.update(ciphertext)
-    h.update(struct.pack(">QQ", pa & _MASK64, vn & _MASK64))
+    h.update(_LEN.pack(len(ciphertext)) + ciphertext + _CTR.pack(pa & _MASK64, vn & _MASK64))
     return h.digest()
 

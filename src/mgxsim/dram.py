@@ -65,6 +65,17 @@ class AccessLog:
         self.lengths.append(length)
         self.byte_totals[code] += length
 
+    def add_lines(self, code: int, addr: int, length: int):
+        """One LINE-byte record per line of [addr, addr + length), in address
+        order; `length` is a whole number of lines."""
+        if length % LINE:
+            raise ValueError(f"{length} bytes is not a whole number of {LINE}-byte lines")
+        n = length // LINE
+        self.codes.extend(bytes((code,)) * n)
+        self.addrs.extend(range(addr, addr + length, LINE))
+        self.lengths.extend([LINE] * n)
+        self.byte_totals[code] += length
+
     def kind_counts(self) -> list[int]:
         """Number of records of every kind, indexed by code."""
         return [self.codes.count(code) for code in range(len(RECORD_KINDS))]
@@ -207,14 +218,23 @@ class PhysicalMemory:
 
     # -- logged access (the accelerator-side interface) ---------------------
 
-    def read(self, addr: int, length: int, klass: str = DATA) -> bytes:
+    # With lines=True an access of several 64-byte lines is logged as one
+    # record per line, as if each line had been accessed on its own.
+
+    def read(self, addr: int, length: int, klass: str = DATA, lines: bool = False) -> bytes:
         out = self.peek(addr, length)
-        self.log.add(_READ_CODE[klass], addr, length)
+        if lines:
+            self.log.add_lines(_READ_CODE[klass], addr, length)
+        else:
+            self.log.add(_READ_CODE[klass], addr, length)
         return out
 
-    def write(self, addr: int, data: bytes, klass: str = DATA):
+    def write(self, addr: int, data: bytes, klass: str = DATA, lines: bool = False):
         self.poke(addr, data)
-        self.log.add(_WRITE_CODE[klass], addr, len(data))
+        if lines:
+            self.log.add_lines(_WRITE_CODE[klass], addr, len(data))
+        else:
+            self.log.add(_WRITE_CODE[klass], addr, len(data))
 
     # -- tamper API ---------------------------------------------------------
 

@@ -68,8 +68,10 @@ def h264_trace(
 ) -> Trace:
     if buffer_count < 3:
         raise ConfigError("need at least three frame buffers for B frames")
-    if frame_bytes % 64:
-        raise ConfigError("frame size must be a multiple of 64 bytes")
+    if streams < 1:
+        raise ConfigError("streams must be >= 1")
+    if frame_bytes < 64 or frame_bytes % 64:
+        raise ConfigError("frame_bytes must be a positive multiple of 64")
     order = decode_order(pattern)
     b = TraceBuilder(f"h264-{len(pattern)}f", seed=seed, mac_granularity=mac_granularity)
     bufs = [b.alloc(f"framebuf{i}", frame_bytes) for i in range(buffer_count)]

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import mgxsim.baseline as baseline_module
 from baseline_oracle import BaselineOracle
 from mgxsim.baseline import (
     VN_LIMIT,
@@ -305,6 +306,47 @@ class TestDetection:
         mem.poke(leaf_addr, b"\x01" + bytes(63))
         with pytest.raises(TamperDetected, match="before first writeback"):
             eng.write_block(0, bytes(64))
+
+    @pytest.mark.parametrize(
+        "case,message", [("flipped", "data block MAC"), ("unwritten", "never-written")]
+    )
+    def test_detection_inside_a_run_leaves_the_per_block_log(self, case, message, monkeypatch):
+        # A load moves the rest of each run after its first block as one
+        # access. A check failing inside that part must leave the log (and
+        # the cache order) that block-by-block reads leave: every block up to
+        # and including a MAC mismatch; none from a never-written block on,
+        # which still gets the leaf-line touch of its per-block hit. The
+        # blocks verified before the failure are decrypted, as block by block.
+        obj = ObjectDescriptor("o", 0, 24 * 64)  # three runs of eight blocks
+        bad = 8 + (3 if case == "flipped" else 5)
+        engines = []
+        for _ in range(2):
+            eng, mem = make_engine(region_size=32768, arity=8, cache=4096)
+            for b in range(24):
+                if case == "flipped" or b != bad:
+                    eng.write_block(b * 64, random.Random(b).randbytes(64))
+            if case == "flipped":
+                mem.inject(BitFlip(bad * 64 + 17, 2))
+            engines.append((eng, mem))
+        (whole, whole_mem), (single, single_mem) = engines
+        decrypted = []
+        xor = baseline_module.keystream_xor
+        monkeypatch.setattr(
+            baseline_module,
+            "keystream_xor",
+            lambda key, pa, vn, data: decrypted.append(len(data)) or xor(key, pa, vn, data),
+        )
+        with pytest.raises(TamperDetected, match=message) as by_load:
+            whole.load(obj, 0, 0, obj.size)
+        by_load_bytes = sum(decrypted)
+        decrypted.clear()
+        with pytest.raises(TamperDetected, match=message) as by_block:
+            for b in range(24):
+                single.read_block(b * 64)
+        assert by_load.value.addr == by_block.value.addr == bad * 64
+        assert by_load_bytes == sum(decrypted) == bad * 64  # the blocks before `bad`
+        assert list(whole_mem.log) == list(single_mem.log)
+        assert list(whole._cache) == list(single._cache)
 
     def test_partial_stats_not_attached_at_engine_level(self):
         eng, _, _ = self._flushed_engine()

@@ -86,3 +86,24 @@ def test_bench_reads_the_access_log(scheme):
     assert got.records == want.records == len(res.log)
     assert (got.bytes, got.groups) == (want.bytes, want.groups)
     assert got.digest() == want.digest()
+
+
+def test_byte_spans_equal_the_log_under_bulk_moves():
+    # The baseline moves the rest of each run as one access that logs one
+    # record per block. The bench's dram spans must still see every logged
+    # byte, and its keystream span every data byte: each data block is
+    # encrypted once as it is written and decrypted once as it is read.
+    spans = load_spans()
+    tracer = spans.Tracer()
+    wl = mgxsim.workloads
+    trace = wl.cnn_inference_trace(wl.load_preset("micro"), 1)
+    try:
+        tracer.install("mgxsim")
+        res = mgxsim.replay.replay(trace, "baseline", payload_mode="real")
+    finally:
+        tracer.remove()
+    assert res.clean
+    log_bytes = sum(res.log.byte_totals)
+    data_bytes = sum(r.length for r in res.log if r.klass == "data")
+    assert tracer.total("dram.read", "dram.write", field=3) == log_bytes > 0
+    assert tracer.total("crypto.keystream", field=3) == data_bytes > 0

@@ -119,9 +119,19 @@ class TestConfigExits:
         rc = entry(["run", "--workload", "micro", "--arg", "noequals"])
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("arg", ["bogus=1", "num_inputs=abc", "base=4096"])
-    def test_bad_workload_arg(self, capsys, arg):
-        rc = entry(["run", "--workload", "micro", "--arg", arg])
+    @pytest.mark.parametrize(
+        "workload,arg",
+        [
+            pytest.param("micro", "bogus=1", id="bogus=1"),
+            pytest.param("micro", "num_inputs=abc", id="num_inputs=abc"),
+            pytest.param("micro", "base=4096", id="base=4096"),
+            pytest.param("h264", "streams=0", id="h264-streams=0"),
+            pytest.param("h264", "frame_bytes=0", id="h264-frame_bytes=0"),
+            pytest.param("h264", "frame_bytes=-512", id="h264-frame_bytes=-512"),
+        ],
+    )
+    def test_bad_workload_arg(self, capsys, workload, arg):
+        rc = entry(["run", "--workload", workload, "--arg", arg])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,6 +9,7 @@ circularly.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import pytest
@@ -122,6 +123,34 @@ class TestKeystreamAgainstReference:
         got = keystream_xor(ek, pa, vn, bytes(16))
         assert got == aes128_encrypt_block(self.KEY, pa.to_bytes(8, "big") + vn.to_bytes(8, "big"))
 
+    @pytest.mark.parametrize("lines", [1, 7, 8, 9, 64])
+    def test_per_line_vns(self, lines):
+        # One VN per 64-byte line: cipher block i uses (base_pa + 16i) ||
+        # vn[i // 4]. The line counts span the switch to the numpy counter
+        # path; the result equals the reference and one single-VN call per
+        # line, concatenated.
+        ek = EncryptionKey(self.KEY)
+        base = 0x7C0
+        vns = [(1 << 40) + 3 * j for j in range(lines)]
+        data = bytes(i * 7 % 256 for i in range(64 * lines))
+        got = keystream_xor(ek, base, vns, data)
+        ref = b"".join(
+            _reference_stream(self.KEY, base + 64 * j, vn, 4) for j, vn in enumerate(vns)
+        )
+        assert got == bytes(a ^ b for a, b in zip(data, ref))
+        per_line = [
+            keystream_xor(ek, base + 64 * j, vn, data[64 * j : 64 * (j + 1)])
+            for j, vn in enumerate(vns)
+        ]
+        assert got == b"".join(per_line)
+        # per-line VNs count lines from base_pa, at any offset
+        assert keystream_xor_at(ek, base, vns, 40, bytes(64 * lines - 48)) == ref[40:-8]
+
+    def test_per_line_vns_must_cover_the_data(self):
+        ek = EncryptionKey(self.KEY)
+        with pytest.raises(ValueError, match="per-line"):
+            keystream_xor(ek, 0, [1, 2], bytes(129))
+
 
 class TestKeystreamProperties:
     KEY = EncryptionKey(bytes(range(16)))
@@ -200,6 +229,19 @@ class TestMac:
         b = compute_mac(self.KEY, b"\x00", 0x0102, 3)
         c = compute_mac(self.KEY, b"", 0x000102, 3)
         assert len({a, b, c}) == 3
+
+    def test_known_answer(self):
+        # BLAKE2b-64 keyed with the MAC key over len(ct) || ct || pa || vn,
+        # each integer 64-bit big-endian
+        key = b"k" * 32
+        cases = [(b"", 0, 0), (bytes(range(64)), 0x40C0, 7), (b"\xff" * 1024, 2**48, 2**56 - 1)]
+        for ct, pa, vn in cases:
+            want = hashlib.blake2b(
+                struct.pack(">Q", len(ct)) + ct + struct.pack(">QQ", pa, vn),
+                key=key,
+                digest_size=8,
+            ).digest()
+            assert compute_mac(MacKey(key), ct, pa, vn) == want
 
     def test_exhaustive_single_bit_flip_changes_tag(self):
         ct = bytes(range(16))
