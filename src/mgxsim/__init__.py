@@ -22,13 +22,7 @@ from .crypto import (
     keystream_xor,
     keystream_xor_at,
 )
-from .dram import (
-    BitFlip,
-    PhysicalMemory,
-    Relocate,
-    Replay,
-    Splice,
-)
+from .dram import BitFlip, PhysicalMemory, Relocate, Splice
 from .errors import (
     AddressError,
     AlignmentError,
@@ -55,7 +49,6 @@ __all__ = [
     "ObjectDescriptor",
     "PhysicalMemory",
     "Relocate",
-    "Replay",
     "SecurityInvariantFault",
     "Splice",
     "TamperDetected",

@@ -315,6 +315,7 @@ def run_campaign(
         raise ConfigError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
     if trials < 0:
         raise ConfigError(f"trials must be at least 0, got {trials}")
+    trace.validate()
     index = _TraceIndex(trace)
     if attack == "replay" and not index.replay_candidates:
         raise ConfigError(

@@ -22,7 +22,8 @@ when they were filled and cannot be altered from off chip.
 
 A counter line whose parent counter is still 0 has never been written back; it
 verifies only if it is bytewise the 0x00 fill. Data blocks with VN 0 have never
-been written and reject on read.
+been written. A read of one is a schedule fault (SecurityInvariantFault), not
+tampering: a tampered counter line fails its MAC or zero-fill check first.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .crypto import EncryptionKey, MacKey, compute_mac, keystream_xor
-from .dram import DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, PhysicalMemory
-from .errors import ConfigError, TamperDetected
+from .dram import ADDRESS_LIMIT, DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, PhysicalMemory
+from .errors import ConfigError, SecurityInvariantFault, TamperDetected
 from .mgx import ObjectDescriptor
 
 VN_LIMIT = 1 << 56  # counters are 56-bit; reaching the limit forces a re-key
@@ -88,6 +89,8 @@ class BaselineGeometry:
             cursor += n * LINE
         self.level_bases = bases
         self.meta_end = cursor
+        if cursor > ADDRESS_LIMIT:
+            raise ConfigError(f"a {cfg.region_size}-byte region puts metadata past 2**64")
         self.root_fanout = counts[-1]
 
     def contains(self, addr: int) -> bool:
@@ -437,7 +440,7 @@ class BaselineMee:
         pa = b * LINE
         vn = self._line(0, leaf_i).body[b % self.geom.cfg.arity]
         if vn == 0:
-            raise TamperDetected("read of never-written block", pa)
+            raise SecurityInvariantFault(f"read of never-written block (addr=0x{pa:x})")
         ct = self.mem.read(pa, LINE, DATA)
         mline = self._line(_MAC, mac_i)
         if self.crypto:
@@ -481,7 +484,8 @@ class BaselineMee:
             raise TamperDetected("data block MAC mismatch", (b + good) * LINE)
         if written < len(run_vns):
             self._line(0, leaf_i)  # the touch a per-block hit makes
-            raise TamperDetected("read of never-written block", (b + written) * LINE)
+            pa = (b + written) * LINE
+            raise SecurityInvariantFault(f"read of never-written block (addr=0x{pa:x})")
 
     def write_block(self, pa: int, plaintext: bytes) -> None:
         """Encrypt and store one 64-byte block."""
@@ -492,7 +496,7 @@ class BaselineMee:
 
     def read_block(self, pa: int) -> bytes:
         """Fetch, authenticate and decrypt one block. Every integrity failure
-        raises TamperDetected."""
+        raises TamperDetected; a never-written block SecurityInvariantFault."""
         return self._read(self._block(pa), 1)
 
     # -- object interface (used by the trace replayer) ----------------------

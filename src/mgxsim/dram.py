@@ -16,6 +16,9 @@ from typing import NamedTuple, Union
 from .errors import AddressError
 
 LINE = 64
+# Physical addresses are 64-bit: the log stores them in 64 bits, and so does
+# a keystream counter block.
+ADDRESS_LIMIT = 1 << 64
 # Granularity of the sparse byte store (not of any modeled access).
 PAGE = 4096
 
@@ -116,13 +119,6 @@ class BitFlip:
 
 
 @dataclass(frozen=True)
-class Replay:
-    """Restore a previously snapshotted region byte-for-byte."""
-
-    snapshot_id: int
-
-
-@dataclass(frozen=True)
 class Relocate:
     """Copy `length` bytes from src to dst, leaving src untouched."""
 
@@ -139,7 +135,7 @@ class Splice:
     data: bytes
 
 
-TamperAction = Union[BitFlip, Replay, Relocate, Splice]
+TamperAction = Union[BitFlip, Relocate, Splice]
 
 
 class PhysicalMemory:
@@ -155,11 +151,9 @@ class PhysicalMemory:
         self.capacity = capacity
         self._pages: dict[int, bytearray] = {}
         self.log = AccessLog()
-        self._snapshots: dict[int, tuple[int, bytes]] = {}
-        self._next_snapshot = 0
 
     def fork(self) -> "PhysicalMemory":
-        """A copy with its own pages, log and snapshots."""
+        """A copy with its own pages and log."""
         twin = PhysicalMemory(self.capacity)
         twin._pages = {n: page[:] for n, page in self._pages.items()}
         log, src = twin.log, self.log
@@ -167,8 +161,6 @@ class PhysicalMemory:
         log.addrs.extend(src.addrs)
         log.lengths.extend(src.lengths)
         log.byte_totals[:] = src.byte_totals
-        twin._snapshots = dict(self._snapshots)
-        twin._next_snapshot = self._next_snapshot
         return twin
 
     # -- raw access ---------------------------------------------------------
@@ -238,25 +230,12 @@ class PhysicalMemory:
 
     # -- tamper API ---------------------------------------------------------
 
-    def snapshot(self, addr: int, length: int) -> int:
-        self._check(addr, length)
-        sid = self._next_snapshot
-        self._next_snapshot += 1
-        self._snapshots[sid] = (addr, self.peek(addr, length))
-        return sid
-
     def inject(self, action: TamperAction):
         if isinstance(action, BitFlip):
             if not 0 <= action.bit < 8:
                 raise ValueError("bit index must be 0..7")
             cur = self.peek(action.addr, 1)
             self.poke(action.addr, bytes([cur[0] ^ (1 << action.bit)]))
-        elif isinstance(action, Replay):
-            try:
-                addr, blob = self._snapshots[action.snapshot_id]
-            except KeyError:
-                raise KeyError(f"unknown snapshot id {action.snapshot_id}") from None
-            self.poke(addr, blob)
         elif isinstance(action, Relocate):
             self.poke(action.dst, self.peek(action.src, action.length))
         elif isinstance(action, Splice):

@@ -98,8 +98,11 @@ class ObjectDescriptor:
     mac_base: int | None = None
 
     def __post_init__(self):
-        if self.size < 0 or self.base < 0:
-            raise ConfigError("object base/size must be non-negative")
+        mac_base = 0 if self.mac_base is None else self.mac_base
+        if any(type(v) is not int for v in (self.base, self.size, self.mac_granularity, mac_base)):
+            raise ConfigError(f"object {self.obj_id}: base, size and MAC layout must be integers")
+        if self.size < 0 or self.base < 0 or mac_base < 0:
+            raise ConfigError("object base/size/mac_base must be non-negative")
         if self.mac_granularity < 1:
             raise ConfigError("mac granularity must be at least 1 byte")
         if self.base % 16:
@@ -117,7 +120,7 @@ class ObjectDescriptor:
     @property
     def end(self) -> int:
         """One past the last byte this object occupies, MAC shadow included."""
-        return self.mac_start + MAC_BYTES * self.num_chunks
+        return max(self.base + self.size, self.mac_addr(self.num_chunks))
 
     def chunk_extent(self, c: int) -> tuple[int, int]:
         k = self.mac_granularity

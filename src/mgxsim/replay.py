@@ -13,7 +13,7 @@ object interface:
 * load(obj, vn, offset, length) -> bytes: exactly the requested plaintext.
 * rekey(): an on-chip counter wrapped.
 
-Tamper hooks run between events so attack campaigns can snapshot and corrupt
+Tamper hooks run between events so attack campaigns can copy out and corrupt
 memory at precise points. Between two events a run can also be forked: every
 engine, and the memory, offers fork(memory) -> a copy that shares no mutable
 state with the original, so a campaign replays the clean prefix once and runs
@@ -43,7 +43,7 @@ from .dram import DATA, AccessLog, PhysicalMemory
 from .errors import ConfigError, TamperDetected, VerifyMismatch
 from .mgx import MgxMee, MgxState
 from .workloads.payload import payload_for
-from .workloads.trace import READ, UPDATE_OPS, WRITE, Trace
+from .workloads.trace import UPDATE_OPS, WRITE, Trace
 
 SCHEMES = ("none", "baseline", "mgx")
 PAYLOAD_MODES = ("fast", "real", "verify")
@@ -156,7 +156,8 @@ def replay(
     `hooks[i]` runs against physical memory immediately before event i
     executes. The keys derive from `trace.seed`. A TamperDetected from any
     engine check aborts the run and is recorded on the result rather than
-    raised; ConfigError and invariant faults propagate, since they mean the
+    raised; ConfigError (from `trace.validate()` before the first event, or
+    from an engine) and invariant faults propagate, since they mean the
     input or the schedule is broken.
     """
     run = _Run(trace, scheme, payload_mode, region_mb, cache_kb, tree_arity)
@@ -174,6 +175,7 @@ class _Run:
             raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         if payload_mode not in PAYLOAD_MODES:
             raise ConfigError(f"unknown payload mode {payload_mode!r}")
+        trace.validate()
         use_crypto = payload_mode != "fast"
         enc_key, mac_key = derive_keys(trace.seed)
 
@@ -226,19 +228,12 @@ class _Run:
                         engine.rekey()
                     result.events_processed = i + 1
                     continue
-                obj = trace.objects.get(ev.obj_id)
-                if obj is None:
-                    raise ConfigError(f"event {i} references unknown object {ev.obj_id!r}")
-                if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
-                    raise ConfigError(
-                        f"event {i} range [{ev.offset},{ev.offset + ev.length}) exceeds "
-                        f"object {obj.obj_id} of size {obj.size}"
-                    )
+                obj = trace.objects[ev.obj_id]
                 vn = ev.vn_source.resolve(state)
                 if ev.op == WRITE:
                     plaintext = partial(payload_for, obj.obj_id, vn) if use_crypto else _zeros
                     engine.store(obj, vn, ev.offset, ev.length, plaintext)
-                elif ev.op == READ:
+                else:
                     got = engine.load(obj, vn, ev.offset, ev.length)
                     if payload_mode == "verify":
                         want = payload_for(obj.obj_id, vn, ev.offset, ev.length)
@@ -248,8 +243,6 @@ class _Run:
                                 "differs from the expected payload",
                                 event_index=i,
                             )
-                else:
-                    raise ConfigError(f"unknown trace op {ev.op!r}")
                 result.events_processed = i + 1
             if stop == len(trace.events):
                 if isinstance(engine, BaselineMee):

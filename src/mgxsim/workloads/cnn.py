@@ -90,6 +90,8 @@ def cnn_inference_trace(
     n, 2n, ... (a mid-run model swap)."""
     if num_inputs < 0:
         raise ConfigError("num_inputs must be >= 0")
+    if reload_model_every < 0:
+        raise ConfigError("reload_model_every must be >= 0")
     b = TraceBuilder(f"{graph.name}-inference", seed=seed, mac_granularity=mac_granularity)
     objs = _Objects(b, graph, gradients=False)
     _store_model(b, graph, objs)

@@ -43,15 +43,21 @@ def gact_trace(
     mac_granularity: int = 1024,
     seed: int = 0,
 ) -> Trace:
-    for name, v in (
-        ("genomes", genomes),
-        ("batches", batches),
-        ("queries_per_batch", queries_per_batch),
+    for name, v, least in (
+        ("genomes", genomes, 1),
+        ("batches", batches, 1),
+        ("queries_per_batch", queries_per_batch, 1),
+        ("lookups_per_query", lookups_per_query, 0),
+        # a lookup reads at least one 64-byte slice of each table
+        ("reference_bytes", reference_bytes, 64),
+        ("seed_table_bytes", seed_table_bytes, 64),
+        ("pos_table_bytes", pos_table_bytes, 64),
     ):
-        if v < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    if query_bytes % 64 or traceback_bytes % 64:
-        raise ConfigError("query and traceback sizes must be multiples of 64 bytes")
+        if v < least:
+            raise ConfigError(f"{name} must be >= {least}")
+    for name, v in (("query_bytes", query_bytes), ("traceback_bytes", traceback_bytes)):
+        if v < 64 or v % 64:
+            raise ConfigError(f"{name} must be a positive multiple of 64")
     b = TraceBuilder(
         f"gact-g{genomes}b{batches}q{queries_per_batch}", seed=seed, mac_granularity=mac_granularity
     )

@@ -67,7 +67,7 @@ def h264_trace(
     seed: int = 0,
 ) -> Trace:
     if buffer_count < 3:
-        raise ConfigError("need at least three frame buffers for B frames")
+        raise ConfigError("buffer_count must be >= 3 (B frames need three frame buffers)")
     if streams < 1:
         raise ConfigError("streams must be >= 1")
     if frame_bytes < 64 or frame_bytes % 64:

@@ -49,7 +49,10 @@ def unroll(cell: NetworkGraph, timesteps: int) -> NetworkGraph:
                     bypass_from=renamed.bypass_from + (f"{prefix}x",),
                 )
             layers.append(renamed)
-    return NetworkGraph(name=f"{cell.name}-T{timesteps}", input_dims=cell.input_dims, layers=layers)
+    try:
+        return NetworkGraph(f"{cell.name}-T{timesteps}", cell.input_dims, layers)
+    except ConfigError as exc:  # the unrolled copies ran out of vIDs
+        raise ConfigError(f"timesteps={timesteps}: {exc}") from None
 
 
 def rnn_trace(
@@ -63,6 +66,8 @@ def rnn_trace(
 ) -> Trace:
     """One trace per unrolled sequence batch. `sequences` plays the role
     inputs/iterations play for the feedforward generators."""
+    if sequences < 0:
+        raise ConfigError("sequences must be >= 0")
     g = unroll(cell, timesteps)
     if task == "inference":
         t = cnn_inference_trace(g, sequences, mac_granularity=mac_granularity, seed=seed)

@@ -17,8 +17,10 @@ def streaming_trace(
     """Writes `total_bytes` of fresh data object by object, then reads it all
     back once. Every feature edge gets its own vID so successive runs of the
     generator stay replayable under one input epoch."""
-    if total_bytes <= 0 or object_bytes <= 0 or object_bytes % 64:
-        raise ConfigError("sizes must be positive; object size a multiple of 64")
+    if total_bytes <= 0:
+        raise ConfigError("total_bytes must be positive")
+    if object_bytes <= 0 or object_bytes % 64:
+        raise ConfigError("object_bytes must be a positive multiple of 64")
     count = (total_bytes + object_bytes - 1) // object_bytes
     if count > 255:
         raise ConfigError("too many stream objects for distinct vIDs; enlarge object_bytes")

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from ..dram import ADDRESS_LIMIT
 from ..errors import ConfigError, TraceFormatError
 from ..mgx import (
     UPDATE_OPS,
@@ -51,11 +52,7 @@ class VnSource(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "VnSource":
         kind, sep, arg = text.partition(":")
-        if kind not in VN_KINDS:
-            raise ConfigError(f"unknown VN source kind {kind!r}")
-        src = cls(kind, int(arg)) if sep else cls(kind)
-        src.resolve(MgxState())  # the argument must fit its kind's field
-        return src
+        return cls(kind, int(arg)) if sep else cls(kind)
 
     def resolve(self, state: MgxState) -> int:
         if self.kind not in VN_KINDS:
@@ -88,6 +85,47 @@ class Trace:
     def payload_bytes(self) -> int:
         """Bytes an unprotected accelerator would move for this trace."""
         return sum(e.length for e in self.events if e.op in (READ, WRITE))
+
+    def validate(self) -> None:
+        """Raise ConfigError unless this is a legal trace: no object's data
+        range or MAC shadow overlaps another's, and every event is either an
+        update op naming no object and no VN source, or a read or write
+        inside a known object under a VN source whose kind exists and whose
+        argument fits its field."""
+        spans = sorted(
+            (lo, hi, o.obj_id)
+            for o in self.objects.values()
+            for lo, hi in ((o.base, o.base + o.size), (o.mac_start, o.mac_addr(o.num_chunks)))
+            if lo < hi
+        )
+        # Sorted by start, any overlap shows up between neighbours.
+        for (_, hi, a), (lo, _, b) in zip(spans, spans[1:]):
+            if lo < hi:
+                raise ConfigError(f"objects {a} and {b} overlap")
+        if spans and spans[-1][1] > ADDRESS_LIMIT:
+            raise ConfigError(f"object {spans[-1][2]} ends beyond the 64-bit address space")
+        fits = set()  # VN sources already resolved once
+        for i, ev in enumerate(self.events):
+            if ev.op in UPDATE_OPS:
+                if ev.obj_id or ev.vn_source is not None:
+                    raise ConfigError(f"event {i}: update op {ev.op} names an object or VN source")
+                continue
+            if ev.op not in (READ, WRITE):
+                raise ConfigError(f"event {i}: unknown trace op {ev.op!r}")
+            obj = self.objects.get(ev.obj_id)
+            if obj is None:
+                raise ConfigError(f"event {i} references unknown object {ev.obj_id!r}")
+            if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
+                raise ConfigError(
+                    f"event {i} range [{ev.offset},{ev.offset + ev.length}) exceeds "
+                    f"object {obj.obj_id} of size {obj.size}"
+                )
+            src = ev.vn_source
+            if src not in fits:
+                if not isinstance(src, VnSource):
+                    raise ConfigError(f"event {i}: {ev.op} without a VN source")
+                src.resolve(MgxState())  # the kind exists and the argument fits its field
+                fits.add(src)
 
 
 class TraceBuilder:
@@ -166,71 +204,43 @@ def export_trace(trace: Trace, csv_path: str):
 
 
 def import_trace(csv_path: str) -> Trace:
+    """Parse an exported trace and validate it. Every defect of the files
+    raises TraceFormatError."""
     if not os.path.exists(csv_path):
         raise ConfigError(f"no such trace file: {csv_path}")
+    meta_path = csv_path + ".meta.json"
+    if not os.path.exists(meta_path):
+        raise TraceFormatError(f"missing trace sidecar {meta_path}")
     try:
-        with open(csv_path + ".meta.json") as fh:
+        with open(meta_path) as fh:
             meta = json.load(fh)
-    except FileNotFoundError as exc:
-        raise TraceFormatError(f"missing trace sidecar {csv_path}.meta.json") from exc
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"bad trace sidecar {csv_path}.meta.json: {exc}") from exc
-    trace = Trace(meta.get("workload", "imported"), seed=int(meta.get("seed", 0)))
-    try:
+        trace = Trace(
+            meta.get("workload", "imported"),
+            seed=int(meta.get("seed", 0)),
+            compute_macs={int(g): float(v) for g, v in meta.get("compute_macs", {}).items()},
+        )
         for o in meta["objects"]:
             trace.objects[o["obj_id"]] = ObjectDescriptor(
                 o["obj_id"], o["base"], o["size"], o["mac_granularity"], o.get("mac_base")
             )
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise TraceFormatError(f"bad object map in {csv_path}.meta.json: {exc}") from exc
-    _check_disjoint(trace.objects.values(), f"{csv_path}.meta.json")
-    trace.compute_macs = {int(g): float(v) for g, v in meta.get("compute_macs", {}).items()}
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"bad trace sidecar {meta_path}: {exc}") from exc
     with open(csv_path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != ["op", "obj_id", "vn_source", "offset", "len", "group"]:
-            raise TraceFormatError(f"unrecognized trace header in {csv_path}")
-        for row in rd:
-            if not row:
-                continue
-            try:
-                op, obj_id, src, offset, length, group = row
-                ev = TraceEvent(
-                    op,
-                    obj_id,
-                    VnSource.parse(src) if src else None,
-                    int(offset),
-                    int(length),
-                    int(group),
-                )
-            except (ValueError, ConfigError) as exc:
-                raise TraceFormatError(f"bad trace row {row!r}: {exc}") from exc
-            if ev.op in (READ, WRITE):
-                obj = trace.objects.get(ev.obj_id)
-                if obj is None:
-                    raise TraceFormatError(f"trace row references unknown object {ev.obj_id!r}")
-                if ev.vn_source is None:
-                    raise TraceFormatError(f"memory event without VN source: {row!r}")
-                if ev.offset < 0 or ev.length < 0 or ev.offset + ev.length > obj.size:
-                    raise TraceFormatError(
-                        f"trace row {row!r} lies outside object {obj.obj_id} of size {obj.size}"
+        rows = csv.reader(fh)
+        try:
+            if next(rows, None) != ["op", "obj_id", "vn_source", "offset", "len", "group"]:
+                raise ValueError("unrecognized header")
+            for row in rows:
+                if row:
+                    op, obj_id, src, offset, length, group = row
+                    src = VnSource.parse(src) if src else None
+                    trace.events.append(
+                        TraceEvent(op, obj_id, src, int(offset), int(length), int(group))
                     )
-            elif ev.op not in UPDATE_OPS:
-                raise TraceFormatError(f"unknown trace op {ev.op!r}")
-            trace.events.append(ev)
+        except (ValueError, csv.Error) as exc:
+            raise TraceFormatError(f"bad trace {csv_path}, line {rows.line_num}: {exc}") from exc
+    try:
+        trace.validate()
+    except ConfigError as exc:
+        raise TraceFormatError(f"{csv_path}: {exc}") from exc
     return trace
-
-
-def _check_disjoint(objects, where: str):
-    """Reject an object map in which a data range [base, base+size) or a MAC
-    shadow [mac_start, end) overlaps another one."""
-    spans = sorted(
-        (lo, hi, o.obj_id)
-        for o in objects
-        for lo, hi in ((o.base, o.base + o.size), (o.mac_start, o.end))
-        if lo < hi
-    )
-    # Sorted by start, any overlap shows up between neighbours.
-    for (_, hi, a), (lo, _, b) in zip(spans, spans[1:]):
-        if lo < hi:
-            raise TraceFormatError(f"objects {a} and {b} overlap in {where}")

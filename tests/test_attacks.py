@@ -13,10 +13,10 @@ from mgxsim import attacks
 from mgxsim.attacks import ATTACKS, CampaignResult, run_campaign
 from mgxsim.baseline import BaselineGeometry
 from mgxsim.dram import PhysicalMemory
-from mgxsim.errors import ConfigError, TamperDetected
+from mgxsim.errors import ConfigError
 from mgxsim.replay import baseline_config, replay
 from mgxsim.workloads import VnSource, cnn_inference_trace, h264_trace
-from mgxsim.workloads.trace import TraceBuilder
+from mgxsim.workloads.trace import WRITE, TraceBuilder, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +65,11 @@ def per_trial_campaign(trace, scheme, attack, trials, seed):
     return res
 
 
-def never_written_block_trace():
-    """Under the baseline the clean replay itself stops at event 6, a read
-    of a line that was never written; reads of `a` come before and after."""
-    b = TraceBuilder("hole", mac_granularity=64)
+def wrong_vn_read_trace():
+    """Under the baseline, which stores VNs, the clean verify replay itself
+    stops at event 6 with a payload mismatch: a read under a VN other than
+    the one `h` was written under. Reads of `a` come before and after."""
+    b = TraceBuilder("wrong-vn", mac_granularity=64)
     a = b.alloc("a", 128)
     h = b.alloc("h", 128)
     src = VnSource("feature", 1)
@@ -77,8 +78,8 @@ def never_written_block_trace():
         b.new_group()
         b.write(a, src)  # events 1 and 3
     b.read(a, src)  # 4
-    b.write(h, src, 0, 64)  # 5
-    b.read(h, src)  # 6: h[64:128] was never written
+    b.write(h, src)  # 5
+    b.read(h, VnSource("feature", 2))  # 6: not the VN h was written under
     b.read(a, src, 64, 64)  # 7
     b.read(h, src, 0, 64)  # 8
     return b.trace
@@ -100,12 +101,13 @@ class TestSharedReplay:
 
     @pytest.mark.parametrize("attack", ATTACKS)
     def test_trials_past_the_end_of_the_shared_run(self, attack):
-        trace = never_written_block_trace()
+        trace = wrong_vn_read_trace()
         clean = replay(trace, "baseline", payload_mode="verify")
-        assert isinstance(clean.detected, TamperDetected) and clean.events_processed == 6
+        assert clean.mismatch is not None and clean.events_processed == 6
         got = run_campaign(trace, "baseline", attack, trials=24, seed=5)
         assert got == per_trial_campaign(trace, "baseline", attack, 24, 5)
-        assert got.detected == 24
+        # trials tampering before event 6 are caught; later ones end there
+        assert got.detected and got.silent and got.detected + got.silent == 24
 
     @pytest.mark.parametrize("scheme", ["none", "mgx", "baseline"])
     def test_no_trial_run_outlives_the_campaign(self, scheme, attack_trace, monkeypatch):
@@ -170,6 +172,19 @@ class TestValidation:
         t = cnn_inference_trace(micro_graph, 1)
         with pytest.raises(ConfigError):
             run_campaign(t, "mgx", "replay", trials=1)
+
+    def test_illegal_trace_rejected_before_any_trial(self):
+        # a memory event without a VN source, after the reads the campaign
+        # would attack
+        b = TraceBuilder("nosrc", mac_granularity=64)
+        o = b.alloc("o", 64)
+        b.update("update_i")
+        b.new_group()
+        b.write(o, VnSource("feature", 1))
+        b.read(o, VnSource("feature", 1))
+        b.trace.events.append(TraceEvent(WRITE, "o", None, 0, 64, 0))
+        with pytest.raises(ConfigError, match="without a VN source"):
+            run_campaign(b.trace, "mgx", "bitflip", trials=0)
 
     def test_negative_trials(self, attack_trace):
         with pytest.raises(ConfigError):

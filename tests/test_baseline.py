@@ -16,8 +16,8 @@ from mgxsim.baseline import (
     pack_counter_line,
     unpack_counter_line,
 )
-from mgxsim.dram import BitFlip, PhysicalMemory
-from mgxsim.errors import ConfigError, TamperDetected
+from mgxsim.dram import BitFlip, PhysicalMemory, Splice
+from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import ObjectDescriptor
 
 MB = 1 << 20
@@ -69,6 +69,12 @@ class TestConfigValidation:
     def test_metadata_must_fit_memory(self):
         with pytest.raises(ConfigError):
             make_engine(region_size=128 * MB, mem=PhysicalMemory(capacity=128 * MB))
+
+    def test_metadata_inside_64_bit_addresses(self):
+        # the log and the keystream counter block hold 64-bit addresses
+        BaselineGeometry(BaselineConfig(region_size=1 << 63))
+        with pytest.raises(ConfigError, match="past 2\\*\\*64"):
+            BaselineGeometry(BaselineConfig(region_size=1 << 64))
 
 
 class TestGeometryFrozen:
@@ -254,8 +260,10 @@ class TestDetection:
         return eng2, mem, payload
 
     def test_read_of_never_written_block(self):
+        # VN 0 on a read comes from the schedule, not from tampering: a
+        # tampered counter line fails its own check before its VN is used
         eng, _, _ = self._flushed_engine()
-        with pytest.raises(TamperDetected, match="never-written"):
+        with pytest.raises(SecurityInvariantFault, match=r"never-written block \(addr=0x240\)"):
             eng.read_block(64 * 9)  # different leaf line, VN still 0
 
     def test_data_bitflip_detected(self):
@@ -283,10 +291,10 @@ class TestDetection:
         eng.write_block(0, b"v1" * 32)
         eng.flush()
         leaf_addr = eng.geom.level_line_addr(0, 0)
-        sid = mem.snapshot(leaf_addr, 64)
+        stale = mem.peek(leaf_addr, 64)
         eng.write_block(0, b"v2" * 32)
         eng.flush()
-        mem.inject(__import__("mgxsim.dram", fromlist=["Replay"]).Replay(sid))
+        mem.inject(Splice(leaf_addr, stale))
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
         eng2.root = list(eng.root)
         with pytest.raises(TamperDetected, match="counter line MAC"):
@@ -336,24 +344,25 @@ class TestDetection:
             "keystream_xor",
             lambda key, pa, vn, data: decrypted.append(len(data)) or xor(key, pa, vn, data),
         )
-        with pytest.raises(TamperDetected, match=message) as by_load:
+        error = TamperDetected if case == "flipped" else SecurityInvariantFault
+        where = rf"\(addr=0x{bad * 64:x}\)"
+        with pytest.raises(error, match=message + ".*" + where):
             whole.load(obj, 0, 0, obj.size)
         by_load_bytes = sum(decrypted)
         decrypted.clear()
-        with pytest.raises(TamperDetected, match=message) as by_block:
+        with pytest.raises(error, match=message + ".*" + where):
             for b in range(24):
                 single.read_block(b * 64)
-        assert by_load.value.addr == by_block.value.addr == bad * 64
         assert by_load_bytes == sum(decrypted) == bad * 64  # the blocks before `bad`
         assert list(whole_mem.log) == list(single_mem.log)
         assert list(whole._cache) == list(single._cache)
 
     def test_partial_stats_not_attached_at_engine_level(self):
-        eng, _, _ = self._flushed_engine()
-        try:
-            eng.read_block(64 * 9)
-        except TamperDetected as exc:
-            assert exc.addr is not None
+        eng, mem, _ = self._flushed_engine()
+        mem.inject(BitFlip(0, 3))
+        with pytest.raises(TamperDetected) as exc:
+            eng.read_block(0)
+        assert exc.value.addr == 0 and exc.value.partial_stats is None
 
 
 class TestRekey:

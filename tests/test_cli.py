@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -15,7 +16,18 @@ from mgxsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TAMPER, EXIT_UNDETECTED, EXIT_
 from mgxsim.config import ExperimentConfig, read_config, run_experiment, sweep_experiment
 from mgxsim.errors import ConfigError
 from mgxsim.perf import STATS_HEADER
-from mgxsim.workloads import VnSource, build_trace, export_trace
+from mgxsim.workloads import (
+    VnSource,
+    build_trace,
+    cnn_inference_trace,
+    cnn_training_trace,
+    export_trace,
+    gact_trace,
+    h264_trace,
+    pruned_trace,
+    rnn_trace,
+    streaming_trace,
+)
 from mgxsim.workloads.trace import TraceBuilder
 
 
@@ -157,6 +169,42 @@ class TestConfigExits:
         assert rc == EXIT_CONFIG
 
 
+# (workload, extra flags, generator) for every trace generator
+GENERATORS = [
+    ("micro", [], cnn_inference_trace),
+    ("micro", ["--arg", "task=training"], cnn_training_trace),
+    ("rnn", [], rnn_trace),
+    ("pruned", [], pruned_trace),
+    ("h264", [], h264_trace),
+    ("gact", [], gact_trace),
+    ("stream", [], streaming_trace),
+]
+
+
+class TestGeneratorArguments:
+    """Every int argument of every generator, at its edges, either runs or
+    is refused with exit 2 and a message that names it."""
+
+    @pytest.mark.parametrize(
+        "workload,extra,name",
+        [
+            pytest.param(workload, extra, name, id=f"{gen.__name__}-{name}")
+            for workload, extra, gen in GENERATORS
+            for name, p in inspect.signature(gen, eval_str=True).parameters.items()
+            if p.annotation is int
+        ],
+    )
+    def test_int_argument_edges(self, capsys, workload, extra, name):
+        for value in (0, -1, 1, 100):
+            argv = ["run", "--workload", workload, "--scheme", "none", *extra]
+            rc = entry([*argv, "--arg", f"{name}={value}"])
+            err = capsys.readouterr().err
+            if rc != EXIT_OK:
+                assert rc == EXIT_CONFIG, (value, err)
+                assert err.startswith("error: ") and err.count("\n") == 1, (value, err)
+                assert name in err, (value, err)
+
+
 class TestTamperExit:
     def test_baseline_read_of_never_written_data(self, tmp_path, capsys):
         trace_csv = read_before_write_trace_csv(tmp_path)
@@ -164,7 +212,9 @@ class TestTamperExit:
             ["run", "--workload", trace_csv, "--scheme", "baseline", "--payload-mode", "real"]
         )
         err = capsys.readouterr().err
-        assert rc == EXIT_TAMPER and "tampering detected" in err
+        # a broken schedule, not tampering: VN 0 can only come from the trace
+        assert rc == EXIT_VERIFY
+        assert err.startswith("schedule violation: read of never-written block")
 
     def test_mgx_stale_chunk_hits_mac_check(self, tmp_path, capsys):
         # The lower half was last written under feature:1, so the schedule
@@ -229,6 +279,14 @@ class TestVerifyExits:
         assert rc == EXIT_OK and "expected payloads" in out
 
 
+def _first_object_with(field, value):
+    def mutate(meta):
+        meta["objects"][0][field] = value
+        return meta
+
+    return mutate
+
+
 class TestCorruptedTraceExits:
     """Malformed trace files end in exit 5 with one line on stderr."""
 
@@ -289,6 +347,26 @@ class TestCorruptedTraceExits:
         with open(path + ".meta.json", "w") as fh:
             json.dump(meta, fh)
         rc = entry([command, "--workload", path, "--scheme", "mgx"])
+        self._assert_corrupted(rc, capsys.readouterr().err)
+
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda meta: [meta], id="top-level-list"),
+            pytest.param(lambda meta: {**meta, "seed": "abc"}, id="seed-string"),
+            pytest.param(lambda meta: {**meta, "compute_macs": {"x": 1.0}}, id="compute_macs-key"),
+            pytest.param(lambda meta: {**meta, "compute_macs": {"0": "x"}}, id="compute_macs-value"),
+            pytest.param(lambda meta: {**meta, "compute_macs": [1.0]}, id="compute_macs-list"),
+            pytest.param(_first_object_with("base", 0.0), id="base-float"),
+            pytest.param(_first_object_with("mac_base", -64), id="mac_base-negative"),
+        ],
+    )
+    def test_bad_sidecar_field(self, tmp_path, capsys, mutate):
+        path, _, meta = self._micro_export(tmp_path)
+        with open(path + ".meta.json", "w") as fh:
+            json.dump(mutate(meta), fh)
+        rc = entry(["run", "--workload", path, "--scheme", "mgx"])
         self._assert_corrupted(rc, capsys.readouterr().err)
 
 

@@ -20,7 +20,6 @@ from mgxsim.dram import (
     BitFlip,
     PhysicalMemory,
     Relocate,
-    Replay,
     Splice,
 )
 from mgxsim.errors import AddressError
@@ -185,8 +184,7 @@ class TestLogging:
         mem.poke(0, b"x")
         mem.peek(0, 1)
         mem.inject(BitFlip(0, 0))
-        sid = mem.snapshot(0, 64)
-        mem.inject(Replay(sid))
+        mem.inject(Splice(0, mem.peek(0, 64)))
         assert mem.log == []
 
     def test_write_returns_data_via_read(self):
@@ -213,18 +211,6 @@ class TestTamper:
     def test_bitflip_bit_range(self):
         with pytest.raises(ValueError):
             PhysicalMemory().inject(BitFlip(0, 8))
-
-    def test_snapshot_replay_restores_old_bytes(self):
-        mem = PhysicalMemory()
-        mem.poke(0, b"old bytes!")
-        sid = mem.snapshot(0, 10)
-        mem.poke(0, b"new bytes!")
-        mem.inject(Replay(sid))
-        assert mem.peek(0, 10) == b"old bytes!"
-
-    def test_replay_unknown_snapshot(self):
-        with pytest.raises(KeyError):
-            PhysicalMemory().inject(Replay(99))
 
     def test_relocate_copies_and_preserves_source(self):
         mem = PhysicalMemory()

@@ -22,7 +22,6 @@ from mgxsim.dram import (
     BitFlip,
     PhysicalMemory,
     Relocate,
-    Replay,
     Splice,
 )
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
@@ -206,6 +205,22 @@ class TestDescriptor:
             ObjectDescriptor("a", 8, 64)  # base off the cipher-block grid
         with pytest.raises(ConfigError):
             ObjectDescriptor("a", 0, 64, mac_granularity=0)
+
+    @pytest.mark.parametrize(
+        "kw", [{"base": 0.0}, {"size": 64.0}, {"mac_granularity": True}, {"mac_base": "0"}]
+    )
+    def test_layout_fields_must_be_integers(self, kw):
+        fields = {"base": 0, "size": 64, "mac_granularity": 64, "mac_base": None, **kw}
+        with pytest.raises(ConfigError, match="must be integers"):
+            ObjectDescriptor("a", **fields)
+
+    def test_negative_mac_base_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            ObjectDescriptor("a", 0, 64, mac_base=-64)
+
+    def test_end_covers_data_after_an_explicit_mac_base(self):
+        d = ObjectDescriptor("a", 0x1000, 100, mac_granularity=64, mac_base=0x100)
+        assert d.end == 0x1000 + 100
 
     def test_byte_granularity_allowed(self):
         d = ObjectDescriptor("a", 0, 4, mac_granularity=1)
@@ -499,9 +514,9 @@ class TestDetection:
 
     def test_replay_detected(self, keys):
         eng, mem, obj, data = self._stored(keys)
-        sid = mem.snapshot(obj.base, obj.end - obj.base)
+        stale = mem.peek(obj.base, obj.end - obj.base)
         store(eng, obj, 5, data)  # fresh epoch of the same object
-        mem.inject(Replay(sid))
+        mem.inject(Splice(obj.base, stale))
         with pytest.raises(TamperDetected):
             eng.load(obj, 5, 0, obj.size)
 

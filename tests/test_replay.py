@@ -12,7 +12,16 @@ import dataclasses
 
 import pytest
 
-from mgxsim.dram import DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, BitFlip, Replay
+from mgxsim.dram import (
+    DATA,
+    LINE,
+    MAC_LINE,
+    TREE_NODE,
+    VN_LINE,
+    BitFlip,
+    PhysicalMemory,
+    Splice,
+)
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import COUNTERS, MgxState, ObjectDescriptor
 from mgxsim.replay import SCHEMES, _Run, baseline_config, derive_keys, replay
@@ -26,7 +35,7 @@ from mgxsim.workloads import (
     payload_for,
     pruned_trace,
 )
-from mgxsim.workloads.trace import READ, TraceBuilder
+from mgxsim.workloads.trace import READ, WRITE, TraceBuilder
 
 
 def small_traces(micro_graph):
@@ -236,10 +245,10 @@ class TestDetectionRecording:
         box = {}
 
         def snap(mem):
-            box["sid"] = mem.snapshot(o.base, o.end - o.base)
+            box["stale"] = mem.peek(o.base, o.end - o.base)
 
         def roll(mem):
-            mem.inject(Replay(box["sid"]))
+            mem.inject(Splice(o.base, box["stale"]))
 
         res = replay(trace, "mgx", payload_mode="real", hooks={2: snap, 4: roll})
         assert isinstance(res.detected, TamperDetected) and res.events_processed == 4
@@ -311,6 +320,64 @@ class TestInputValidation:
         t.events.append(TraceEvent("sync", "", None, 0, 0, 0))
         with pytest.raises(ConfigError):
             replay(t, "mgx")
+
+    def test_overlapping_objects(self):
+        # the two objects would share ciphertext and MACs; under mgx the
+        # clash would surface as a chunk MAC mismatch, i.e. as tampering
+        b = TraceBuilder("overlap", mac_granularity=64)
+        a = b.alloc("a", 128)
+        b.trace.objects["b"] = ObjectDescriptor("b", 64, 128, 64)
+        b.update("update_i")
+        b.new_group()
+        b.write(a, VnSource("feature", 1))
+        b.read(a, VnSource("feature", 1))
+        for scheme in SCHEMES:
+            with pytest.raises(ConfigError, match="objects a and b overlap"):
+                replay(b.trace, scheme, payload_mode="real")
+
+    def test_memory_event_without_vn_source(self):
+        b = TraceBuilder("nosrc", mac_granularity=64)
+        b.alloc("o", 64)
+        b.trace.events.append(TraceEvent(WRITE, "o", None, 0, 64, 0))
+        with pytest.raises(ConfigError, match="without a VN source"):
+            replay(b.trace, "mgx")
+
+    @pytest.mark.parametrize(
+        "source", [VnSource("epoch"), VnSource("feature", 0), VnSource("frame", 256)]
+    )
+    def test_vn_source_must_exist_and_fit(self, source):
+        b = TraceBuilder("src", mac_granularity=64)
+        o = b.alloc("o", 64)
+        b.new_group()
+        b.write(o, source)
+        with pytest.raises(ConfigError):
+            replay(b.trace, "none")
+
+    def test_update_op_names_no_object(self):
+        b = TraceBuilder("upd", mac_granularity=64)
+        b.alloc("o", 64)
+        b.trace.events.append(TraceEvent("update_i", "o", None, 0, 0, 0))
+        with pytest.raises(ConfigError, match="update op"):
+            replay(b.trace, "none")
+
+    def test_objects_inside_the_address_space(self):
+        t = Trace("far")
+        t.objects["o"] = ObjectDescriptor("o", (1 << 64) - 64, 128, 64, mac_base=0)
+        with pytest.raises(ConfigError, match="address space"):
+            t.validate()
+
+    def test_rejected_before_any_byte_moves(self, monkeypatch):
+        # the validator runs once, before the first event: a bad last event
+        # stops the replay before the engine is ever called
+        b = TraceBuilder("late", mac_granularity=64)
+        o = b.alloc("o", 64)
+        b.update("update_i")
+        b.new_group()
+        b.write(o, VnSource("feature", 1))
+        b.trace.events.append(TraceEvent(READ, "ghost", VnSource("feature", 1), 0, 64, 0))
+        monkeypatch.setattr(PhysicalMemory, "write", lambda *a, **k: pytest.fail("moved a byte"))
+        with pytest.raises(ConfigError, match="unknown object 'ghost'"):
+            replay(b.trace, "none")
 
     def test_baseline_requires_line_aligned_objects(self):
         t = Trace("bad")
