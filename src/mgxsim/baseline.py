@@ -43,7 +43,6 @@ CTR_W = 7  # packed width of one counter / one stored tag, bytes
 _MAC_OFF = 56  # embedded MAC offset inside a counter line
 _MAC_SLOTS = 8  # data MAC tags per 64-byte line, independent of tree arity
 _MAC = -1  # cache level of a data-MAC line; counter lines use tree levels 0..
-_ZERO_LINE = bytes(LINE)  # what a crypto-off engine stores
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,6 @@ class BaselineGeometry:
         if cursor > ADDRESS_LIMIT:
             raise ConfigError(f"a {cfg.region_size}-byte region puts metadata past 2**64")
         self.root_fanout = counts[-1]
-
-    def contains(self, addr: int) -> bool:
-        return 0 <= addr < self.cfg.region_size
 
     def block_index(self, pa: int) -> int:
         return pa // LINE
@@ -264,8 +260,7 @@ class BaselineMee:
 
     def _make_room(self):
         while len(self._cache) >= self._capacity:
-            victim, line = next(iter(self._cache.items()))
-            del self._cache[victim]
+            victim, line = self._cache.popitem(last=False)
             if line.dirty:
                 self._writeback(victim, line)
 
@@ -327,177 +322,110 @@ class BaselineMee:
     # -- block interface ----------------------------------------------------
     #
     # Blocks move in runs that share one leaf counter line, `arity` blocks
-    # long; since the arity divides 8, a run also shares one MAC line. The
-    # run's first block resolves both lines through the cache. If that
-    # block's eviction cascade left both resident, they are touched once, leaf
-    # then MAC line, exactly as the rest of the run's per-block hits would
-    # leave the LRU order, and the rest of the run moves as one access with no
-    # cache calls: its counters are bumped or read in the held leaf line, its
-    # data crosses memory in one call that logs one record per block, and a
-    # write encrypts it with one keystream call. Otherwise every block takes
-    # the cache path. A read decrypts all of its blocks with one keystream
-    # call at its end.
-
-    def _block(self, pa: int) -> int:
-        if pa % LINE or not self.geom.contains(pa):
-            raise ConfigError(
-                f"block address 0x{pa:x} is not a 64-byte aligned address "
-                "inside the protected region"
-            )
-        return pa // LINE
-
-    def _runs(self, first: int, count: int):
-        """(block, blocks in run, leaf line index, MAC line index) of every
-        run covering blocks [first, first + count)."""
-        arity = self.geom.cfg.arity
-        end = first + count
-        while first < end:
-            leaf_i = first // arity
-            stop = min(end, (leaf_i + 1) * arity)
-            yield first, stop - first, leaf_i, first // _MAC_SLOTS
-            first = stop
-
-    def _resident(self, leaf_i: int, mac_i: int):
-        """The leaf and MAC lines, touched in that order, if both are still
-        cached; else None."""
-        cache = self._cache
-        leaf_a = self._bases[0] + leaf_i * LINE
-        mac_a = self._bases[_MAC] + mac_i * LINE
-        leaf, mline = cache.get(leaf_a), cache.get(mac_a)
-        if leaf is None or mline is None:
-            return None
-        cache.move_to_end(leaf_a)
-        cache.move_to_end(mac_a)
-        return leaf, mline
+    # long; since the arity divides 8, a run also shares one MAC line. At
+    # each block b the loops ask whether both lines of b's run are cached.
+    # If they are, the rest of the run moves as one access: the two lines
+    # are hit once each, leaf then MAC line, which leaves the LRU order that
+    # the run's per-block hits would leave; its counters are bumped or read
+    # in the held leaf line, its data crosses memory in one call that logs
+    # one record per block, and a write encrypts it with one keystream call.
+    # Otherwise block b alone moves through the cache (leaf line, data, MAC
+    # line) and the question is asked again at b + 1. A read decrypts all of
+    # its blocks with one keystream call at its end.
 
     def _tag(self, b: int, ct: bytes, vn: int) -> bytes:
         """The stored MAC tag of data block `b`."""
         return compute_mac(self.mac_key, ct, b * LINE, vn)[:CTR_W]
 
+    def _run_length(self, b: int, end: int) -> int:
+        """Blocks the move from block `b` covers: the rest of b's run below
+        `end` if its leaf and MAC lines are both cached, else 1."""
+        arity = self.geom.cfg.arity
+        leaf_i = b // arity
+        cache = self._cache
+        if (
+            self._bases[0] + leaf_i * LINE in cache
+            and self._bases[_MAC] + b // _MAC_SLOTS * LINE in cache
+        ):
+            return min(end, (leaf_i + 1) * arity) - b
+        return 1
+
     def _write(self, first: int, data: bytes):
         """Encrypt and store whole blocks from `first` on."""
-        for block, n, leaf_i, mac_i in self._runs(first, len(data) // LINE):
-            pos = (block - first) * LINE
-            self._write_one(block, leaf_i, mac_i, data[pos : pos + LINE])
-            held = self._resident(leaf_i, mac_i) if n > 1 else None
-            if held is None:
-                for b in range(block + 1, block + n):
-                    pos += LINE
-                    self._write_one(b, leaf_i, mac_i, data[pos : pos + LINE])
+        arity = self.geom.cfg.arity
+        b, end = first, first + len(data) // LINE
+        while b < end:
+            n = self._run_length(b, end)
+            pa, slot = b * LINE, b % arity
+            leaf = self._line(0, b // arity)
+            vns = [self._bump(leaf.body, v) for v in range(slot, slot + n)]
+            leaf.dirty = True
+            if self.crypto:
+                pos = (b - first) * LINE
+                ct = keystream_xor(self.enc_key, pa, vns, data[pos : pos + n * LINE])
             else:
-                self._write_held(held, block + 1, data[pos + LINE : pos + n * LINE])
-
-    def _write_one(self, b: int, leaf_i: int, mac_i: int, plaintext: bytes):
-        pa = b * LINE
-        leaf = self._line(0, leaf_i)
-        vn = self._bump(leaf.body, b % self.geom.cfg.arity)
-        leaf.dirty = True
-        ct = keystream_xor(self.enc_key, pa, vn, plaintext) if self.crypto else _ZERO_LINE
-        self.mem.write(pa, ct, DATA)
-        mline = self._line(_MAC, mac_i)
-        if self.crypto:
-            s = b % _MAC_SLOTS * CTR_W
-            mline.body[s : s + CTR_W] = self._tag(b, ct, vn)
-        mline.dirty = True
-
-    def _write_held(self, held, b: int, plaintext: bytes):
-        """Store the blocks from `b` on, all in the run of the held lines.
-        Their tags sit side by side in the MAC line."""
-        leaf, mline = held
-        slot = b % self.geom.cfg.arity
-        vns = [self._bump(leaf.body, v) for v in range(slot, slot + len(plaintext) // LINE)]
-        pa = b * LINE
-        if self.crypto:
-            ct = keystream_xor(self.enc_key, pa, vns, plaintext)
-            s = b % _MAC_SLOTS * CTR_W
-            mline.body[s : s + len(vns) * CTR_W] = b"".join(
-                self._tag(b + i, ct[i * LINE : (i + 1) * LINE], vn) for i, vn in enumerate(vns)
-            )
-        else:
-            ct = bytes(len(plaintext))
-        self.mem.write(pa, ct, DATA, lines=True)
+                ct = bytes(n * LINE)
+            self.mem.write(pa, ct, DATA, lines=n > 1)
+            mline = self._line(_MAC, b // _MAC_SLOTS)
+            if self.crypto:
+                s = b % _MAC_SLOTS * CTR_W
+                mline.body[s : s + n * CTR_W] = b"".join(
+                    self._tag(b + i, ct[i * LINE : (i + 1) * LINE], vn) for i, vn in enumerate(vns)
+                )
+            mline.dirty = True
+            b += n
 
     def _read(self, first: int, count: int) -> bytes:
-        """Fetch, authenticate and decrypt `count` blocks from `first` on."""
+        """Fetch, authenticate and decrypt `count` blocks from `first` on.
+        Every integrity failure raises TamperDetected; a never-written block
+        SecurityInvariantFault. The log gets what block-by-block reads log:
+        every block up to and including a MAC mismatch, none from a
+        never-written one on. So the blocks of a held run are checked on a
+        peek first, and its logged fetch stops where block-by-block reads
+        would have stopped."""
+        arity, mem, crypto = self.geom.cfg.arity, self.mem, self.crypto
         cts, vns = [], []  # ciphertext and VN of each verified block, in order
+        b, end = first, first + count
         try:
-            for block, n, leaf_i, mac_i in self._runs(first, count):
-                self._read_one(block, leaf_i, mac_i, cts, vns)
-                held = self._resident(leaf_i, mac_i) if n > 1 else None
-                if held is None:
-                    for b in range(block + 1, block + n):
-                        self._read_one(b, leaf_i, mac_i, cts, vns)
-                else:
-                    self._read_held(held, leaf_i, block + 1, block + n, cts, vns)
+            while b < end:
+                n = self._run_length(b, end)
+                leaf_i, mac_i, pa = b // arity, b // _MAC_SLOTS, b * LINE
+                leaf = self._line(0, leaf_i)
+                slot = b % arity
+                run = leaf.body[slot : slot + n]
+                written = run.index(0) if 0 in run else n
+                if written:
+                    if n == 1:
+                        ct = mem.read(pa, LINE, DATA)
+                        mline = self._line(_MAC, mac_i)
+                    else:
+                        mline = self._line(_MAC, mac_i)
+                        ct = mem.peek(pa, written * LINE) if crypto else None
+                    good = written
+                    if crypto:
+                        s = b % _MAC_SLOTS * CTR_W
+                        for i in range(written):
+                            tag = self._tag(b + i, ct[i * LINE : (i + 1) * LINE], run[i])
+                            if tag != mline.body[s + i * CTR_W : s + (i + 1) * CTR_W]:
+                                good = i
+                                break
+                        cts.append(ct[: good * LINE])
+                        vns.extend(run[:good])
+                    if n > 1:
+                        mem.read(pa, min(good + 1, written) * LINE, DATA, lines=True)
+                    if good < written:
+                        raise TamperDetected("data block MAC mismatch", pa + good * LINE)
+                if written < n:
+                    self._line(0, leaf_i)  # its leaf hit; it never reaches its MAC line
+                    pa += written * LINE
+                    raise SecurityInvariantFault(f"read of never-written block (addr=0x{pa:x})")
+                b += n
         finally:
             # Decrypt every block verified so far in one call, also when a
             # check stops the read: an engine that decrypts each block as it
             # arrives has decrypted those already.
             pt = keystream_xor(self.enc_key, first * LINE, vns, b"".join(cts)) if cts else b""
-        return pt if self.crypto else bytes(count * LINE)
-
-    def _read_one(self, b: int, leaf_i: int, mac_i: int, cts: list, vns: list):
-        pa = b * LINE
-        vn = self._line(0, leaf_i).body[b % self.geom.cfg.arity]
-        if vn == 0:
-            raise SecurityInvariantFault(f"read of never-written block (addr=0x{pa:x})")
-        ct = self.mem.read(pa, LINE, DATA)
-        mline = self._line(_MAC, mac_i)
-        if self.crypto:
-            s = b % _MAC_SLOTS * CTR_W
-            if self._tag(b, ct, vn) != mline.body[s : s + CTR_W]:
-                raise TamperDetected("data block MAC mismatch", pa)
-            cts.append(ct)
-            vns.append(vn)
-
-    def _read_held(self, held, leaf_i: int, b: int, end: int, cts: list, vns: list):
-        """Fetch and authenticate blocks [b, end), all in the run of the held
-        lines. The log gets what the per-block path logs: every block up to
-        and including a MAC mismatch, none from a never-written one on. So
-        the blocks are checked on a peek first, and the logged fetch stops
-        where the per-block path would have stopped."""
-        leaf, mline = held
-        slot = b % self.geom.cfg.arity
-        run_vns = leaf.body[slot : slot + end - b]
-        written = run_vns.index(0) if 0 in run_vns else len(run_vns)
-        pa = b * LINE
-        good = written
-        if self.crypto:
-            ct = self.mem.peek(pa, written * LINE)
-            s = b % _MAC_SLOTS * CTR_W
-            good = next(
-                (
-                    i
-                    for i in range(written)
-                    if self._tag(b + i, ct[i * LINE : (i + 1) * LINE], run_vns[i])
-                    != mline.body[s + i * CTR_W : s + (i + 1) * CTR_W]
-                ),
-                written,
-            )
-        fetched = min(good + 1, written)
-        if fetched:
-            ct = self.mem.read(pa, fetched * LINE, DATA, lines=True)
-            if self.crypto:
-                cts.append(ct[: good * LINE])
-                vns.extend(run_vns[:good])
-        if good < written:
-            raise TamperDetected("data block MAC mismatch", (b + good) * LINE)
-        if written < len(run_vns):
-            self._line(0, leaf_i)  # the touch a per-block hit makes
-            pa = (b + written) * LINE
-            raise SecurityInvariantFault(f"read of never-written block (addr=0x{pa:x})")
-
-    def write_block(self, pa: int, plaintext: bytes) -> None:
-        """Encrypt and store one 64-byte block."""
-        block = self._block(pa)
-        if len(plaintext) != LINE:
-            raise ValueError("block writes take exactly 64 bytes")
-        self._write(block, plaintext)
-
-    def read_block(self, pa: int) -> bytes:
-        """Fetch, authenticate and decrypt one block. Every integrity failure
-        raises TamperDetected; a never-written block SecurityInvariantFault."""
-        return self._read(self._block(pa), 1)
+        return pt if crypto else bytes(count * LINE)
 
     # -- object interface (used by the trace replayer) ----------------------
     #
@@ -513,8 +441,13 @@ class BaselineMee:
         checked before any traffic."""
         if a1 == a0:
             return 0, 0
-        self._block(obj.base + a1 - LINE)
-        return self._block(obj.base + a0), (a1 - a0) // LINE
+        lo, hi = obj.base + a0, obj.base + a1
+        if lo % LINE or lo < 0 or hi > self.geom.cfg.region_size:
+            raise ConfigError(
+                f"[0x{lo:x}, 0x{hi:x}) is not a range of whole 64-byte blocks "
+                "inside the protected region"
+            )
+        return lo // LINE, (a1 - a0) // LINE
 
     def store(
         self,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .attacks import ATTACKS, run_campaign
 from .config import ExperimentConfig, read_config, run_experiment, sweep_experiment
@@ -62,7 +62,9 @@ def _common_flags(p: argparse.ArgumentParser):
     )
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="mgxsim", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ LINE = 64
 ADDRESS_LIMIT = 1 << 64
 # Granularity of the sparse byte store (not of any modeled access).
 PAGE = 4096
+_ZERO_PAGE = bytes(PAGE)
 
 # Access classes. Schemes tag every access they issue with one of these.
 DATA = "data"
@@ -187,23 +188,28 @@ class PhysicalMemory:
         return b"".join(parts)
 
     def poke(self, addr: int, data: bytes):
-        """Write without logging (tamper/test plumbing)."""
+        """Write without logging (tamper/test plumbing). Zeros that land where
+        no page exists allocate none: that page already reads as zeros."""
         self._check(addr, len(data))
         page, off = divmod(addr, PAGE)
         if off + len(data) <= PAGE:
             buf = self._pages.get(page)
-            if buf is None:
+            if buf is not None:
+                buf[off : off + len(data)] = data
+            elif not _ZERO_PAGE.startswith(data):
                 buf = self._pages[page] = bytearray(PAGE)
-            buf[off : off + len(data)] = data
+                buf[off : off + len(data)] = data
             return
         view = memoryview(data)
         pos = 0
         while pos < len(view):
             take = min(PAGE - off, len(view) - pos)
+            chunk = view[pos : pos + take]
             buf = self._pages.get(page)
-            if buf is None:
+            if buf is None and not _ZERO_PAGE.startswith(chunk):
                 buf = self._pages[page] = bytearray(PAGE)
-            buf[off : off + take] = view[pos : pos + take]
+            if buf is not None:
+                buf[off : off + take] = chunk
             pos += take
             page += 1
             off = 0

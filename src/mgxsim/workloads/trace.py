@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,11 +88,15 @@ class Trace:
         return sum(e.length for e in self.events if e.op in (READ, WRITE))
 
     def validate(self) -> None:
-        """Raise ConfigError unless this is a legal trace: no object's data
-        range or MAC shadow overlaps another's, and every event is either an
-        update op naming no object and no VN source, or a read or write
-        inside a known object under a VN source whose kind exists and whose
-        argument fits its field."""
+        """Raise ConfigError unless this is a legal trace: every group's
+        compute weight is finite and non-negative, no object's data range or
+        MAC shadow overlaps another's, and every event is either an update
+        op naming no object and no VN source, or a read or write inside a
+        known object under a VN source whose kind exists and whose argument
+        fits its field."""
+        for g, macs in self.compute_macs.items():
+            if not 0 <= macs < math.inf:
+                raise ConfigError(f"group {g}: compute weight {macs} is not finite and >= 0")
         spans = sorted(
             (lo, hi, o.obj_id)
             for o in self.objects.values()

@@ -35,6 +35,20 @@ def make_engine(region_size=128 * MB, arity=8, cache=4096, *, crypto=True, mem=N
     return eng, mem
 
 
+def _whole_region(eng):
+    return ObjectDescriptor("region", 0, eng.geom.cfg.region_size, 64)
+
+
+def write_block(eng, pa, plaintext):
+    """Store the 64-byte block at `pa` through a region-wide object."""
+    eng.store(_whole_region(eng), 0, pa, 64, lambda off, n: plaintext)
+
+
+def read_block(eng, pa):
+    """Load the 64-byte block at `pa` through a region-wide object."""
+    return eng.load(_whole_region(eng), 0, pa, 64)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _stash_keys(enc_key, mac_key):
     pytest.enc_key = enc_key
@@ -107,8 +121,6 @@ class TestGeometryFrozen:
 
     def test_address_helpers(self):
         g = BaselineGeometry(BaselineConfig(128 * MB, 8, 4096))
-        assert g.contains(0) and g.contains(128 * MB - 1)
-        assert not g.contains(128 * MB)
         assert g.block_index(64 * 7) == 7
         assert g.mac_slot(0) == (0x08000000, 0)
         assert g.mac_slot(13) == (0x08000000 + 64, 5)
@@ -126,7 +138,7 @@ class TestGeometryFrozen:
 class TestAccessPatterns:
     def test_cold_write_access_list_frozen(self):
         eng, mem = make_engine()
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         got = [(r.op, r.klass, r.addr) for r in mem.log]
         assert got == [
             ("read", "tree_node", 0x0A249000),
@@ -141,50 +153,51 @@ class TestAccessPatterns:
 
     def test_warm_write_is_data_only(self):
         eng, mem = make_engine()
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         mark = len(mem.log)
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         assert [(r.op, r.klass) for r in mem.log[mark:]] == [("write", "data")]
 
     def test_warm_read_is_data_only(self):
         eng, mem = make_engine()
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         mark = len(mem.log)
-        eng.read_block(0)
+        read_block(eng, 0)
         assert [(r.op, r.klass) for r in mem.log[mark:]] == [("read", "data")]
 
     def test_neighbour_block_shares_leaf_and_mac_line(self):
         eng, mem = make_engine()
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         mark = len(mem.log)
-        eng.write_block(64, bytes(64))  # same leaf line, same MAC line
+        write_block(eng, 64, bytes(64))  # same leaf line, same MAC line
         assert [(r.op, r.klass) for r in mem.log[mark:]] == [("write", "data")]
 
     def test_block_outside_region_rejected(self):
         # nothing outside the region is protected, so nothing passes there
         eng, mem = make_engine(region_size=32768)
-        for pa in (32768, 1 << 30, -64):
+        for base, size in ((32768, 64), (1 << 30, 64), (32768 - 64, 128)):
+            obj = ObjectDescriptor("o", base, size, 64)
             with pytest.raises(ConfigError, match="inside the protected region"):
-                eng.write_block(pa, b"z" * 64)
+                eng.store(obj, 0, 0, size, lambda off, n: b"z" * n)
             with pytest.raises(ConfigError, match="inside the protected region"):
-                eng.read_block(pa)
+                eng.load(obj, 0, 0, size)
         assert mem.log == []
 
-    def test_alignment_and_length_errors(self):
-        eng, _ = make_engine()
+    def test_unaligned_object_rejected(self):
+        eng, mem = make_engine()
+        obj = ObjectDescriptor("o", 16, 64, 64)
         with pytest.raises(ConfigError):
-            eng.write_block(10, bytes(64))
+            eng.store(obj, 0, 0, 64, lambda off, n: bytes(n))
         with pytest.raises(ConfigError):
-            eng.read_block(10)
-        with pytest.raises(ValueError):
-            eng.write_block(0, bytes(63))
+            eng.load(obj, 0, 0, 64)
+        assert mem.log == []
 
     def test_cache_never_exceeds_capacity(self):
         eng, _ = make_engine(region_size=65536, arity=4, cache=512)
         cap = 512 // 64
         rng = random.Random(3)
         for _ in range(500):
-            eng.write_block(rng.randrange(1024) * 64, bytes(64))
+            write_block(eng, rng.randrange(1024) * 64, bytes(64))
             assert len(eng._cache) <= cap
         eng.flush()
         assert len(eng._cache) == 0
@@ -192,7 +205,7 @@ class TestAccessPatterns:
     def test_flush_writes_back_all_dirty_state(self):
         eng, mem = make_engine(region_size=32768, cache=1 << 20)
         for blk in range(16):
-            eng.write_block(blk * 64, bytes(64))
+            write_block(eng, blk * 64, bytes(64))
         mark = len(mem.log)
         eng.flush()
         wrote = {(r.klass, r.addr) for r in mem.log[mark:] if r.op == "write"}
@@ -253,7 +266,7 @@ class TestDetection:
         eng, mem = make_engine(region_size=region, arity=arity, cache=cache)
         self.data = bytes(range(256)) * 0  # placeholder, set below
         payload = random.Random(0).randbytes(64)
-        eng.write_block(0, payload)
+        write_block(eng, 0, payload)
         eng.flush()
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
         eng2.root = list(eng.root)
@@ -264,41 +277,41 @@ class TestDetection:
         # tampered counter line fails its own check before its VN is used
         eng, _, _ = self._flushed_engine()
         with pytest.raises(SecurityInvariantFault, match=r"never-written block \(addr=0x240\)"):
-            eng.read_block(64 * 9)  # different leaf line, VN still 0
+            read_block(eng, 64 * 9)  # different leaf line, VN still 0
 
     def test_data_bitflip_detected(self):
         eng, mem, _ = self._flushed_engine()
         mem.inject(BitFlip(0, 3))
         with pytest.raises(TamperDetected, match="data block MAC"):
-            eng.read_block(0)
+            read_block(eng, 0)
 
     def test_mac_line_bitflip_detected(self):
         eng, mem, _ = self._flushed_engine()
         mem.inject(BitFlip(32768, 0))  # first data-MAC tag byte
         with pytest.raises(TamperDetected, match="data block MAC"):
-            eng.read_block(0)
+            read_block(eng, 0)
 
     def test_counter_line_bitflip_detected(self):
         eng, mem, _ = self._flushed_engine()
         leaf_addr = eng.geom.level_line_addr(0, 0)
         mem.inject(BitFlip(leaf_addr, 1))
         with pytest.raises(TamperDetected, match="counter line MAC"):
-            eng.read_block(0)
+            read_block(eng, 0)
 
     def test_counter_line_replay_detected(self):
         region, arity, cache = 32768, 8, 1024
         eng, mem = make_engine(region_size=region, arity=arity, cache=cache)
-        eng.write_block(0, b"v1" * 32)
+        write_block(eng, 0, b"v1" * 32)
         eng.flush()
         leaf_addr = eng.geom.level_line_addr(0, 0)
         stale = mem.peek(leaf_addr, 64)
-        eng.write_block(0, b"v2" * 32)
+        write_block(eng, 0, b"v2" * 32)
         eng.flush()
         mem.inject(Splice(leaf_addr, stale))
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
         eng2.root = list(eng.root)
         with pytest.raises(TamperDetected, match="counter line MAC"):
-            eng2.read_block(0)
+            read_block(eng2, 0)
 
     def test_stale_root_rejects_written_back_lines(self):
         # A fresh engine with an all-zero root must refuse any metadata that
@@ -306,33 +319,40 @@ class TestDetection:
         eng, mem, _ = self._flushed_engine()
         eng.root = [0] * eng.geom.root_fanout
         with pytest.raises(TamperDetected, match="before first writeback"):
-            eng.read_block(0)
+            read_block(eng, 0)
 
     def test_cold_line_garbage_rejected(self):
         eng, mem = make_engine(region_size=32768)
         leaf_addr = eng.geom.level_line_addr(0, 0)
         mem.poke(leaf_addr, b"\x01" + bytes(63))
         with pytest.raises(TamperDetected, match="before first writeback"):
-            eng.write_block(0, bytes(64))
+            write_block(eng, 0, bytes(64))
 
     @pytest.mark.parametrize(
-        "case,message", [("flipped", "data block MAC"), ("unwritten", "never-written")]
+        "case,message",
+        [
+            ("flipped", "data block MAC"),
+            ("unwritten", "never-written"),
+            ("unwritten_first", "never-written"),
+        ],
     )
     def test_detection_inside_a_run_leaves_the_per_block_log(self, case, message, monkeypatch):
-        # A load moves the rest of each run after its first block as one
-        # access. A check failing inside that part must leave the log (and
-        # the cache order) that block-by-block reads leave: every block up to
-        # and including a MAC mismatch; none from a never-written block on,
-        # which still gets the leaf-line touch of its per-block hit. The
-        # blocks verified before the failure are decrypted, as block by block.
+        # A load moves a run whose leaf and MAC lines are both cached as one
+        # access. A check failing inside it must leave the log (and the
+        # cache order) that block-by-block reads leave: every block up to and
+        # including a MAC mismatch; none from a never-written block on, which
+        # still gets the leaf-line touch of its per-block hit and no more. So
+        # a never-written block that opens a run leaves the MAC line where it
+        # was. The blocks verified before the failure are decrypted, as block
+        # by block.
         obj = ObjectDescriptor("o", 0, 24 * 64)  # three runs of eight blocks
-        bad = 8 + (3 if case == "flipped" else 5)
+        bad = {"flipped": 11, "unwritten": 13, "unwritten_first": 8}[case]
         engines = []
         for _ in range(2):
             eng, mem = make_engine(region_size=32768, arity=8, cache=4096)
             for b in range(24):
                 if case == "flipped" or b != bad:
-                    eng.write_block(b * 64, random.Random(b).randbytes(64))
+                    write_block(eng, b * 64, random.Random(b).randbytes(64))
             if case == "flipped":
                 mem.inject(BitFlip(bad * 64 + 17, 2))
             engines.append((eng, mem))
@@ -352,32 +372,56 @@ class TestDetection:
         decrypted.clear()
         with pytest.raises(error, match=message + ".*" + where):
             for b in range(24):
-                single.read_block(b * 64)
+                read_block(single, b * 64)
         assert by_load_bytes == sum(decrypted) == bad * 64  # the blocks before `bad`
         assert list(whole_mem.log) == list(single_mem.log)
         assert list(whole._cache) == list(single._cache)
+
+    def test_run_after_a_fault_moves_as_blocks_do(self):
+        # A read of a never-written block touches only its leaf line, so the
+        # leaf can outlive the MAC line of its own run. A later load of that
+        # run must still fill the MAC line after the first block's data, as
+        # block-by-block reads do, not move the run as one access.
+        seen = []
+        for whole in (True, False):
+            eng, mem = make_engine(region_size=32768, arity=8, cache=256)
+            for b in (1, 2, 3):
+                write_block(eng, b * 64, bytes(64))
+            with pytest.raises(SecurityInvariantFault):
+                read_block(eng, 0)
+            write_block(eng, 4096, bytes(64))  # evicts the MAC line, not the leaf
+            assert eng.geom.level_line_addr(0, 0) in eng._cache
+            assert eng.geom.mac_slot(0)[0] not in eng._cache
+            mark = len(mem.log)
+            if whole:
+                assert eng.load(_whole_region(eng), 0, 64, 3 * 64) == bytes(3 * 64)
+            else:
+                for b in (1, 2, 3):
+                    read_block(eng, b * 64)
+            seen.append((mem.log[mark:], list(eng._cache)))
+        assert seen[0] == seen[1]
 
     def test_partial_stats_not_attached_at_engine_level(self):
         eng, mem, _ = self._flushed_engine()
         mem.inject(BitFlip(0, 3))
         with pytest.raises(TamperDetected) as exc:
-            eng.read_block(0)
+            read_block(eng, 0)
         assert exc.value.addr == 0 and exc.value.partial_stats is None
 
 
 class TestRekey:
     def test_leaf_counter_wrap_counts_rekey(self):
         eng, _ = make_engine(region_size=32768)
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         leaf = eng._cache[eng.geom.level_line_addr(0, 0)]
         leaf.body[0] = VN_LIMIT - 1
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         assert eng.rekey_events == 1
         assert leaf.body[0] == 1
 
     def test_parent_counter_wrap_on_writeback(self):
         eng, _ = make_engine(region_size=32768)
-        eng.write_block(0, bytes(64))
+        write_block(eng, 0, bytes(64))
         # pretend the leaf line has been written back VN_LIMIT-1 times, then
         # trigger one more parent bump (as a leaf write-back would)
         parent = eng._cache[eng.geom.level_line_addr(1, 0)]
@@ -413,9 +457,9 @@ class TestCryptoOffIdentity:
             eng, mem = make_engine(region_size=32768, cache=512, crypto=crypto)
             for op, pa in ops:
                 if op == "w":
-                    eng.write_block(pa, bytes(64))
+                    write_block(eng, pa, bytes(64))
                 else:
-                    eng.read_block(pa)
+                    read_block(eng, pa)
             eng.flush()
             streams.append([(r.op, r.klass, r.addr, r.length) for r in mem.log])
         assert streams[0] == streams[1]
@@ -451,10 +495,10 @@ class TestOracleParity:
             oracle = BaselineOracle(region, arity, cache)
             for op, pa in ops:
                 if op == "w":
-                    eng.write_block(pa, bytes(64))
+                    write_block(eng, pa, bytes(64))
                     oracle.write(pa)
                 else:
-                    eng.read_block(pa)
+                    read_block(eng, pa)
                     oracle.read(pa)
             eng.flush()
             oracle.flush()
@@ -559,26 +603,26 @@ class TestRoundTrip:
         for _ in range(800):
             blk = rng.randrange(region // 64)
             if blk in shadow and rng.random() < 0.5:
-                pt = eng.read_block(blk * 64)
+                pt = read_block(eng, blk * 64)
                 assert pt == shadow[blk]
             else:
                 data = rng.randbytes(64)
-                eng.write_block(blk * 64, data)
+                write_block(eng, blk * 64, data)
                 shadow[blk] = data
         eng.flush()
         # Cold restart on the same memory: only the on-chip root carries over.
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
         eng2.root = list(eng.root)
         for blk, data in shadow.items():
-            pt = eng2.read_block(blk * 64)
+            pt = read_block(eng2, blk * 64)
             assert pt == data
 
     def test_ciphertext_differs_from_plaintext_and_across_rewrites(self):
         eng, mem = make_engine(region_size=32768)
         data = b"\xAA" * 64
-        eng.write_block(0, data)
+        write_block(eng, 0, data)
         ct1 = mem.peek(0, 64)
-        eng.write_block(0, data)
+        write_block(eng, 0, data)
         ct2 = mem.peek(0, 64)
         assert ct1 != data and ct2 != data
         assert ct1 != ct2  # VN bump refreshes the keystream

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 
 import pytest
 
@@ -163,6 +164,17 @@ class TestConfigExits:
         with pytest.raises(SystemExit) as exc:
             entry(["run", "--workload", "micro", "--scheme", "tdx"])
         assert exc.value.code == 2
+
+    def test_parser_keeps_nothing_between_calls(self, capsys):
+        # the parser is built once per process: one call's --arg must not
+        # reach the next call, and a usage error still exits 2
+        rc = entry(["run", "--workload", "micro", "--arg", "x=1"])
+        assert rc == EXIT_CONFIG and "'x'" in capsys.readouterr().err
+        assert entry(["run", "--workload", "micro"]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            entry(["run", "--workload", "micro", "--channels", "two"])
+        assert exc.value.code == 2
+        assert cli.make_parser() is cli.make_parser()
 
     def test_attack_requires_protecting_scheme(self, capsys):
         rc = entry(["attack", "--workload", "micro", "--scheme", "none", "--trials", "1"])
@@ -358,6 +370,14 @@ class TestCorruptedTraceExits:
             pytest.param(lambda meta: {**meta, "compute_macs": {"x": 1.0}}, id="compute_macs-key"),
             pytest.param(lambda meta: {**meta, "compute_macs": {"0": "x"}}, id="compute_macs-value"),
             pytest.param(lambda meta: {**meta, "compute_macs": [1.0]}, id="compute_macs-list"),
+            *(
+                pytest.param(lambda meta, w=w: {**meta, "compute_macs": {"0": w}}, id=name)
+                for w, name in (
+                    (math.nan, "compute_macs-nan"),
+                    (math.inf, "compute_macs-inf"),
+                    (-1, "compute_macs-negative"),
+                )
+            ),
             pytest.param(_first_object_with("base", 0.0), id="base-float"),
             pytest.param(_first_object_with("mac_base", -64), id="mac_base-negative"),
         ],

@@ -55,7 +55,8 @@ class TestStore:
             st.tuples(
                 st.floats(0, 1),
                 st.binary(min_size=1, max_size=150)
-                | st.integers(PAGE - 50, 2 * PAGE + 50).map(lambda n: bytes([n % 251]) * n),
+                | st.integers(PAGE - 50, 2 * PAGE + 50).map(lambda n: bytes([n % 251]) * n)
+                | st.integers(1, 2 * PAGE + 50).map(bytes),  # zeros, allocating no page
             ),
             max_size=20,
         ),
@@ -80,6 +81,22 @@ class TestStore:
             lo = start % capacity
             hi = min(capacity, lo + length)
             assert mem.peek(lo, hi - lo) == bytes(shadow[lo:hi])
+
+    def test_zeros_allocate_no_page_and_still_overwrite(self):
+        mem = PhysicalMemory(capacity=4 * PAGE)
+        shadow = bytearray(4 * PAGE)
+
+        def poke(addr, data):
+            mem.poke(addr, data)
+            shadow[addr : addr + len(data)] = data
+            assert mem.peek(0, 4 * PAGE) == bytes(shadow)
+
+        poke(PAGE + 100, bytes(2 * PAGE))  # zeros into absent pages
+        assert mem._pages == {}
+        poke(PAGE + 200, b"\x07" * 300)  # a partial non-zero write over them
+        poke(PAGE + 250, bytes(100))  # zeros over an existing page
+        poke(PAGE - 10, bytes(PAGE))  # zeros across an absent and an existing page
+        assert sorted(mem._pages) == [1]
 
     def test_capacity_enforced(self):
         mem = PhysicalMemory(capacity=128)

@@ -1,0 +1,110 @@
+"""Properties of every legal trace, not only of the generators' shapes.
+
+A strategy over `TraceBuilder` draws traces that keep the write/read
+schedule: phases that each advance `ctr_i`, objects of any size (also not a
+multiple of 64), MAC chunks of 16, 64 or 1024 bytes, writes of 16-byte
+aligned pieces (so no cipher block is written twice under one VN) and reads
+of any part of what the phase wrote. On those traces the baseline engine
+matches its oracle access for access, also on caches so small that a MAC
+fill evicts the leaf line in the middle of a run; payload modes do not
+change any scheme's stream; verify replays are clean; and a run forked at
+any event ends as a straight replay does.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from baseline_oracle import oracle_for_trace
+from mgxsim.baseline import BaselineConfig, BaselineMee
+from mgxsim.dram import PhysicalMemory
+from mgxsim.replay import SCHEMES, _Run, derive_keys, replay
+from mgxsim.workloads import VnSource
+from mgxsim.workloads.trace import READ, WRITE, TraceBuilder
+
+ORACLE_REGION = 1 << 20
+
+
+@st.composite
+def legal_traces(draw):
+    b = TraceBuilder("legal", mac_granularity=draw(st.sampled_from((16, 64, 1024))))
+    sizes = draw(st.lists(st.integers(1, 2500), min_size=1, max_size=3))
+    objs = [b.alloc(f"o{i}", n) for i, n in enumerate(sizes)]
+    source = {o.obj_id: VnSource("feature", i + 1) for i, o in enumerate(objs)}
+    for _ in range(draw(st.integers(1, 3))):
+        b.update("update_i")  # a new VN for every object; earlier bytes go stale
+        b.new_group(draw(st.integers(0, 1 << 20)))
+        pieces = []
+        for o in objs:
+            last = (o.size - 1) // 16
+            cuts = draw(st.sets(st.integers(1, last), max_size=4)) if last else set()
+            edges = [0, *sorted(c * 16 for c in cuts), o.size]
+            spans = list(zip(edges, edges[1:]))
+            pieces += [(o, *spans[i]) for i in draw(st.sets(st.integers(0, len(spans) - 1)))]
+        written = []
+        for o, lo, hi in draw(st.permutations(pieces)):
+            b.write(o, source[o.obj_id], lo, hi - lo)
+            written.append((o, lo, hi))
+            for _ in range(draw(st.integers(0, 3))):
+                o, lo, hi = draw(st.sampled_from(written))
+                off = draw(st.integers(lo, hi - 1))
+                b.read(o, source[o.obj_id], off, draw(st.integers(1, hi - off)))
+    return b.trace
+
+
+def baseline_log(trace, arity, cache_bytes):
+    """The crypto-off baseline engine's stream for `trace` over a 1 MiB
+    region with a cache of `cache_bytes`, flushed at the end."""
+    mem = PhysicalMemory(capacity=1 << 22)
+    engine = BaselineMee(
+        BaselineConfig(ORACLE_REGION, arity, cache_bytes),
+        mem,
+        *derive_keys(trace.seed),
+        crypto=False,
+        objects=trace.objects.values(),
+    )
+    for ev in trace.events:
+        if ev.op == WRITE:
+            engine.store(trace.objects[ev.obj_id], 0, ev.offset, ev.length, lambda o, n: bytes(n))
+        elif ev.op == READ:
+            engine.load(trace.objects[ev.obj_id], 0, ev.offset, ev.length)
+    engine.flush()
+    return [tuple(r) for r in mem.log]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trace=legal_traces(), arity=st.sampled_from((2, 4, 8)))
+def test_baseline_matches_oracle(trace, arity):
+    for cache_bytes in (128, 192, 1024):
+        want = [tuple(a) for a in oracle_for_trace(trace, ORACLE_REGION, arity, cache_bytes)]
+        assert baseline_log(trace, arity, cache_bytes) == want, cache_bytes
+
+
+def _same_run(got, want):
+    assert got.clean and got.events_processed == want.events_processed
+    assert got.log == list(want.log)
+    assert got.group_spans == want.group_spans and got.group_totals == want.group_totals
+    assert got.state == want.state
+    assert got.memory._pages == want.memory._pages
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trace=legal_traces(), arity=st.sampled_from((2, 4, 8)), cut=st.floats(0, 1))
+def test_modes_agree_verify_is_clean_and_forks_finish_alike(trace, arity, cut):
+    kw = dict(cache_kb=1, tree_arity=arity)
+    end = len(trace.events)
+    at = int(cut * end)
+    for scheme in SCHEMES:
+        fast, real, verify = (
+            replay(trace, scheme, payload_mode=mode, **kw) for mode in ("fast", "real", "verify")
+        )
+        assert verify.clean, (scheme, verify.detected or verify.mismatch)
+        assert fast.log == list(real.log) == list(verify.log), scheme
+        run = _Run(trace, scheme, "verify", 128, 1, arity)
+        run.run(at, {})
+        fork = run.fork()
+        fork.run(end, {})
+        _same_run(fork.finish(), verify)
+        run.run(end, {})
+        _same_run(run.finish(), verify)

@@ -335,6 +335,15 @@ class TestInputValidation:
             with pytest.raises(ConfigError, match="objects a and b overlap"):
                 replay(b.trace, scheme, payload_mode="real")
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+    def test_compute_weight_must_be_finite_and_non_negative(self, weight):
+        b = TraceBuilder("weights", mac_granularity=64)
+        o = b.alloc("o", 64)
+        b.new_group(weight)
+        b.write(o, VnSource("weights"))
+        with pytest.raises(ConfigError, match="compute weight"):
+            replay(b.trace, "none")
+
     def test_memory_event_without_vn_source(self):
         b = TraceBuilder("nosrc", mac_granularity=64)
         b.alloc("o", 64)
