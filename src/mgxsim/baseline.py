@@ -369,9 +369,9 @@ class BaselineMee:
             mline = self._line(_MAC, b // _MAC_SLOTS)
             if self.crypto:
                 s = b % _MAC_SLOTS * CTR_W
-                mline.body[s : s + n * CTR_W] = b"".join(
-                    self._tag(b + i, ct[i * LINE : (i + 1) * LINE], vn) for i, vn in enumerate(vns)
-                )
+                for i, vn in enumerate(vns):
+                    tag = self._tag(b + i, ct[i * LINE : (i + 1) * LINE], vn)
+                    mline.body[s + i * CTR_W : s + (i + 1) * CTR_W] = tag
             mline.dirty = True
             b += n
 

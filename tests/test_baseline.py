@@ -181,6 +181,13 @@ class TestAccessPatterns:
                 eng.store(obj, 0, 0, size, lambda off, n: b"z" * n)
             with pytest.raises(ConfigError, match="inside the protected region"):
                 eng.load(obj, 0, 0, size)
+        # an offset of -64 from base 0 is a whole, aligned block below the
+        # region; a write there would bump the line below the counter lines
+        obj = ObjectDescriptor("o", 0, 64, 64)
+        with pytest.raises(ConfigError, match="inside the protected region"):
+            eng.store(obj, 0, -64, 64, lambda off, n: b"z" * n)
+        with pytest.raises(ConfigError, match="inside the protected region"):
+            eng.load(obj, 0, -64, 64)
         assert mem.log == []
 
     def test_unaligned_object_rejected(self):
