@@ -101,16 +101,11 @@ class _TraceIndex:
                     out.append((r, w[0], lo, hi))
         return out
 
-    def established_writes(self, before: int, exclude_obj: str | None = None):
+    def established_writes(self, before: int):
         """Writes that completed before event index `before`."""
-        out = []
-        for obj_id, ws in self.writes_by_obj.items():
-            if obj_id == exclude_obj:
-                continue
-            for i, s, e in ws:
-                if i < before:
-                    out.append((obj_id, s, e))
-        return out
+        return [
+            (o, s, e) for o, ws in self.writes_by_obj.items() for i, s, e in ws if i < before
+        ]
 
 
 def _pick_read(index: _TraceIndex, rng: random.Random) -> tuple[int, object, int]:
@@ -340,7 +335,7 @@ def run_campaign(
     if trials:
         shared = _Run(trace, scheme, "verify", region_mb, cache_kb, tree_arity)
         for i in sorted(readers.keys() | finals.keys()):
-            shared.run(i, {})
+            shared.run(i)
             if shared.over:
                 break
             for hook in readers.pop(i, ()):
@@ -348,7 +343,7 @@ def run_campaign(
             for t, hook in finals.pop(i, ()):
                 trial = shared.fork()
                 hook(trial.result.memory)
-                trial.run(len(trace.events), {})
+                trial.run(len(trace.events))
                 outcomes[t] = _outcome(trial.result)
                 del trial  # before the next fork is made, not after
         # Trials whose last hook comes after the event that ended the shared

@@ -66,8 +66,6 @@ class BaselineGeometry:
     def __init__(self, cfg: BaselineConfig):
         self.cfg = cfg
         self.blocks = cfg.region_size // LINE
-        if self.blocks % cfg.arity:
-            raise ConfigError("block count must divide by the tree arity")
         self.mac_lines = self.blocks // _MAC_SLOTS
         # level_counts[0] is the leaf (VN) level; successive levels shrink by
         # `arity` until one root line's worth of children remains.

@@ -39,8 +39,8 @@ class TamperDetected(Exception):
 
 
 class SecurityInvariantFault(AssertionError):
-    """Debug-mode check tripped: a counter value was reused or an unwritten/stale
-    byte was read. Indicates a broken workload schedule, not an attack."""
+    """A schedule check tripped: a (block, VN) pair was written twice, or an
+    unwritten or stale byte was read. A broken workload schedule, not an attack."""
 
 
 class VerifyMismatch(Exception):

@@ -13,8 +13,8 @@ to the object. The VN layouts are:
     queries / traceback    ctr_genome << 32 | ctr_query
 
 Counters only ever move forward, and an 8-bit vID is unique per producer, so
-two writes to one address can share a VN only if the schedule is broken; the
-write ledger asserts that at cipher-block granularity.
+two writes to one address can share a VN only if the schedule is broken;
+`check_schedule` asserts that per cipher block, once per trace.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ COUNTERS = {
     "update_query": ("ctr_query", CTR_32_LIMIT),
 }
 UPDATE_OPS = tuple(COUNTERS)
+READ, WRITE = "read", "write"  # the trace's data ops
 
 
 @dataclass(frozen=True)
@@ -172,14 +173,6 @@ class WriteLedger:
         else:
             bounds[i:i] = (lo, hi)
 
-    def clear(self):
-        self._bounds.clear()
-
-    def copy(self) -> "WriteLedger":
-        twin = WriteLedger()
-        twin._bounds = {vn: bounds[:] for vn, bounds in self._bounds.items()}
-        return twin
-
 
 class MgxMee:
     """Encryption and integrity engine for accelerator-managed objects."""
@@ -196,24 +189,16 @@ class MgxMee:
         self.enc_key = enc_key
         self.mac_key = mac_key
         self.crypto = crypto
-        self.ledger = WriteLedger()
-        # obj_id -> sorted, disjoint (start, end, vn) byte ranges, each under
-        # the VN of its most recent write; adjacent same-VN ranges are merged
-        self._shadow: dict[str, list[tuple[int, int, int]]] = {}
         self.rekey_events = 0
 
     def rekey(self):
-        """An on-chip counter wrapped: count a key change and start a new
-        ledger epoch."""
+        """An on-chip counter wrapped: count a key change."""
         self.rekey_events += 1
-        self.ledger.clear()
 
     def fork(self, memory: PhysicalMemory) -> "MgxMee":
-        """A copy of this engine over `memory`, with its own ledger and read
-        shadow. The keys are shared: they hold no state between calls."""
+        """A copy of this engine over `memory`. The keys are shared: they
+        hold no state between calls."""
         twin = MgxMee(memory, self.enc_key, self.mac_key, crypto=self.crypto)
-        twin.ledger = self.ledger.copy()
-        twin._shadow = {obj_id: ranges[:] for obj_id, ranges in self._shadow.items()}
         twin.rekey_events = self.rekey_events
         return twin
 
@@ -242,8 +227,6 @@ class MgxMee:
             )
         if not length:
             return
-        self.ledger.record((obj.base + offset) // 16, (obj.base + end - 1) // 16, vn)
-        self._overwrite_shadow(self._shadow.setdefault(obj.obj_id, []), offset, end, vn)
         if self.crypto:
             ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, plaintext(offset, length))
         else:
@@ -269,8 +252,8 @@ class MgxMee:
         chunk MAC under the caller-regenerated VN, and return the decrypted
         requested bytes.
 
-        Any MAC mismatch raises TamperDetected. Before that, asserts that
-        every requested byte was most recently written under exactly this VN.
+        Any MAC mismatch raises TamperDetected. That each byte was last
+        written under `vn` is the schedule's to ensure (`check_schedule`).
         """
         end = offset + length
         if offset < 0 or length < 0 or end > obj.size:
@@ -279,7 +262,6 @@ class MgxMee:
             )
         if length == 0:
             return b""
-        self._check_shadow(obj, vn, offset, end)
         chunks = obj.covering_chunks(offset, length)
         span_start, _ = obj.chunk_extent(chunks[0])
         _, span_end = obj.chunk_extent(chunks[-1])
@@ -300,54 +282,78 @@ class MgxMee:
         pt = keystream_xor_at(self.enc_key, obj.base, vn, span_start, span_ct)
         return pt[offset - span_start : end - span_start]
 
-    # -- schedule bookkeeping -----------------------------------------------
 
-    @staticmethod
-    def _overwrite_shadow(ranges: list[tuple[int, int, int]], start: int, end: int, vn: int):
-        """Make [start, end) one range under `vn`, trimming what it overlaps
-        and merging with same-VN neighbours it touches."""
-        lo = bisect_left(ranges, (start,))
-        if lo and ranges[lo - 1][1] >= start:
-            lo -= 1
-        hi = bisect_left(ranges, (end + 1,), lo)
-        keep = []
-        if lo < hi:
-            ls, _, lvn = ranges[lo]
-            if ls < start:
-                if lvn == vn:
-                    start = ls
-                else:
-                    keep.append((ls, start, lvn))
-        keep.append((start, end, vn))
-        if lo < hi:
-            _, re, rvn = ranges[hi - 1]
-            if re > end:
-                if rvn == vn:
-                    keep[-1] = (start, re, vn)
-                else:
-                    keep.append((end, re, rvn))
-        ranges[lo:hi] = keep
+def check_schedule(trace) -> None:
+    """Raise SecurityInvariantFault, naming the event, at the first event of a
+    valid `trace` that writes a (cipher block, VN) pair twice in one key epoch
+    (a counter wrap starts the next) or reads bytes not last written under its VN."""
+    state = MgxState()
+    ledger = WriteLedger()
+    # obj_id -> sorted, disjoint (start, end, vn) ranges under each byte's last VN
+    shadow: dict[str, list[tuple[int, int, int]]] = {}
+    try:
+        for i, ev in enumerate(trace.events):
+            if ev.op in UPDATE_OPS:
+                state, wrapped = state.advance(ev.op)
+                if wrapped:
+                    ledger = WriteLedger()
+                continue
+            vn = ev.vn_source.resolve(state)
+            ranges = shadow.setdefault(ev.obj_id, [])
+            end = ev.offset + ev.length
+            if ev.op == READ:
+                _check_shadow(ev.obj_id, ranges, vn, ev.offset, end)
+            elif ev.length:
+                base = trace.objects[ev.obj_id].base
+                ledger.record((base + ev.offset) // 16, (base + end - 1) // 16, vn)
+                _overwrite_shadow(ranges, ev.offset, end, vn)
+    except SecurityInvariantFault as fault:
+        raise SecurityInvariantFault(f"event {i}: {fault}") from None
 
-    def _check_shadow(self, obj: ObjectDescriptor, vn: int, start: int, end: int):
-        """Every byte in [start, end) must have been written, most recently
-        under `vn`. Walks only the ranges the read overlaps, in address
-        order, and reports the lowest-address fault."""
-        ranges = self._shadow.get(obj.obj_id, [])
-        i = bisect_left(ranges, (start,))
-        if i and ranges[i - 1][1] > start:
-            i -= 1
-        pos = start
-        while pos < end:
-            if i == len(ranges) or ranges[i][0] > pos:
-                gap_end = end if i == len(ranges) else min(ranges[i][0], end)
-                raise SecurityInvariantFault(
-                    f"read of never-written bytes {obj.obj_id}[{pos}:{gap_end}]"
-                )
-            _, we, wvn = ranges[i]
-            if wvn != vn:
-                raise SecurityInvariantFault(
-                    f"read of {obj.obj_id}[{pos}:{min(end, we)}] under VN {vn}, "
-                    f"but most recent write used VN {wvn}"
-                )
-            pos = we
-            i += 1
+
+def _overwrite_shadow(ranges: list[tuple[int, int, int]], start: int, end: int, vn: int):
+    """Make [start, end) one range under `vn`, trimming what it overlaps
+    and merging with same-VN neighbours it touches."""
+    lo = bisect_left(ranges, (start,))
+    if lo and ranges[lo - 1][1] >= start:
+        lo -= 1
+    hi = bisect_left(ranges, (end + 1,), lo)
+    keep = []
+    if lo < hi:
+        ls, _, lvn = ranges[lo]
+        if ls < start:
+            if lvn == vn:
+                start = ls
+            else:
+                keep.append((ls, start, lvn))
+    keep.append((start, end, vn))
+    if lo < hi:
+        _, re, rvn = ranges[hi - 1]
+        if re > end:
+            if rvn == vn:
+                keep[-1] = (start, re, vn)
+            else:
+                keep.append((end, re, rvn))
+    ranges[lo:hi] = keep
+
+
+def _check_shadow(obj_id: str, ranges: list[tuple[int, int, int]], vn: int, start: int, end: int):
+    """Every byte in [start, end) must have been written, most recently
+    under `vn`. Walks only the ranges the read overlaps, in address order,
+    and reports the lowest-address fault."""
+    i = bisect_left(ranges, (start,))
+    if i and ranges[i - 1][1] > start:
+        i -= 1
+    pos = start
+    while pos < end:
+        if i == len(ranges) or ranges[i][0] > pos:
+            gap_end = end if i == len(ranges) else min(ranges[i][0], end)
+            raise SecurityInvariantFault(f"read of never-written bytes {obj_id}[{pos}:{gap_end}]")
+        _, we, wvn = ranges[i]
+        if wvn != vn:
+            raise SecurityInvariantFault(
+                f"read of {obj_id}[{pos}:{min(end, we)}] under VN {vn}, "
+                f"but most recent write used VN {wvn}"
+            )
+        pos = we
+        i += 1

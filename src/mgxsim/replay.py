@@ -41,14 +41,12 @@ from .baseline import BaselineConfig, BaselineGeometry, BaselineMee
 from .crypto import EncryptionKey, MacKey
 from .dram import DATA, AccessLog, PhysicalMemory
 from .errors import ConfigError, TamperDetected, VerifyMismatch
-from .mgx import MgxMee, MgxState
+from .mgx import MgxMee, MgxState, check_schedule
 from .workloads.payload import payload_for
 from .workloads.trace import UPDATE_OPS, WRITE, Trace
 
 SCHEMES = ("none", "baseline", "mgx")
 PAYLOAD_MODES = ("fast", "real", "verify")
-
-Hook = Callable[[PhysicalMemory], None]
 
 
 class PlainEngine:
@@ -146,22 +144,27 @@ def replay(
     scheme: str = "mgx",
     *,
     payload_mode: str = "fast",
-    hooks: dict[int, Hook] | None = None,
+    hooks: dict[int, Callable[[PhysicalMemory], None]] | None = None,
     region_mb: int = 128,
     cache_kb: int = 4,
     tree_arity: int = 8,
 ) -> ReplayResult:
     """Run every trace event through the chosen scheme and collect the log.
 
-    `hooks[i]` runs against physical memory immediately before event i
-    executes. The keys derive from `trace.seed`. A TamperDetected from any
-    engine check aborts the run and is recorded on the result rather than
-    raised; ConfigError (from `trace.validate()` before the first event, or
-    from an engine) and invariant faults propagate, since they mean the
-    input or the schedule is broken.
+    `hooks[i]` runs against physical memory right before event i, unless the
+    run has ended; a hook at no event's index never runs. The keys derive
+    from `trace.seed`. A TamperDetected aborts the run and is recorded on the
+    result rather than raised; ConfigError (from `trace.validate()` or an
+    engine) and SecurityInvariantFault (from `check_schedule` under `mgx`, or
+    the baseline engine) propagate: the input or the schedule is broken.
     """
     run = _Run(trace, scheme, payload_mode, region_mb, cache_kb, tree_arity)
-    run.run(len(trace.events), hooks or {})
+    for i in sorted((hooks or {}).keys() & range(len(trace.events))):
+        run.run(i)
+        if run.over:
+            break
+        hooks[i](run.result.memory)
+    run.run(len(trace.events))
     return run.finish()
 
 
@@ -176,6 +179,8 @@ class _Run:
         if payload_mode not in PAYLOAD_MODES:
             raise ConfigError(f"unknown payload mode {payload_mode!r}")
         trace.validate()
+        if scheme == "mgx":
+            check_schedule(trace)
         use_crypto = payload_mode != "fast"
         enc_key, mac_key = derive_keys(trace.seed)
 
@@ -202,25 +207,21 @@ class _Run:
         r = self.result
         return r.completed or r.detected is not None or r.mismatch is not None
 
-    def run(self, stop: int, hooks: dict[int, Hook]) -> None:
-        """Execute the events before index `stop` that have not run yet, each
-        right after its hook. Reaching the trace's end also drains the engine
-        and completes the run. A TamperDetected or VerifyMismatch ends the run
-        and is recorded without its traceback, which would keep the run's
-        frames, and with them its memory, alive after the run is dropped."""
+    def run(self, stop: int) -> None:
+        """Execute the events before index `stop` that have not run yet.
+        Reaching the trace's end also drains the engine and completes the
+        run. A TamperDetected or VerifyMismatch ends the run and is recorded
+        without its traceback, which would keep the run's frames, and with
+        them its memory, alive after the run is dropped."""
         if self.over:
             return
         trace, engine, result = self.trace, self.engine, self.result
-        memory = result.memory
         payload_mode = result.payload_mode
         use_crypto = payload_mode != "fast"
         state = self.state
         start = result.events_processed
         try:
             for i, ev in enumerate(trace.events[start:stop], start):
-                hook = hooks.get(i)
-                if hook is not None:
-                    hook(memory)
                 result.mark_group(ev.group)
                 if ev.op in UPDATE_OPS:
                     state, wrapped = state.advance(ev.op)

@@ -17,7 +17,9 @@ from typing import NamedTuple
 from ..dram import ADDRESS_LIMIT
 from ..errors import ConfigError, TraceFormatError
 from ..mgx import (
+    READ,
     UPDATE_OPS,
+    WRITE,
     MgxState,
     ObjectDescriptor,
     get_vn_feature,
@@ -26,9 +28,6 @@ from ..mgx import (
     get_vn_query,
     get_vn_weights,
 )
-
-READ = "read"
-WRITE = "write"
 
 # VN source kind -> (VN generator over (state, arg), whether the kind takes
 # an argument). Kinds with an argument print and parse as "kind:arg".

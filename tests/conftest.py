@@ -39,6 +39,23 @@ def lenet_graph():
 
 
 @pytest.fixture(scope="session")
+def broken_schedule_trace():
+    """A legal trace whose write schedule breaks late: `o` is written and
+    read, then `p` is written twice under one VN at events 3 and 4."""
+    b = TraceBuilder("broken", mac_granularity=64)
+    o = b.alloc("o", 64)
+    p = b.alloc("p", 64)
+    src = VnSource("feature", 1)
+    b.update("update_i")
+    b.new_group()
+    b.write(o, src)
+    b.read(o, src)
+    b.write(p, src)
+    b.write(p, src)
+    return b.trace
+
+
+@pytest.fixture(scope="session")
 def rare_relocation_trace():
     """Two 64-byte objects: `a` written twice and read 300 times before `b`
     is written and `a` read once more. Only that last read has a relocation

@@ -13,7 +13,7 @@ from mgxsim import attacks
 from mgxsim.attacks import ATTACKS, CampaignResult, run_campaign
 from mgxsim.baseline import BaselineGeometry
 from mgxsim.dram import PhysicalMemory
-from mgxsim.errors import ConfigError
+from mgxsim.errors import ConfigError, SecurityInvariantFault
 from mgxsim.replay import baseline_config, replay
 from mgxsim.workloads import VnSource, cnn_inference_trace, h264_trace
 from mgxsim.workloads.trace import WRITE, TraceBuilder, TraceEvent
@@ -185,6 +185,17 @@ class TestValidation:
         b.trace.events.append(TraceEvent(WRITE, "o", None, 0, 64, 0))
         with pytest.raises(ConfigError, match="without a VN source"):
             run_campaign(b.trace, "mgx", "bitflip", trials=0)
+
+    def test_schedule_fault_raises_before_the_first_trial(
+        self, broken_schedule_trace, monkeypatch
+    ):
+        # the only read (event 2) comes before the fault (event 4), so only a
+        # check of the whole schedule can raise before a trial is forked
+        forks = []
+        monkeypatch.setattr(attacks._Run, "fork", lambda run: forks.append(run))
+        with pytest.raises(SecurityInvariantFault, match=r"^event 4: counter reuse"):
+            run_campaign(broken_schedule_trace, "mgx", "bitflip", trials=3)
+        assert forks == []
 
     def test_negative_trials(self, attack_trace):
         with pytest.raises(ConfigError):

@@ -274,7 +274,7 @@ class TestVerifyExits:
         trace_csv = double_write_trace_csv(tmp_path)
         rc = entry(["verify", "--workload", trace_csv, "--scheme", "mgx"])
         err = capsys.readouterr().err
-        assert rc == EXIT_VERIFY and "schedule violation" in err
+        assert rc == EXIT_VERIFY and "schedule violation: event 2: counter reuse" in err
 
     def test_verify_success(self, capsys):
         rc = entry(["verify", "--workload", "micro", "--scheme", "mgx"])

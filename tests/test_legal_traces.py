@@ -7,18 +7,28 @@ aligned pieces (so no cipher block is written twice under one VN) and reads
 of any part of what the phase wrote. On those traces the baseline engine
 matches its oracle access for access, also on caches so small that a MAC
 fill evicts the leaf line in the middle of a run; payload modes do not
-change any scheme's stream; verify replays are clean; and a run forked at
-any event ends as a straight replay does.
+change any scheme's stream; verify replays are clean; a run forked at any
+event ends as a straight replay does; mgx moves one 8-byte tag per chunk
+that a read or write covers; the schedule check passes, and fails at a
+repeated write; and a bit flipped in a byte a read consumes is detected at
+that read by both protected schemes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baseline_oracle import oracle_for_trace
 from mgxsim.baseline import BaselineConfig, BaselineMee
-from mgxsim.dram import PhysicalMemory
+from mgxsim.crypto import MAC_BYTES
+from mgxsim.dram import BitFlip, PhysicalMemory
+from mgxsim.errors import SecurityInvariantFault, TamperDetected
+from mgxsim.mgx import check_schedule
+from mgxsim.perf import ProtectionStats
 from mgxsim.replay import SCHEMES, _Run, derive_keys, replay
 from mgxsim.workloads import VnSource
 from mgxsim.workloads.trace import READ, WRITE, TraceBuilder
@@ -102,9 +112,44 @@ def test_modes_agree_verify_is_clean_and_forks_finish_alike(trace, arity, cut):
         assert verify.clean, (scheme, verify.detected or verify.mismatch)
         assert fast.log == list(real.log) == list(verify.log), scheme
         run = _Run(trace, scheme, "verify", 128, 1, arity)
-        run.run(at, {})
+        run.run(at)
         fork = run.fork()
-        fork.run(end, {})
+        fork.run(end)
         _same_run(fork.finish(), verify)
-        run.run(end, {})
+        run.run(end)
         _same_run(run.finish(), verify)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trace=legal_traces(), data=st.data())
+def test_mgx_meta_closed_form_and_schedule_check(trace, data):
+    moves = [ev for ev in trace.events if ev.op in (READ, WRITE)]
+    chunks = sum(len(trace.objects[ev.obj_id].covering_chunks(ev.offset, ev.length)) for ev in moves)
+    assert ProtectionStats.of_replay(replay(trace, "mgx")).meta_bytes == MAC_BYTES * chunks
+    check_schedule(trace)
+    writes = [i for i, ev in enumerate(trace.events) if ev.op == WRITE]
+    if writes:
+        w = data.draw(st.sampled_from(writes))
+        events = [*trace.events[: w + 1], trace.events[w], *trace.events[w + 1 :]]
+        with pytest.raises(SecurityInvariantFault, match=rf"^event {w + 1}: counter reuse"):
+            check_schedule(dataclasses.replace(trace, events=events))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trace=legal_traces(), data=st.data())
+def test_a_flipped_consumed_byte_is_detected_at_its_read(trace, data):
+    reads = [i for i, ev in enumerate(trace.events) if ev.op == READ]
+    if not reads:
+        return
+    r = data.draw(st.sampled_from(reads))
+    ev = trace.events[r]
+    flip = BitFlip(
+        trace.objects[ev.obj_id].base + data.draw(st.integers(ev.offset, ev.offset + ev.length - 1)),
+        data.draw(st.integers(0, 7)),
+    )
+    for scheme in ("mgx", "baseline"):
+        res = replay(
+            trace, scheme, payload_mode="real", hooks={r: lambda m: m.inject(flip)}, cache_kb=1
+        )
+        assert isinstance(res.detected, TamperDetected), scheme
+        assert res.events_processed == r, scheme

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -35,12 +36,15 @@ from mgxsim.mgx import (
     MgxState,
     ObjectDescriptor,
     WriteLedger,
+    check_schedule,
     get_vn_feature,
     get_vn_frame,
     get_vn_genome,
     get_vn_query,
     get_vn_weights,
 )
+from mgxsim.replay import replay
+from mgxsim.workloads.trace import READ, WRITE, TraceBuilder, VnSource
 
 
 def make_engine(keys, *, crypto=True, capacity=1 << 20):
@@ -57,6 +61,18 @@ def records(recs):
 def store(eng, obj, vn, data, offset=0):
     """Store `data` at `offset` through the engine's plaintext callback."""
     eng.store(obj, vn, offset, len(data), lambda o, n: data[o - offset : o - offset + n])
+
+
+def one_object_trace(size, k, ops):
+    """A trace over one object `x` of `size` bytes with MAC chunks of `k`
+    bytes, where `ops` are (READ or WRITE, v, offset, length) under VN source
+    feature:v. No update op runs, so ctr_i is 0 and the VN is v itself."""
+    b = TraceBuilder("schedule", mac_granularity=k)
+    x = b.alloc("x", size)
+    b.new_group()
+    for op, v, offset, length in ops:
+        (b.write if op == WRITE else b.read)(x, VnSource("feature", v), offset, length)
+    return b.trace
 
 
 class TestVnAlgebra:
@@ -152,15 +168,21 @@ class TestCounterWrap:
         assert wrapped
         assert after == replace(before, **{field: 1})
 
-    def test_wrap_clears_ledger_epoch(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        store(eng, obj, 7, bytes(64))
+    def test_wrap_clears_ledger_epoch(self, monkeypatch):
+        monkeypatch.setitem(COUNTERS, "update_i", ("ctr_i", 2))
+        b = TraceBuilder("wrap", mac_granularity=64)
+        obj = b.alloc("x", 64)
+        src = VnSource("feature", 7)
+        b.update("update_i")
+        b.write(obj, src)
+        b.write(obj, src)  # same blocks, same VN, same epoch
         with pytest.raises(SecurityInvariantFault):
-            store(eng, obj, 7, bytes(64))  # same blocks, same VN, same epoch
-        eng.rekey()  # a counter wrapped: new epoch
-        assert eng.rekey_events == 1
-        store(eng, obj, 7, bytes(64))  # now fine
+            check_schedule(b.trace)
+        del b.trace.events[-1]
+        b.update("update_i")  # ctr_i wraps back to 1: a new epoch, the same VN
+        b.write(obj, src)  # now fine
+        check_schedule(b.trace)
+        assert replay(b.trace, "mgx").rekey_events == 1
 
 
 class TestDescriptor:
@@ -368,19 +390,21 @@ class TestRoundTrip:
 
 
 class TestLedgerShadow:
-    def test_ledger_rejects_same_block_same_vn(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        store(eng, obj, 2, bytes(16))
-        with pytest.raises(SecurityInvariantFault):
-            store(eng, obj, 2, bytes(4), offset=8)  # block 0 again under VN 2
+    def test_ledger_rejects_same_block_same_vn(self):
+        # block 0 again under VN 2
+        trace = one_object_trace(64, 64, [(WRITE, 2, 0, 16), (WRITE, 2, 8, 4)])
+        with pytest.raises(
+            SecurityInvariantFault, match=r"^event 1: counter reuse: cipher block 0x0 written"
+        ):
+            check_schedule(trace)
 
-    def test_ledger_allows_new_vn_or_disjoint_blocks(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        store(eng, obj, 2, bytes(16))
-        store(eng, obj, 2, bytes(16), offset=16)  # next cipher block
-        store(eng, obj, 3, bytes(16))  # same block, advanced VN
+    def test_ledger_allows_new_vn_or_disjoint_blocks(self):
+        ops = [
+            (WRITE, 2, 0, 16),
+            (WRITE, 2, 16, 16),  # next cipher block
+            (WRITE, 3, 0, 16),  # same block, advanced VN
+        ]
+        check_schedule(one_object_trace(64, 64, ops))
 
     def test_ledger_direct(self):
         led = WriteLedger()
@@ -389,7 +413,7 @@ class TestLedgerShadow:
         led.record(0, 3, 8)
         with pytest.raises(SecurityInvariantFault):
             led.record(3, 5, 7)
-        led.clear()
+        led = WriteLedger()
         led.record(3, 5, 7)
 
     @given(
@@ -421,62 +445,70 @@ class TestLedgerShadow:
         )
     )
     @settings(max_examples=300, deadline=None)
-    def test_shadow_matches_per_byte_vns(self, keys, ops):
-        # crypto off: only the shadow can fault a load
-        eng, _ = make_engine(keys, crypto=False)
-        obj = ObjectDescriptor("x", 0, 16, mac_granularity=16)
+    def test_shadow_matches_per_byte_vns(self, ops):
+        b = TraceBuilder("shadow", mac_granularity=16)
+        obj = b.alloc("x", 16)
         byte_vns = [None] * obj.size
-        for is_store, offset, length, vn in ops:
-            length = min(length, obj.size - offset)
-            if is_store:
-                eng.rekey()  # a fresh ledger epoch, so a VN may repeat
-                store(eng, obj, vn, bytes(length), offset)
-                byte_vns[offset : offset + length] = [vn] * length
-                continue
-            end = offset + length
-            bad = next((i for i in range(offset, end) if byte_vns[i] != vn), None)
-            if bad is None:
-                eng.load(obj, vn, offset, length)
-                continue
-            # the fault names the lowest run of bytes that share one wrong VN
-            # (None: never written)
-            run_end = bad
-            while run_end < end and byte_vns[run_end] == byte_vns[bad]:
-                run_end += 1
-            with pytest.raises(SecurityInvariantFault, match=rf"x\[{bad}:{run_end}\]"):
-                eng.load(obj, vn, offset, length)
+        # Every update_i wraps ctr_i, which stays 1, so each write gets a
+        # fresh ledger epoch and a VN may repeat: VN v is 256 | v.
+        with patch.dict(COUNTERS, {"update_i": ("ctr_i", 1)}):
+            b.update("update_i")
+            for is_store, offset, length, v in ops:
+                length = min(length, obj.size - offset)
+                if is_store:
+                    b.update("update_i")
+                    b.write(obj, VnSource("feature", v), offset, length)
+                    byte_vns[offset : offset + length] = [v] * length
+                    continue
+                b.read(obj, VnSource("feature", v), offset, length)
+                end = offset + length
+                bad = next((i for i in range(offset, end) if byte_vns[i] != v), None)
+                if bad is None:
+                    continue
+                # the fault names the read and the lowest run of bytes that
+                # share one wrong VN (None: never written)
+                run_end = bad
+                while run_end < end and byte_vns[run_end] == byte_vns[bad]:
+                    run_end += 1
+                at = len(b.trace.events) - 1
+                with pytest.raises(
+                    SecurityInvariantFault, match=rf"^event {at}: read of .*x\[{bad}:{run_end}\]"
+                ):
+                    check_schedule(b.trace)
+                del b.trace.events[-1]
+            check_schedule(b.trace)
 
-    def test_shadow_rejects_stale_vn_read(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 64, mac_granularity=64)
-        store(eng, obj, 1, bytes(64))
-        store(eng, obj, 2, bytes(64))
-        with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 1, 0, obj.size)
+    def test_shadow_rejects_stale_vn_read(self):
+        trace = one_object_trace(64, 64, [(WRITE, 1, 0, 64), (WRITE, 2, 0, 64), (READ, 1, 0, 64)])
+        with pytest.raises(
+            SecurityInvariantFault,
+            match=r"^event 2: read of x\[0:64\] under VN 1, but most recent write used VN 2",
+        ):
+            check_schedule(trace)
 
-    def test_shadow_rejects_never_written(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 128, mac_granularity=64)
-        store(eng, obj, 1, bytes(64))
-        with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 1, offset=64, length=64)
-        with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 1, 0, obj.size)  # spans written + unwritten
+    def test_shadow_rejects_never_written(self):
+        written = [(WRITE, 1, 0, 64)]
+        with pytest.raises(SecurityInvariantFault, match=r"never-written bytes x\[64:128\]"):
+            check_schedule(one_object_trace(128, 64, [*written, (READ, 1, 64, 64)]))
+        with pytest.raises(SecurityInvariantFault, match=r"never-written bytes x\[64:128\]"):
+            # spans written + unwritten
+            check_schedule(one_object_trace(128, 64, [*written, (READ, 1, 0, 128)]))
 
-    def test_shadow_partial_overwrite_history(self, keys):
-        eng, _ = make_engine(keys)
-        obj = ObjectDescriptor("x", 0, 128, mac_granularity=16)
-        store(eng, obj, 1, bytes(128))
-        store(eng, obj, 2, bytes(32), offset=48)
+    def test_shadow_partial_overwrite_history(self):
+        history = [(WRITE, 1, 0, 128), (WRITE, 2, 48, 32)]
         # overwritten middle reads only under the new VN
         with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 1, offset=48, length=32)
-        eng.load(obj, 2, offset=48, length=32)
-        # chunk-aligned epochs: untouched head/tail still read under VN 1
-        eng.load(obj, 1, offset=0, length=48)
-        eng.load(obj, 1, offset=80, length=48)
-        with pytest.raises(SecurityInvariantFault):
-            eng.load(obj, 2, offset=0, length=128)  # mixed-VN span
+            check_schedule(one_object_trace(128, 16, [*history, (READ, 1, 48, 32)]))
+        reads = [
+            (READ, 2, 48, 32),
+            # chunk-aligned epochs: untouched head/tail still read under VN 1
+            (READ, 1, 0, 48),
+            (READ, 1, 80, 48),
+        ]
+        check_schedule(one_object_trace(128, 16, [*history, *reads]))
+        with pytest.raises(SecurityInvariantFault, match="^event 5: "):
+            # mixed-VN span
+            check_schedule(one_object_trace(128, 16, [*history, *reads, (READ, 2, 0, 128)]))
 
     def test_mixed_vn_chunk_retired_from_old_vn(self, keys):
         """A chunk MAC covers the whole chunk under its newest writer's VN, so

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+import mgxsim.replay as replay_module
 from mgxsim.dram import (
     DATA,
     LINE,
@@ -129,7 +130,7 @@ class TestNoneScheme:
         for scheme in SCHEMES:
             res = replay(b.trace, scheme)
             assert res.clean and res.state == MgxState(ctr_i=1)
-            # only mgx keys depend on the counters; its re-key starts a new
+            # only mgx keys depend on the counters; a wrap starts a new
             # ledger epoch, so the repeated (block, VN) pair is not a fault
             assert res.rekey_events == (scheme == "mgx")
 
@@ -179,10 +180,25 @@ class TestHooks:
             hooks={
                 1: lambda m: calls.append("a"),
                 2: lambda m: calls.append("b"),
+                -1: lambda m: calls.append("never"),
+                3: lambda m: calls.append("never"),
                 99: lambda m: calls.append("never"),
             },
         )
         assert res.clean and calls == ["a", "b"]
+
+    def test_no_hook_runs_after_the_run_ended(self):
+        trace, o = tiny_trace()
+        trace.events.append(trace.events[-1])  # a second read, event 3
+        calls = []
+        res = replay(
+            trace,
+            "mgx",
+            payload_mode="real",
+            hooks={2: lambda m: m.inject(BitFlip(o.base, 3)), 3: lambda m: calls.append(3)},
+        )
+        assert res.detected is not None and res.events_processed == 2
+        assert calls == []
 
     def test_hook_sees_physical_memory(self):
         trace, o = tiny_trace()
@@ -283,13 +299,13 @@ class TestFork:
             end = len(trace.events)
             for i in range(end + 1):
                 run = _Run(trace, scheme, "verify", 128, 1, 4)
-                run.run(i, {})
+                run.run(i)
                 if scheme == "baseline":
                     assert not run.engine._wb_inflight
                 fork = run.fork()
-                fork.run(end, {})
+                fork.run(end)
                 self.assert_same(fork.finish(), want)
-                run.run(end, {})
+                run.run(end)
                 self.assert_same(run.finish(), want)
 
 
@@ -406,6 +422,17 @@ class TestInputValidation:
         with pytest.raises(SecurityInvariantFault):
             replay(b.trace, "mgx")
         assert replay(b.trace, "baseline").completed  # VNs are stored, not derived
+
+    def test_schedule_fault_raises_before_the_first_event(
+        self, broken_schedule_trace, monkeypatch
+    ):
+        # the whole schedule is checked before any memory exists, so the
+        # events before the fault do not run and nothing is logged
+        made = []
+        monkeypatch.setattr(replay_module, "_memory", lambda need: made.append(need))
+        with pytest.raises(SecurityInvariantFault, match=r"^event 4: counter reuse"):
+            _Run(broken_schedule_trace, "mgx", "verify", 128, 4, 8)
+        assert made == []
 
 
 class TestRegionSizing:
