@@ -430,10 +430,6 @@ class BaselineMee:
     # Accesses widen to the whole 64-byte lines of the object that hold the
     # requested range. `vn` is unused: this scheme keeps a stored VN per block.
 
-    def rekey(self):
-        """Stored VNs do not depend on the accelerator's on-chip counters, so
-        a wrap of one of those needs no key change here."""
-
     def _blocks(self, obj: ObjectDescriptor, a0: int, a1: int) -> tuple[int, int]:
         """First block and block count of obj[a0:a1], a line-aligned range,
         checked before any traffic."""

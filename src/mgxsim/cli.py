@@ -256,6 +256,9 @@ def entry(argv=None) -> int:
     except VerifyMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except OSError as exc:  # a file the command writes (--out, --export-trace)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Version numbers are never stored off-chip: a handful of on-chip counters plus
 a static 8-bit ID per producer vertex regenerate the VN of any object on
 demand, so there is no VN storage, no VN traffic and no integrity tree. The
 only metadata is one 64-bit MAC per k-byte chunk of each object, written next
-to the object. The VN layouts are:
+to the object. The VN layouts (`MgxState.vn`) are:
 
     weights                ctr_w                      (64-bit)
     feature edge vid       ctr_i << 8 | vid           (56 || 8)
@@ -12,9 +12,12 @@ to the object. The VN layouts are:
     genome tables          ctr_genome                 (32-bit)
     queries / traceback    ctr_genome << 32 | ctr_query
 
-Counters only ever move forward, and an 8-bit vID is unique per producer, so
-two writes to one address can share a VN only if the schedule is broken;
-`check_schedule` asserts that per cipher block, once per trace.
+A trace advances the counters in-band, so every event's VN depends on the
+trace alone: `resolve_vns` walks the counters once and returns each event's
+VN and the update ops where a counter wrapped. Counters only ever move
+forward, and an 8-bit vID is unique per producer, so two writes to one
+address can share a VN only if the schedule is broken; `check_schedule`
+asserts that per cipher block, once per trace.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ COUNTERS = {
 }
 UPDATE_OPS = tuple(COUNTERS)
 READ, WRITE = "read", "write"  # the trace's data ops
+# VN source kind -> whether it takes an argument; one that does prints and
+# parses as "kind:arg". The layouts are `MgxState.vn`'s.
+VN_KINDS = {"weights": False, "feature": True, "frame": True, "genome": False, "query": False}
 
 
 @dataclass(frozen=True)
@@ -63,29 +69,46 @@ class MgxState:
         wrapped = value >= limit
         return replace(self, **{name: 1 if wrapped else value}), wrapped
 
-
-def get_vn_weights(state: MgxState) -> int:
-    return state.ctr_w
-
-
-def get_vn_feature(state: MgxState, vid: int) -> int:
-    if not 1 <= vid < 256:
-        raise ConfigError(f"vID {vid} outside 1..255 (8-bit, 0 reserved)")
-    return (state.ctr_i << 8) | vid
-
-
-def get_vn_frame(state: MgxState, frame: int) -> int:
-    if not 0 <= frame < 256:
-        raise ConfigError(f"frame number {frame} does not fit the 8-bit field")
-    return (state.ctr_i << 8) | frame
-
-
-def get_vn_genome(state: MgxState) -> int:
-    return state.ctr_genome
+    def vn(self, kind: str, arg: int = 0) -> int:
+        """The VN of a `kind` source (one of VN_KINDS) with argument `arg`."""
+        if kind == "weights":
+            return self.ctr_w
+        if kind == "feature":
+            if not 1 <= arg < 256:
+                raise ConfigError(f"vID {arg} outside 1..255 (8-bit, 0 reserved)")
+            return (self.ctr_i << 8) | arg
+        if kind == "frame":
+            if not 0 <= arg < 256:
+                raise ConfigError(f"frame number {arg} does not fit the 8-bit field")
+            return (self.ctr_i << 8) | arg
+        if kind == "genome":
+            return self.ctr_genome
+        if kind == "query":
+            return (self.ctr_genome << 32) | self.ctr_query
+        raise ConfigError(f"unknown VN source kind {kind!r}")
 
 
-def get_vn_query(state: MgxState) -> int:
-    return (state.ctr_genome << 32) | state.ctr_query
+def resolve_vns(trace) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
+    """Walk the on-chip counters over `trace` once: the VN of every event
+    (None at an update op) and the indices of the update ops whose counter
+    wrapped, each of which starts a new key epoch. A source whose kind is
+    unknown or whose argument does not fit its field raises ConfigError
+    naming its event."""
+    state = MgxState()
+    vns: list[int | None] = []
+    wraps = []
+    try:
+        for i, ev in enumerate(trace.events):
+            if ev.op in COUNTERS:
+                state, wrapped = state.advance(ev.op)
+                if wrapped:
+                    wraps.append(i)
+                vns.append(None)
+            else:
+                vns.append(state.vn(*ev.vn_source))
+    except ConfigError as exc:
+        raise ConfigError(f"event {i}: {exc}") from None
+    return tuple(vns), tuple(wraps)
 
 
 @dataclass(frozen=True)
@@ -189,18 +212,11 @@ class MgxMee:
         self.enc_key = enc_key
         self.mac_key = mac_key
         self.crypto = crypto
-        self.rekey_events = 0
-
-    def rekey(self):
-        """An on-chip counter wrapped: count a key change."""
-        self.rekey_events += 1
 
     def fork(self, memory: PhysicalMemory) -> "MgxMee":
         """A copy of this engine over `memory`. The keys are shared: they
         hold no state between calls."""
-        twin = MgxMee(memory, self.enc_key, self.mac_key, crypto=self.crypto)
-        twin.rekey_events = self.rekey_events
-        return twin
+        return MgxMee(memory, self.enc_key, self.mac_key, crypto=self.crypto)
 
     # -- data path ----------------------------------------------------------
 
@@ -287,18 +303,16 @@ def check_schedule(trace) -> None:
     """Raise SecurityInvariantFault, naming the event, at the first event of a
     valid `trace` that writes a (cipher block, VN) pair twice in one key epoch
     (a counter wrap starts the next) or reads bytes not last written under its VN."""
-    state = MgxState()
+    vns, wraps = resolve_vns(trace)
     ledger = WriteLedger()
     # obj_id -> sorted, disjoint (start, end, vn) ranges under each byte's last VN
     shadow: dict[str, list[tuple[int, int, int]]] = {}
     try:
-        for i, ev in enumerate(trace.events):
-            if ev.op in UPDATE_OPS:
-                state, wrapped = state.advance(ev.op)
-                if wrapped:
+        for i, (ev, vn) in enumerate(zip(trace.events, vns)):
+            if vn is None:
+                if i in wraps:
                     ledger = WriteLedger()
                 continue
-            vn = ev.vn_source.resolve(state)
             ranges = shadow.setdefault(ev.obj_id, [])
             end = ev.offset + ev.length
             if ev.op == READ:

@@ -1,17 +1,21 @@
 """Replay a workload trace through a protection scheme.
 
 The replayer owns the glue between symbolic traces and concrete engines: it
-holds the on-chip counter state for every scheme, resolves each event's VN
-source against it, synthesizes deterministic payloads, and collects the
-resulting DRAM access log per compute group: the log span of each group and
-the memory's per-kind byte totals at its end. Every engine offers the same
-object interface:
+takes every event's VN from `mgx.resolve_vns`, the one walk of the on-chip
+counters, which `Trace.validate()` returns once per trace for every scheme,
+synthesizes deterministic payloads, and collects the resulting DRAM access
+log per compute group: the log span of each group and the memory's per-kind
+byte totals at its end. Engines keep no counter state; every engine offers
+the same object interface:
 
 * store(obj, vn, offset, length, plaintext): write obj[offset:offset+length];
   `plaintext(off, n)` returns the plaintext of any range of obj, and the
   engine asks only for the range it writes.
 * load(obj, vn, offset, length) -> bytes: exactly the requested plaintext.
-* rekey(): an on-chip counter wrapped.
+
+A run's `rekey_events` counts key changes: under `mgx`, the counter wraps
+`resolve_vns` found among the events processed; under `baseline`, the
+engine's stored-VN overflows; under `none`, nothing is keyed.
 
 Tamper hooks run between events so attack campaigns can copy out and corrupt
 memory at precise points. Between two events a run can also be forked: every
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -41,9 +46,9 @@ from .baseline import BaselineConfig, BaselineGeometry, BaselineMee
 from .crypto import EncryptionKey, MacKey
 from .dram import DATA, AccessLog, PhysicalMemory
 from .errors import ConfigError, TamperDetected, VerifyMismatch
-from .mgx import MgxMee, MgxState, check_schedule
+from .mgx import MgxMee, check_schedule
 from .workloads.payload import payload_for
-from .workloads.trace import UPDATE_OPS, WRITE, Trace
+from .workloads.trace import WRITE, Trace
 
 SCHEMES = ("none", "baseline", "mgx")
 PAYLOAD_MODES = ("fast", "real", "verify")
@@ -52,13 +57,8 @@ PAYLOAD_MODES = ("fast", "real", "verify")
 class PlainEngine:
     """No protection: plaintext goes to memory as is and nothing is checked."""
 
-    rekey_events = 0
-
     def __init__(self, memory: PhysicalMemory):
         self.mem = memory
-
-    def rekey(self):
-        """Nothing is keyed, so a counter wrap changes nothing here."""
 
     def store(self, obj, vn: int, offset: int, length: int, plaintext) -> None:
         self.mem.write(obj.base + offset, plaintext(offset, length), DATA)
@@ -101,7 +101,6 @@ class ReplayResult:
     detected: TamperDetected | None = None
     mismatch: VerifyMismatch | None = None
     rekey_events: int = 0
-    state: MgxState = field(default_factory=MgxState)
 
     @property
     def clean(self) -> bool:
@@ -169,16 +168,16 @@ def replay(
 
 
 class _Run:
-    """One replay in progress: the engine over its memory, the on-chip
-    counters and the result so far, advanced by `run` and copied between two
-    events by `fork`, so that copies of one prefix can go on differently."""
+    """One replay in progress: the trace's VNs, the engine over its memory
+    and the result so far, advanced by `run` and copied between two events by
+    `fork`, so that copies of one prefix can go on differently."""
 
     def __init__(self, trace, scheme, payload_mode, region_mb, cache_kb, tree_arity):
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         if payload_mode not in PAYLOAD_MODES:
             raise ConfigError(f"unknown payload mode {payload_mode!r}")
-        trace.validate()
+        self.vns, self.wraps = trace.validate()
         if scheme == "mgx":
             check_schedule(trace)
         use_crypto = payload_mode != "fast"
@@ -200,7 +199,6 @@ class _Run:
         self.trace = trace
         self.engine = engine
         self.result = ReplayResult(scheme, payload_mode, trace, memory, memory.log)
-        self.state = MgxState()
 
     @property
     def over(self) -> bool:
@@ -218,19 +216,15 @@ class _Run:
         trace, engine, result = self.trace, self.engine, self.result
         payload_mode = result.payload_mode
         use_crypto = payload_mode != "fast"
-        state = self.state
         start = result.events_processed
         try:
             for i, ev in enumerate(trace.events[start:stop], start):
                 result.mark_group(ev.group)
-                if ev.op in UPDATE_OPS:
-                    state, wrapped = state.advance(ev.op)
-                    if wrapped:
-                        engine.rekey()
+                vn = self.vns[i]
+                if vn is None:  # an update op: the counters are resolve_vns's
                     result.events_processed = i + 1
                     continue
                 obj = trace.objects[ev.obj_id]
-                vn = ev.vn_source.resolve(state)
                 if ev.op == WRITE:
                     plaintext = partial(payload_for, obj.obj_id, vn) if use_crypto else _zeros
                     engine.store(obj, vn, ev.offset, ev.length, plaintext)
@@ -257,8 +251,6 @@ class _Run:
             result.detected = td.with_traceback(None)
         except VerifyMismatch as vm:
             result.mismatch = vm.with_traceback(None)
-        finally:
-            self.state = state
 
     def fork(self) -> "_Run":
         """A copy of this run, taken between two events, that shares nothing
@@ -279,6 +271,8 @@ class _Run:
         """Close the open group span and return the result."""
         result = self.result
         result.finish_groups()
-        result.rekey_events = self.engine.rekey_events
-        result.state = self.state
+        if result.scheme == "mgx":
+            result.rekey_events = bisect_left(self.wraps, result.events_processed)
+        elif result.scheme == "baseline":
+            result.rekey_events = self.engine.rekey_events
         return result

@@ -67,6 +67,8 @@ def build_trace(workload: str, *, seed: int = 0, mac_granularity: int = 1024,
             raise ConfigError(f"unknown task {task!r} (inference|training)")
         return _generate(cnn_inference_trace, a, graph, **common)
     if workload == "rnn":
+        if not isinstance(a.get("cell", ""), str):  # an int would open a file descriptor
+            raise ConfigError(f"--arg cell={a['cell']!r} must be str")
         cell = load_graph(a.pop("cell")) if "cell" in a else load_preset("micro")
         a.setdefault("timesteps", 4)
         return _generate(rnn_trace, a, cell, task=task, **common)

@@ -157,13 +157,20 @@ def graph_from_dict(spec: dict) -> NetworkGraph:
             input_dims=tuple(spec["input_dims"]),
             layers=layers,
         )
-    except (KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network description: {exc}") from exc
 
 
 def load_graph(path: str) -> NetworkGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    """The network described by the JSON file at `path`. A file that cannot
+    be read or parsed raises ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            return graph_from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or a ConfigError
+        raise ConfigError(f"network {path}: {exc}") from None
 
 
 PRESETS = ("micro", "lenet", "alexnet", "googlenet", "resnet50")

@@ -1,8 +1,9 @@
 """Trace representation: symbolic memory events plus the object map.
 
-Events carry a symbolic VN source rather than a concrete number; the replayer
-resolves sources against the running on-chip state, so the same trace is valid
-whenever it is replayed. Counter-update events advance that state in-band.
+Events carry a symbolic VN source rather than a concrete number, and
+counter-update events advance the on-chip counters in-band, so the same trace
+is valid whenever it is replayed; `mgx.resolve_vns` turns the sources into
+VNs.
 """
 
 from __future__ import annotations
@@ -10,34 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..dram import ADDRESS_LIMIT
 from ..errors import ConfigError, TraceFormatError
-from ..mgx import (
-    READ,
-    UPDATE_OPS,
-    WRITE,
-    MgxState,
-    ObjectDescriptor,
-    get_vn_feature,
-    get_vn_frame,
-    get_vn_genome,
-    get_vn_query,
-    get_vn_weights,
-)
-
-# VN source kind -> (VN generator over (state, arg), whether the kind takes
-# an argument). Kinds with an argument print and parse as "kind:arg".
-VN_KINDS = {
-    "weights": (lambda state, arg: get_vn_weights(state), False),
-    "feature": (get_vn_feature, True),
-    "frame": (get_vn_frame, True),
-    "genome": (lambda state, arg: get_vn_genome(state), False),
-    "query": (lambda state, arg: get_vn_query(state), False),
-}
+from ..mgx import READ, UPDATE_OPS, VN_KINDS, WRITE, MgxState, ObjectDescriptor, resolve_vns
 
 
 class VnSource(NamedTuple):
@@ -45,7 +24,7 @@ class VnSource(NamedTuple):
     arg: int = 0
 
     def __str__(self):
-        if VN_KINDS.get(self.kind, (None, False))[1]:
+        if VN_KINDS.get(self.kind, False):
             return f"{self.kind}:{self.arg}"
         return self.kind
 
@@ -55,9 +34,7 @@ class VnSource(NamedTuple):
         return cls(kind, int(arg)) if sep else cls(kind)
 
     def resolve(self, state: MgxState) -> int:
-        if self.kind not in VN_KINDS:
-            raise ConfigError(f"unknown VN source kind {self.kind!r}")
-        return VN_KINDS[self.kind][0](state, self.arg)
+        return state.vn(self.kind, self.arg)
 
 
 class TraceEvent(NamedTuple):
@@ -86,13 +63,14 @@ class Trace:
         """Bytes an unprotected accelerator would move for this trace."""
         return sum(e.length for e in self.events if e.op in (READ, WRITE))
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
         """Raise ConfigError unless this is a legal trace: every group's
         compute weight is finite and non-negative, no object's data range or
         MAC shadow overlaps another's, and every event is either an update
         op naming no object and no VN source, or a read or write inside a
         known object under a VN source whose kind exists and whose argument
-        fits its field."""
+        fits its field. Return `mgx.resolve_vns(self)`, which checks the
+        sources, so that a replay walks the counters once."""
         for g, macs in self.compute_macs.items():
             if not 0 <= macs < math.inf:
                 raise ConfigError(f"group {g}: compute weight {macs} is not finite and >= 0")
@@ -108,7 +86,6 @@ class Trace:
                 raise ConfigError(f"objects {a} and {b} overlap")
         if spans and spans[-1][1] > ADDRESS_LIMIT:
             raise ConfigError(f"object {spans[-1][2]} ends beyond the 64-bit address space")
-        fits = set()  # VN sources already resolved once
         for i, ev in enumerate(self.events):
             if ev.op in UPDATE_OPS:
                 if ev.obj_id or ev.vn_source is not None:
@@ -124,12 +101,9 @@ class Trace:
                     f"event {i} range [{ev.offset},{ev.offset + ev.length}) exceeds "
                     f"object {obj.obj_id} of size {obj.size}"
                 )
-            src = ev.vn_source
-            if src not in fits:
-                if not isinstance(src, VnSource):
-                    raise ConfigError(f"event {i}: {ev.op} without a VN source")
-                src.resolve(MgxState())  # the kind exists and the argument fits its field
-                fits.add(src)
+            if not isinstance(ev.vn_source, VnSource):
+                raise ConfigError(f"event {i}: {ev.op} without a VN source")
+        return resolve_vns(self)
 
 
 class TraceBuilder:
@@ -208,16 +182,17 @@ def export_trace(trace: Trace, csv_path: str):
 
 
 def import_trace(csv_path: str) -> Trace:
-    """Parse an exported trace and validate it. Every defect of the files
-    raises TraceFormatError."""
-    if not os.path.exists(csv_path):
-        raise ConfigError(f"no such trace file: {csv_path}")
-    meta_path = csv_path + ".meta.json"
-    if not os.path.exists(meta_path):
-        raise TraceFormatError(f"missing trace sidecar {meta_path}")
+    """Parse an exported trace and validate it. A trace file that cannot be
+    opened raises ConfigError; every defect of the files, an unreadable
+    sidecar included, raises TraceFormatError."""
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        fh = open(csv_path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace file {csv_path}: {exc.strerror}") from None
+    meta_path = csv_path + ".meta.json"
+    try:
+        with open(meta_path) as mf:
+            meta = json.load(mf)
         trace = Trace(
             meta.get("workload", "imported"),
             seed=int(meta.get("seed", 0)),
@@ -227,9 +202,10 @@ def import_trace(csv_path: str) -> Trace:
             trace.objects[o["obj_id"]] = ObjectDescriptor(
                 o["obj_id"], o["base"], o["size"], o["mac_granularity"], o.get("mac_base")
             )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError) as exc:
+        fh.close()
         raise TraceFormatError(f"bad trace sidecar {meta_path}: {exc}") from exc
-    with open(csv_path, newline="") as fh:
+    with fh:
         rows = csv.reader(fh)
         try:
             if next(rows, None) != ["op", "obj_id", "vn_source", "offset", "len", "group"]:

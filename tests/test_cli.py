@@ -181,6 +181,74 @@ class TestConfigExits:
         assert rc == EXIT_CONFIG
 
 
+class TestFileExits:
+    """A file that cannot be read or written ends in exit 2 (exit 5 for a
+    trace's sidecar) with one line on stderr that names it, not a traceback."""
+
+    @staticmethod
+    def _assert_named(rc, err, code, name, prefix="error: "):
+        assert rc == code
+        assert err.startswith(prefix) and err.count("\n") == 1 and name in err
+
+    def test_missing_network_file(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        rc = entry(["run", "--workload", path])
+        self._assert_named(rc, capsys.readouterr().err, EXIT_CONFIG, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("{not json", id="invalid-json"),
+            pytest.param(
+                json.dumps(
+                    {
+                        "input_dims": [1, 8, 8],
+                        "layers": [
+                            {"name": "c", "type": "conv", "in_dims": [1, 8, 8],
+                             "out_dims": [1, 8, 8], "weight_bytes": "x"}
+                        ],
+                    }
+                ),
+                id="weight_bytes-string",
+            ),
+        ],
+    )
+    def test_malformed_network_file(self, tmp_path, capsys, text):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        rc = entry(["run", "--workload", str(path)])
+        self._assert_named(rc, capsys.readouterr().err, EXIT_CONFIG, str(path))
+
+    @pytest.mark.parametrize("cell", ["0", "99999", '["net.json"]'])
+    def test_rnn_cell_must_be_a_path(self, capsys, cell):
+        # an int names a file descriptor to open(): 0 would read stdin
+        rc = entry(["run", "--workload", "rnn", "--arg", f"cell={cell}"])
+        self._assert_named(rc, capsys.readouterr().err, EXIT_CONFIG, "cell")
+
+    @pytest.mark.parametrize("which,code", [("csv", EXIT_CONFIG), ("sidecar", EXIT_VERIFY)])
+    def test_trace_path_is_a_directory(self, tmp_path, capsys, which, code):
+        path = str(tmp_path / "t.csv")
+        if which == "csv":
+            (tmp_path / "t.csv").mkdir()
+        else:
+            export_trace(build_trace("micro"), path)
+            (tmp_path / "t.csv.meta.json").unlink()
+            (tmp_path / "t.csv.meta.json").mkdir()
+        rc = entry(["run", "--workload", path])
+        prefix = "error: " if code == EXIT_CONFIG else "corrupted trace: "
+        self._assert_named(rc, capsys.readouterr().err, code, path, prefix)
+
+    @pytest.mark.parametrize("flag", ["--out", "--export-trace"])
+    def test_unwritable_output(self, tmp_path, capsys, flag):
+        path = str(tmp_path / "absent" / "x.csv")
+        rc = entry(["run", "--workload", "micro", flag, path])
+        self._assert_named(rc, capsys.readouterr().err, EXIT_CONFIG, path)
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        rc = entry(["run", "--workload", "micro", "--out", str(tmp_path)])
+        self._assert_named(rc, capsys.readouterr().err, EXIT_CONFIG, str(tmp_path))
+
+
 # (workload, extra flags, generator) for every trace generator
 GENERATORS = [
     ("micro", [], cnn_inference_trace),
@@ -349,6 +417,15 @@ class TestCorruptedTraceExits:
         self._rewrite_first_write(path, rows, 2, source)
         rc = entry(["run", "--workload", path])
         self._assert_corrupted(rc, capsys.readouterr().err)
+
+    def test_bad_vn_source_names_its_event(self, tmp_path, capsys):
+        path, rows, _ = self._micro_export(tmp_path)
+        self._rewrite_first_write(path, rows, 2, "feature:0")
+        k = next(i for i, r in enumerate(rows[1:]) if r[0] == "write")
+        rc = entry(["run", "--workload", path])
+        err = capsys.readouterr().err
+        self._assert_corrupted(rc, err)
+        assert f"{path}: event {k}: vID 0 outside 1..255" in err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_overlapping_objects(self, tmp_path, capsys, command):

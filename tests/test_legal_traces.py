@@ -1,17 +1,20 @@
 """Properties of every legal trace, not only of the generators' shapes.
 
 A strategy over `TraceBuilder` draws traces that keep the write/read
-schedule: phases that each advance `ctr_i`, objects of any size (also not a
-multiple of 64), MAC chunks of 16, 64 or 1024 bytes, writes of 16-byte
-aligned pieces (so no cipher block is written twice under one VN) and reads
-of any part of what the phase wrote. On those traces the baseline engine
-matches its oracle access for access, also on caches so small that a MAC
-fill evicts the leaf line in the middle of a run; payload modes do not
-change any scheme's stream; verify replays are clean; a run forked at any
-event ends as a straight replay does; mgx moves one 8-byte tag per chunk
-that a read or write covers; the schedule check passes, and fails at a
-repeated write; and a bit flipped in a byte a read consumes is detected at
-that read by both protected schemes.
+schedule: objects of any size (also not a multiple of 64) under feature,
+frame, weights, genome or query sources, MAC chunks of 16, 64 or 1024 bytes,
+and phases that each advance any of the four on-chip counters. An object is
+written again only after its counter moved, in 16-byte aligned pieces (so
+no cipher block is written twice under one VN), and reads take any part of
+what was written since. The strategy keeps its own plain-int counter model,
+and `resolve_vns` must give the same VN at every event. On those traces the
+baseline engine matches its oracle access for access, also on caches so
+small that a MAC fill evicts the leaf line in the middle of a run; payload
+modes do not change any scheme's stream; verify replays are clean; a run
+forked at any event ends as a straight replay does; mgx moves one 8-byte
+tag per chunk that a read or write covers; the schedule check passes, and
+fails at a repeated write; and a bit flipped in a byte a read consumes is
+detected at that read by both protected schemes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from mgxsim.baseline import BaselineConfig, BaselineMee
 from mgxsim.crypto import MAC_BYTES
 from mgxsim.dram import BitFlip, PhysicalMemory
 from mgxsim.errors import SecurityInvariantFault, TamperDetected
-from mgxsim.mgx import check_schedule
+from mgxsim.mgx import UPDATE_OPS, VN_KINDS, check_schedule, resolve_vns
 from mgxsim.perf import ProtectionStats
 from mgxsim.replay import SCHEMES, _Run, derive_keys, replay
 from mgxsim.workloads import VnSource
@@ -36,30 +39,61 @@ from mgxsim.workloads.trace import READ, WRITE, TraceBuilder
 ORACLE_REGION = 1 << 20
 
 
+def model_vn(ctr: dict[str, int], src: VnSource) -> int:
+    """The VN of `src` under the plain-int counters `ctr`, one per update op."""
+    i, w, g, q = ctr["update_i"], ctr["update_w"], ctr["update_genome"], ctr["update_query"]
+    if src.kind in ("feature", "frame"):
+        return i << 8 | src.arg
+    return {"weights": w, "genome": g, "query": g << 32 | q}[src.kind]
+
+
 @st.composite
 def legal_traces(draw):
     b = TraceBuilder("legal", mac_granularity=draw(st.sampled_from((16, 64, 1024))))
     sizes = draw(st.lists(st.integers(1, 2500), min_size=1, max_size=3))
     objs = [b.alloc(f"o{i}", n) for i, n in enumerate(sizes)]
-    source = {o.obj_id: VnSource("feature", i + 1) for i, o in enumerate(objs)}
+    source = {}
+    for i, o in enumerate(objs):
+        kind = draw(st.sampled_from(("feature", "frame", "weights", "genome", "query")))
+        source[o.obj_id] = VnSource(kind, i + 1 if VN_KINDS[kind] else 0)
+    ctr = dict.fromkeys(UPDATE_OPS, 0)
+    want = []  # the model's VN of every event, None at an update op
+    last_vn = {}  # obj_id -> VN of its last write
+    valid = {o.obj_id: [] for o in objs}  # readable (obj, lo, hi) pieces, all under last_vn
+
+    def read_some():
+        readable = [p for ps in valid.values() for p in ps]
+        for _ in range(draw(st.integers(0, 3)) if readable else 0):
+            o, lo, hi = draw(st.sampled_from(readable))
+            off = draw(st.integers(lo, hi - 1))
+            b.read(o, source[o.obj_id], off, draw(st.integers(1, hi - off)))
+            want.append(model_vn(ctr, source[o.obj_id]))
+
     for _ in range(draw(st.integers(1, 3))):
-        b.update("update_i")  # a new VN for every object; earlier bytes go stale
+        for op in draw(st.lists(st.sampled_from(UPDATE_OPS), min_size=1, max_size=3)):
+            b.update(op)
+            ctr[op] += 1
+            want.append(None)
         b.new_group(draw(st.integers(0, 1 << 20)))
+        fresh = [o for o in objs if model_vn(ctr, source[o.obj_id]) != last_vn.get(o.obj_id)]
+        for o in fresh:
+            valid[o.obj_id] = []  # its counter moved: what it held is stale
+        read_some()  # bytes of earlier phases whose counter has not moved since
         pieces = []
-        for o in objs:
+        for o in fresh:  # no byte is written twice under one VN
             last = (o.size - 1) // 16
             cuts = draw(st.sets(st.integers(1, last), max_size=4)) if last else set()
             edges = [0, *sorted(c * 16 for c in cuts), o.size]
             spans = list(zip(edges, edges[1:]))
             pieces += [(o, *spans[i]) for i in draw(st.sets(st.integers(0, len(spans) - 1)))]
-        written = []
         for o, lo, hi in draw(st.permutations(pieces)):
+            vn = model_vn(ctr, source[o.obj_id])
             b.write(o, source[o.obj_id], lo, hi - lo)
-            written.append((o, lo, hi))
-            for _ in range(draw(st.integers(0, 3))):
-                o, lo, hi = draw(st.sampled_from(written))
-                off = draw(st.integers(lo, hi - 1))
-                b.read(o, source[o.obj_id], off, draw(st.integers(1, hi - off)))
+            want.append(vn)
+            last_vn[o.obj_id] = vn
+            valid[o.obj_id].append((o, lo, hi))
+            read_some()
+    assert resolve_vns(b.trace) == (tuple(want), ())
     return b.trace
 
 
@@ -95,7 +129,6 @@ def _same_run(got, want):
     assert got.clean and got.events_processed == want.events_processed
     assert got.log == list(want.log)
     assert got.group_spans == want.group_spans and got.group_totals == want.group_totals
-    assert got.state == want.state
     assert got.memory._pages == want.memory._pages
 
 

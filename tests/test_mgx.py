@@ -37,11 +37,6 @@ from mgxsim.mgx import (
     ObjectDescriptor,
     WriteLedger,
     check_schedule,
-    get_vn_feature,
-    get_vn_frame,
-    get_vn_genome,
-    get_vn_query,
-    get_vn_weights,
 )
 from mgxsim.replay import replay
 from mgxsim.workloads.trace import READ, WRITE, TraceBuilder, VnSource
@@ -77,40 +72,40 @@ def one_object_trace(size, k, ops):
 
 class TestVnAlgebra:
     def test_weights_vn_is_weight_counter(self):
-        assert get_vn_weights(MgxState(ctr_w=0)) == 0
-        assert get_vn_weights(MgxState(ctr_w=41)) == 41
+        assert MgxState(ctr_w=0).vn("weights") == 0
+        assert MgxState(ctr_w=41).vn("weights") == 41
 
     def test_feature_vn_frozen_value(self):
         # 5 << 8 | 3
-        assert get_vn_feature(MgxState(ctr_i=5), 3) == 1283
+        assert MgxState(ctr_i=5).vn("feature", 3) == 1283
 
     def test_frame_vn_frozen_value(self):
         # 2 << 8 | 255
-        assert get_vn_frame(MgxState(ctr_i=2), 255) == 767
-        assert get_vn_frame(MgxState(ctr_i=0), 0) == 0
+        assert MgxState(ctr_i=2).vn("frame", 255) == 767
+        assert MgxState(ctr_i=0).vn("frame", 0) == 0
 
     def test_genome_vn(self):
-        assert get_vn_genome(MgxState(ctr_genome=9)) == 9
+        assert MgxState(ctr_genome=9).vn("genome") == 9
 
     def test_query_vn_frozen_values(self):
         # 1 << 32 | 1  and  3 << 32 | 7
-        assert get_vn_query(MgxState(ctr_genome=1, ctr_query=1)) == 4294967297
-        assert get_vn_query(MgxState(ctr_genome=3, ctr_query=7)) == 12884901895
+        assert MgxState(ctr_genome=1, ctr_query=1).vn("query") == 4294967297
+        assert MgxState(ctr_genome=3, ctr_query=7).vn("query") == 12884901895
 
     def test_vid_zero_reserved(self):
         with pytest.raises(ConfigError):
-            get_vn_feature(MgxState(), 0)
+            MgxState().vn("feature", 0)
 
     def test_vid_must_fit_eight_bits(self):
         with pytest.raises(ConfigError):
-            get_vn_feature(MgxState(), 256)
-        assert get_vn_feature(MgxState(ctr_i=1), 255) == 511
+            MgxState().vn("feature", 256)
+        assert MgxState(ctr_i=1).vn("feature", 255) == 511
 
     def test_frame_must_fit_eight_bits(self):
         with pytest.raises(ConfigError):
-            get_vn_frame(MgxState(), 256)
+            MgxState().vn("frame", 256)
         with pytest.raises(ConfigError):
-            get_vn_frame(MgxState(), -1)
+            MgxState().vn("frame", -1)
 
     def test_pure_updates_do_not_mutate(self):
         s0 = MgxState(ctr_i=5, ctr_w=6, ctr_genome=7, ctr_query=8)
@@ -129,8 +124,8 @@ class TestVnAlgebra:
         v2=st.integers(1, 255),
     )
     def test_feature_vn_injective(self, c1, v1, c2, v2):
-        vn1 = get_vn_feature(MgxState(ctr_i=c1), v1)
-        vn2 = get_vn_feature(MgxState(ctr_i=c2), v2)
+        vn1 = MgxState(ctr_i=c1).vn("feature", v1)
+        vn2 = MgxState(ctr_i=c2).vn("feature", v2)
         assert (vn1 == vn2) == (c1 == c2 and v1 == v2)
 
     @given(
@@ -140,8 +135,8 @@ class TestVnAlgebra:
         q2=st.integers(0, CTR_32_LIMIT - 1),
     )
     def test_query_vn_injective(self, g1, q1, g2, q2):
-        vn1 = get_vn_query(MgxState(ctr_genome=g1, ctr_query=q1))
-        vn2 = get_vn_query(MgxState(ctr_genome=g2, ctr_query=q2))
+        vn1 = MgxState(ctr_genome=g1, ctr_query=q1).vn("query")
+        vn2 = MgxState(ctr_genome=g2, ctr_query=q2).vn("query")
         assert (vn1 == vn2) == (g1 == g2 and q1 == q2)
 
 

@@ -24,7 +24,7 @@ from mgxsim.dram import (
     Splice,
 )
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
-from mgxsim.mgx import COUNTERS, MgxState, ObjectDescriptor
+from mgxsim.mgx import COUNTERS, ObjectDescriptor, resolve_vns
 from mgxsim.replay import SCHEMES, _Run, baseline_config, derive_keys, replay
 from mgxsim.workloads import (
     Trace,
@@ -109,14 +109,10 @@ class TestNoneScheme:
         assert res.memory.peek(obj.base, obj.size) == payload_for(obj.obj_id, vn, 0, obj.size)
 
     def test_state_tracks_updates(self, micro_graph):
-        res = replay(cnn_inference_trace(micro_graph, 3), "none")
-        assert res.state.ctr_i == 3 and res.state.ctr_w == 1
-
-    def test_counters_match_mgx_engine_state(self, micro_graph):
-        # one counter model for every scheme; gact also steps genome/query
-        for t in small_traces(micro_graph):
-            states = {s: replay(t, s).state for s in SCHEMES}
-            assert states["none"] == states["baseline"] == states["mgx"], t.workload
+        trace = cnn_inference_trace(micro_graph, 3)
+        vns, _ = resolve_vns(trace)
+        last = max(i for i, e in enumerate(trace.events) if e.op == WRITE and e.obj_id == "feat_in")
+        assert vns[last] == (3 << 8) | 1  # ctr_i=3, vid 1
 
     def test_counter_wrap_calls_engine_rekey(self, monkeypatch):
         monkeypatch.setitem(COUNTERS, "update_i", ("ctr_i", 2))
@@ -127,12 +123,60 @@ class TestNoneScheme:
         b.write(o, VnSource("feature", 1))
         b.update("update_i")  # ctr_i wraps back to 1: the same VN comes again
         b.write(o, VnSource("feature", 1))
+        assert resolve_vns(b.trace) == ((None, 257, None, 257), (2,))  # event 2 wraps
         for scheme in SCHEMES:
             res = replay(b.trace, scheme)
-            assert res.clean and res.state == MgxState(ctr_i=1)
+            assert res.clean
             # only mgx keys depend on the counters; a wrap starts a new
             # ledger epoch, so the repeated (block, VN) pair is not a fault
             assert res.rekey_events == (scheme == "mgx")
+
+
+class TestRekeyCount:
+    """`rekey_events` counts the counter wraps among the events a run has
+    processed under `mgx`, whether the run stops early or was forked."""
+
+    @staticmethod
+    def wrapping_trace():
+        # events: 0 update, 1 write, 2 read, 3 update (wraps), 4 write, 5 read
+        b = TraceBuilder("wrap", mac_granularity=64)
+        o = b.alloc("o", 64)
+        for _ in range(2):
+            b.update("update_i")
+            b.new_group()
+            b.write(o, VnSource("feature", 1))
+            b.read(o, VnSource("feature", 1))
+        return b.trace, o
+
+    @pytest.mark.parametrize("read,want", [(2, 0), (5, 1)])
+    def test_detection_before_and_after_the_wrap(self, monkeypatch, read, want):
+        monkeypatch.setitem(COUNTERS, "update_i", ("ctr_i", 2))
+        trace, o = self.wrapping_trace()
+        assert resolve_vns(trace)[1] == (3,)
+        flip = {read: lambda mem: mem.inject(BitFlip(o.base, 0))}
+        res = replay(trace, "mgx", payload_mode="real", hooks=flip)
+        assert isinstance(res.detected, TamperDetected) and res.events_processed == read
+        assert res.rekey_events == want
+
+    def test_fork_counts_as_a_straight_replay(self, monkeypatch):
+        monkeypatch.setitem(COUNTERS, "update_i", ("ctr_i", 2))
+        trace, _ = self.wrapping_trace()
+        end = len(trace.events)
+        assert replay(trace, "mgx").rekey_events == 1
+        for at in range(end + 1):
+            run = _Run(trace, "mgx", "fast", 128, 4, 8)
+            run.run(at)
+            stopped = run.fork()
+            assert stopped.finish().rekey_events == (at > 3)
+            fork = run.fork()
+            fork.run(end)
+            assert fork.finish().rekey_events == 1, at
+
+    @pytest.mark.parametrize("scheme", ["none", "baseline"])
+    def test_unkeyed_by_counters(self, monkeypatch, scheme):
+        monkeypatch.setitem(COUNTERS, "update_i", ("ctr_i", 2))
+        res = replay(self.wrapping_trace()[0], scheme, payload_mode="verify")
+        assert res.clean and res.rekey_events == 0
 
 
 class TestGroupSpans:
@@ -282,7 +326,6 @@ class TestFork:
         assert got.group_spans == want.group_spans
         assert got.group_totals == want.group_totals
         assert got.rekey_events == want.rekey_events
-        assert got.state == want.state
         assert got.memory._pages == want.memory._pages
 
     @pytest.mark.parametrize("scheme", SCHEMES)
