@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -19,6 +21,8 @@ from mgxsim.baseline import (
 from mgxsim.dram import BitFlip, PhysicalMemory, Splice
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import ObjectDescriptor
+from mgxsim.replay import replay
+from mgxsim.workloads import cnn_inference_trace, cnn_training_trace, gact_trace, h264_trace
 
 MB = 1 << 20
 
@@ -633,3 +637,47 @@ class TestRoundTrip:
         ct2 = mem.peek(0, 64)
         assert ct1 != data and ct2 != data
         assert ct1 != ct2  # VN bump refreshes the keystream
+
+
+class TestFrozenBytes:
+    """The baseline's access log and memory contents after four small
+    replays, as sha256 digests frozen from a known-good build: a change to
+    how the engine holds its metadata must leave both byte for byte. Each
+    record is hashed packed `>BQQ` (kind code, address, length) and each
+    non-zero page with its number, so page allocation order does not matter."""
+
+    DIGESTS = {
+        "h264": "0bb671c846694338fe51249522002ab6a631bdcb5265bf793e6586146d8fd3f0",
+        "gact": "45a9d390247e233ce71b293985f11aa73d04d489e6a0eff8d5122bd2ce52fa14",
+        "lenet-training": "2adf9c9f414b8813c1170fe027224fcd6e4e6a0a23ee91fa23607340742b8720",
+        "micro": "b705b6b6224f2d4863825b1d657af1e157b9fbb67b92aa367b4981d290e8829f",
+    }
+
+    @staticmethod
+    def digest(res) -> str:
+        h = hashlib.sha256()
+        log = res.log
+        for code, addr, length in zip(log.codes, log.addrs, log.lengths):
+            h.update(struct.pack(">BQQ", code, addr, length))
+        for n, page in sorted(res.memory._pages.items()):
+            if any(page):
+                h.update(struct.pack(">Q", n) + page)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_replay_bytes_frozen(self, case, micro_graph, lenet_graph):
+        small_gact = dict(
+            batches=1, queries_per_batch=2, reference_bytes=1 << 14,
+            seed_table_bytes=1 << 12, pos_table_bytes=1 << 13,
+        )
+        res = {
+            "h264": lambda: replay(h264_trace("IBPB" * 2, frame_bytes=4096), "baseline",
+                                   payload_mode="verify", cache_kb=1, tree_arity=4),
+            "gact": lambda: replay(gact_trace(**small_gact), "baseline",
+                                   payload_mode="verify", cache_kb=1, tree_arity=2),
+            "lenet-training": lambda: replay(cnn_training_trace(lenet_graph), "baseline",
+                                             payload_mode="verify", tree_arity=2),
+            "micro": lambda: replay(cnn_inference_trace(micro_graph, 2), "baseline"),
+        }[case]()
+        assert res.clean
+        assert self.digest(res) == self.DIGESTS[case]
