@@ -9,7 +9,7 @@ protected region):
     level 0:      counter lines, `arity` 56-bit VNs (one per data block) plus a
                   56-bit embedded MAC per 64-byte line
     level i+1:    counter lines whose `arity` counters guard level-i lines
-    root:         a single on-chip counter array guarding the top stored level
+    root:         one on-chip counter line guarding the top stored level
 
 A counter line's embedded MAC binds its counters to the line address and to the
 counter its parent holds for it, so replaying a stale line fails against the
@@ -100,19 +100,9 @@ class BaselineGeometry:
         return self.level_bases[level] + index * LINE
 
 
-def pack_counter_line(counters: list[int]) -> bytearray:
-    """A counter line with its embedded MAC field still zero."""
-    out = bytearray(LINE)
-    for i, c in enumerate(counters):
-        out[i * CTR_W : (i + 1) * CTR_W] = c.to_bytes(CTR_W, "big")
-    return out
-
-
-def unpack_counter_line(raw: bytes, arity: int) -> tuple[list[int], bytes]:
-    counters = [
-        int.from_bytes(raw[i * CTR_W : (i + 1) * CTR_W], "big") for i in range(arity)
-    ]
-    return counters, raw[_MAC_OFF : _MAC_OFF + CTR_W]
+def _ctr(body: bytearray, slot: int) -> int:
+    """Counter `slot` of a counter line."""
+    return int.from_bytes(body[slot * CTR_W : (slot + 1) * CTR_W], "big")
 
 
 def _klass(level: int) -> str:
@@ -120,9 +110,10 @@ def _klass(level: int) -> str:
 
 
 class _Line:
-    """One cached metadata line. A counter line (tree level >= 0) keeps its
-    counters as ints in `body`; a data-MAC line (level _MAC) keeps its packed
-    64 bytes as a bytearray."""
+    """One on-chip metadata line: a counter line (tree level >= 0, or the
+    root above the top stored level) or a data-MAC line (level _MAC). `body`
+    is its 64 bytes as memory holds them; counter i of a counter line is the
+    7-byte big-endian slot [7i, 7i+7), read and bumped in place."""
 
     __slots__ = ("level", "index", "body", "dirty")
 
@@ -178,6 +169,8 @@ class BaselineMee:
         # First line address per cache level; index _MAC (-1) is the MAC region.
         self._bases = [*self.geom.level_bases, self.geom.mac_base]
         self._ctr_bytes = config.arity * CTR_W
+        # Bytes a fill keeps per cache level: the counters, or a whole MAC line.
+        self._kept = [self._ctr_bytes] * len(self.geom.level_counts) + [LINE]
         # Write-back generation per counter-line address; lets a miss in
         # flight notice that the line it is resolving was filled, modified
         # and evicted again by its own eviction cascade.
@@ -188,7 +181,7 @@ class BaselineMee:
         # copy; it gets the live in-flight line instead. Value is
         # [refcount, line] — re-eviction of a resurrected line nests.
         self._wb_inflight: dict[int, list] = {}
-        self.root = [0] * self.geom.root_fanout
+        self.root = _Line(len(self.geom.level_counts), 0, bytearray(LINE))
         self.rekey_events = 0
 
     def fork(self, memory: PhysicalMemory) -> "BaselineMee":
@@ -204,38 +197,31 @@ class BaselineMee:
             copied.dirty = line.dirty
         twin._wb_gen = dict(self._wb_gen)
         twin._wb_inflight = {}
-        twin.root = self.root[:]
+        twin.root = _Line(self.root.level, 0, self.root.body[:])
         return twin
 
     # -- cache internals ----------------------------------------------------
 
-    def _bump(self, counters: list[int], slot: int) -> int:
-        nv = counters[slot] + 1
+    def _bump(self, body: bytearray, slot: int) -> int:
+        nv = _ctr(body, slot) + 1
         if nv >= VN_LIMIT:
             # Overflow would reuse counter values under the current key; count
             # a re-key of the region and restart the counter. Re-encryption is
             # a statistic, not replayed traffic.
             self.rekey_events += 1
             nv = 1
-        counters[slot] = nv
+        body[slot * CTR_W : (slot + 1) * CTR_W] = nv.to_bytes(CTR_W, "big")
         return nv
 
-    def _parent_counter(self, level: int, index: int) -> int:
+    def _parent(self, level: int, index: int) -> _Line:
+        """The line holding the counter of line `index` at `level`, in slot
+        index % arity: the cached line above it, or the root."""
         if level == len(self.geom.level_counts) - 1:
-            return self.root[index]
-        parent = self._line(level + 1, index // self.geom.cfg.arity)
-        return parent.body[index % self.geom.cfg.arity]
-
-    def _bump_parent(self, level: int, index: int) -> int:
-        if level == len(self.geom.level_counts) - 1:
-            return self._bump(self.root, index)
-        parent = self._line(level + 1, index // self.geom.cfg.arity)
-        nv = self._bump(parent.body, index % self.geom.cfg.arity)
-        parent.dirty = True
-        return nv
+            return self.root
+        return self._line(level + 1, index // self.geom.cfg.arity)
 
     def _line_mac(self, raw: bytes, addr: int, pctr: int) -> bytes:
-        """Embedded MAC of a packed counter line under its parent counter."""
+        """Embedded MAC of a counter line under its parent counter."""
         return compute_mac(self.mac_key, raw[: self._ctr_bytes], addr, pctr)[:CTR_W]
 
     def _writeback(self, addr: int, line: _Line):
@@ -245,12 +231,13 @@ class BaselineMee:
         slot = self._wb_inflight.setdefault(addr, [0, line])
         slot[0] += 1
         try:
-            pctr = self._bump_parent(line.level, line.index)
+            parent = self._parent(line.level, line.index)
+            pctr = self._bump(parent.body, line.index % self.geom.cfg.arity)
+            parent.dirty = True
             self._wb_gen[addr] = self._wb_gen.get(addr, 0) + 1
-            raw = pack_counter_line(line.body)
             if self.crypto:
-                raw[_MAC_OFF : _MAC_OFF + CTR_W] = self._line_mac(raw, addr, pctr)
-            self.mem.write(addr, raw, _klass(line.level))
+                line.body[_MAC_OFF : _MAC_OFF + CTR_W] = self._line_mac(line.body, addr, pctr)
+            self.mem.write(addr, line.body, _klass(line.level))
         finally:
             slot[0] -= 1
             if slot[0] == 0:
@@ -265,7 +252,7 @@ class BaselineMee:
     def _line(self, level: int, index: int) -> _Line:
         """The cached line `index` of a tree level or of the MAC region
         (_MAC), read from memory and verified on a miss."""
-        addr = self._bases[level] + index * LINE
+        addr, arity = self._bases[level] + index * LINE, self.geom.cfg.arity
         while True:
             line = self._cache.get(addr)
             if line is not None:
@@ -275,7 +262,7 @@ class BaselineMee:
             # evict the parent line, but the captured value only goes stale if
             # this very line is written back meanwhile — caught below.
             gen = self._wb_gen.get(addr, 0)
-            pctr = 0 if level == _MAC else self._parent_counter(level, index)
+            pctr = 0 if level == _MAC else _ctr(self._parent(level, index).body, index % arity)
             self._make_room()
             line = self._cache.get(addr)
             if line is not None:
@@ -294,19 +281,16 @@ class BaselineMee:
                 # so the fill (traffic still issued) takes the live copy.
                 line = infl[1]
                 line.dirty = False
-            elif level == _MAC:
-                line = _Line(level, index, bytearray(raw))
             else:
-                counters, stored = unpack_counter_line(raw, self.geom.cfg.arity)
-                if self.crypto:
+                if self.crypto and level != _MAC:
                     if pctr == 0:
                         if raw != bytes(LINE):
                             raise TamperDetected(
                                 "counter line modified before first writeback", addr
                             )
-                    elif self._line_mac(raw, addr, pctr) != stored:
+                    elif self._line_mac(raw, addr, pctr) != raw[_MAC_OFF : _MAC_OFF + CTR_W]:
                         raise TamperDetected("counter line MAC mismatch", addr)
-                line = _Line(level, index, counters)
+                line = _Line(level, index, bytearray(raw[: self._kept[level]]).ljust(LINE, b"\0"))
             self._cache[addr] = line
             return line
 
@@ -390,7 +374,7 @@ class BaselineMee:
                 leaf_i, mac_i, pa = b // arity, b // _MAC_SLOTS, b * LINE
                 leaf = self._line(0, leaf_i)
                 slot = b % arity
-                run = leaf.body[slot : slot + n]
+                run = [_ctr(leaf.body, s) for s in range(slot, slot + n)]
                 written = run.index(0) if 0 in run else n
                 if written:
                     if n == 1:

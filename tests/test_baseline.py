@@ -15,9 +15,8 @@ from mgxsim.baseline import (
     BaselineConfig,
     BaselineGeometry,
     BaselineMee,
-    pack_counter_line,
-    unpack_counter_line,
 )
+from mgxsim.crypto import compute_mac
 from mgxsim.dram import BitFlip, PhysicalMemory, Splice
 from mgxsim.errors import ConfigError, SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import ObjectDescriptor
@@ -130,13 +129,36 @@ class TestGeometryFrozen:
         assert g.mac_slot(13) == (0x08000000 + 64, 5)
         assert g.level_line_addr(0, 3) == 0x09000000 + 3 * 64
 
-    def test_counter_line_packing_roundtrip(self):
-        counters = [1, VN_LIMIT - 1, 0, 7, 8, 9, 10, 11]
-        raw = pack_counter_line(counters)
-        assert raw[56:] == bytes(8)
-        raw[56:63] = b"seven07"
-        got, mac7 = unpack_counter_line(raw, 8)
-        assert got == counters and mac7 == b"seven07"
+    @pytest.mark.parametrize("crypto", [True, False], ids=["crypto", "fast"])
+    @pytest.mark.parametrize("arity", [4, 8])
+    def test_counter_line_stored_format(self, arity, crypto):
+        # After a flush, counter i of a leaf line sits big-endian at
+        # [7i, 7i+7), the bytes up to 56 are zero, the line's MAC under its
+        # parent counter is at [56, 63) (zero in fast mode) and byte 63 is
+        # zero. Padding is not covered by the MAC: a padding byte flipped in
+        # memory passes the next fill and is written back as zero.
+        eng, mem = make_engine(region_size=32768, arity=arity, crypto=crypto)
+        for b in range(arity):
+            for _ in range(b):
+                write_block(eng, b * 64, bytes(64))
+        eng.flush()
+        addr = eng.geom.level_line_addr(0, 0)
+
+        def check(counters, pctr):
+            raw = mem.peek(addr, 64)
+            assert [raw[7 * i : 7 * i + 7] for i in range(arity)] == [
+                c.to_bytes(7, "big") for c in counters
+            ]
+            assert raw[7 * arity : 56] == bytes(56 - 7 * arity) and raw[63] == 0
+            mac = compute_mac(pytest.mac_key, raw[: 7 * arity], addr, pctr)[:7]
+            assert raw[56:63] == (mac if crypto else bytes(7))
+
+        check(list(range(arity)), pctr=1)
+        for pad in [*range(7 * arity, 56), 63]:
+            mem.inject(BitFlip(addr + pad, pad % 8))
+        write_block(eng, 0, bytes(64))  # fills and verifies the leaf line
+        eng.flush()
+        check([1, *range(1, arity)], pctr=2)
 
 
 class TestAccessPatterns:
@@ -280,7 +302,7 @@ class TestDetection:
         write_block(eng, 0, payload)
         eng.flush()
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
-        eng2.root = list(eng.root)
+        eng2.root.body[:] = eng.root.body
         return eng2, mem, payload
 
     def test_read_of_never_written_block(self):
@@ -320,7 +342,7 @@ class TestDetection:
         eng.flush()
         mem.inject(Splice(leaf_addr, stale))
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
-        eng2.root = list(eng.root)
+        eng2.root.body[:] = eng.root.body
         with pytest.raises(TamperDetected, match="counter line MAC"):
             read_block(eng2, 0)
 
@@ -328,7 +350,7 @@ class TestDetection:
         # A fresh engine with an all-zero root must refuse any metadata that
         # claims to be the 0x00 cold fill but is not.
         eng, mem, _ = self._flushed_engine()
-        eng.root = [0] * eng.geom.root_fanout
+        eng.root.body[:] = bytes(64)
         with pytest.raises(TamperDetected, match="before first writeback"):
             read_block(eng, 0)
 
@@ -421,14 +443,17 @@ class TestDetection:
 
 
 class TestRekey:
+    LAST = (VN_LIMIT - 1).to_bytes(7, "big")
+    ONE = (1).to_bytes(7, "big")
+
     def test_leaf_counter_wrap_counts_rekey(self):
         eng, _ = make_engine(region_size=32768)
         write_block(eng, 0, bytes(64))
         leaf = eng._cache[eng.geom.level_line_addr(0, 0)]
-        leaf.body[0] = VN_LIMIT - 1
+        leaf.body[0:7] = self.LAST
         write_block(eng, 0, bytes(64))
         assert eng.rekey_events == 1
-        assert leaf.body[0] == 1
+        assert leaf.body[0:7] == self.ONE
 
     def test_parent_counter_wrap_on_writeback(self):
         eng, _ = make_engine(region_size=32768)
@@ -436,18 +461,30 @@ class TestRekey:
         # pretend the leaf line has been written back VN_LIMIT-1 times, then
         # trigger one more parent bump (as a leaf write-back would)
         parent = eng._cache[eng.geom.level_line_addr(1, 0)]
-        parent.body[0] = VN_LIMIT - 1
-        assert eng._bump_parent(0, 0) == 1
+        assert eng._parent(0, 0) is parent
+        parent.body[0:7] = self.LAST
+        assert eng._bump(eng._parent(0, 0).body, 0) == 1
         assert eng.rekey_events == 1
-        assert parent.body[0] == 1 and parent.dirty
+        assert parent.body[0:7] == self.ONE
+
+    def test_parent_marked_dirty_on_writeback(self):
+        eng, mem = make_engine(region_size=32768)
+        write_block(eng, 0, bytes(64))
+        addr = eng.geom.level_line_addr(0, 0)
+        parent = eng._cache[eng.geom.level_line_addr(1, 0)]
+        assert not parent.dirty
+        eng._writeback(addr, eng._cache.pop(addr))
+        assert parent.body[0:7] == self.ONE and parent.dirty
+        assert mem.peek(addr, 7) == self.ONE
 
     def test_root_counter_wrap(self):
         # region 32768 has stored levels [64, 8]; level 1 is topmost stored,
-        # so bumping its parent touches the on-chip root array
+        # so its parent is the on-chip root line
         eng, _ = make_engine(region_size=32768)
-        eng.root[0] = VN_LIMIT - 1
-        assert eng._bump_parent(1, 0) == 1
-        assert eng.root[0] == 1
+        assert eng._parent(1, 0) is eng.root
+        eng.root.body[0:7] = self.LAST
+        assert eng._bump(eng._parent(1, 0).body, 0) == 1
+        assert eng.root.body[0:7] == self.ONE
         assert eng.rekey_events == 1
 
 
@@ -623,7 +660,7 @@ class TestRoundTrip:
         eng.flush()
         # Cold restart on the same memory: only the on-chip root carries over.
         eng2, _ = make_engine(region_size=region, arity=arity, cache=cache, mem=mem)
-        eng2.root = list(eng.root)
+        eng2.root.body[:] = eng.root.body
         for blk, data in shadow.items():
             pt = read_block(eng2, blk * 64)
             assert pt == data
