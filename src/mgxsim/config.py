@@ -6,8 +6,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, has_type
 from .perf import ComputeModel, DramModel, SimResult, simulate, stats_row
 from .replay import PAYLOAD_MODES, SCHEMES
 
@@ -31,22 +32,25 @@ class ExperimentConfig:
     workload_args: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, hint in get_type_hints(ExperimentConfig).items():
+            value = getattr(self, name)
+            if not has_type(value, hint):
+                kind = getattr(hint, "__name__", hint)
+                raise ConfigError(f"config key {name}={value!r} must be {kind}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.payload_mode not in PAYLOAD_MODES:
             raise ConfigError(
                 f"unknown payload mode {self.payload_mode!r}; expected one of {PAYLOAD_MODES}"
             )
-        if self.channels < 1:
-            raise ConfigError("channels must be at least 1")
         if self.cache_kb < 1:
             raise ConfigError("cache_kb must be at least 1")
         if self.region_mb < 1:
             raise ConfigError("region_mb must be at least 1")
         if self.mac_granularity < 1:
             raise ConfigError("mac_granularity must be at least 1 byte")
-        if not isinstance(self.workload_args, dict):
-            raise ConfigError("workload_args must be a JSON object")
+        self.dram_model()  # the timing models check their own ranges
+        self.compute_model()
 
     # -- serialization ------------------------------------------------------
 

@@ -7,6 +7,13 @@ class ConfigError(ValueError):
     """Invalid configuration value (bad scheme name, vID overflow, odd region size, ...)."""
 
 
+def has_type(value, annotation) -> bool:
+    """Whether a configured value has its annotated type: an int passes for a
+    float, and a bool passes only for a bool."""
+    want = (int, float) if annotation is float else annotation
+    return isinstance(value, want) and (annotation is bool or not isinstance(value, bool))
+
+
 class TraceFormatError(ConfigError):
     """A trace artifact on disk is malformed or internally inconsistent.
 

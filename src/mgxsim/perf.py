@@ -24,6 +24,7 @@ unprotected replay moves exactly the named bytes, so its ratio is 1.0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -41,9 +42,16 @@ class DramModel:
 
     def __post_init__(self):
         if self.channels < 1:
-            raise ConfigError("need at least one DRAM channel")
-        if self.bytes_per_cycle_per_channel <= 0:
-            raise ConfigError("bytes per cycle per channel must be positive")
+            raise ConfigError(f"channels={self.channels!r} must be at least 1")
+        if not 0 < self.bytes_per_cycle_per_channel < math.inf:
+            raise ConfigError(
+                f"bytes_per_cycle_per_channel={self.bytes_per_cycle_per_channel!r} "
+                "must be positive and finite"
+            )
+        if not 0 <= self.fixed_latency < math.inf:
+            raise ConfigError(
+                f"fixed_latency={self.fixed_latency!r} must be non-negative and finite"
+            )
 
     @property
     def bandwidth(self) -> float:
@@ -56,8 +64,8 @@ class ComputeModel:
     macs_per_cycle: float = 2048.0
 
     def __post_init__(self):
-        if self.macs_per_cycle <= 0:
-            raise ConfigError("compute throughput must be positive")
+        if not 0 < self.macs_per_cycle < math.inf:
+            raise ConfigError(f"macs_per_cycle={self.macs_per_cycle!r} must be positive and finite")
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import inspect
 
-from ..errors import ConfigError
+from ..errors import ConfigError, has_type
 from .cnn import cnn_inference_trace, cnn_training_trace
 from .gact import gact_trace
 from .graph import PRESETS, NetworkGraph, load_graph, load_preset
@@ -96,7 +96,6 @@ def _generate(gen, args: dict, *lead, **fixed) -> Trace:
         p = params.get(name)
         if p is None or name in taken:
             raise ConfigError(f"{gen.__name__} takes no --arg {name!r}")
-        want = (int, float) if p.annotation is float else p.annotation
-        if isinstance(value, bool) or not isinstance(value, want):
+        if not has_type(value, p.annotation):
             raise ConfigError(f"--arg {name}={value!r} must be {p.annotation.__name__}")
     return gen(*lead, **fixed, **args)

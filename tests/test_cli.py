@@ -180,6 +180,44 @@ class TestConfigExits:
         rc = entry(["attack", "--workload", "micro", "--scheme", "none", "--trials", "1"])
         assert rc == EXIT_CONFIG
 
+    SWEEP = ["sweep", "--param"]
+
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            # each ended in a TypeError or AttributeError traceback
+            pytest.param(["run"], {"channels": "2"}, "channels", id="channels-str"),
+            pytest.param(["run"], {"cache_kb": None}, "cache_kb", id="cache_kb-null"),
+            pytest.param(["run"], {"macs_per_cycle": "x"}, "macs_per_cycle", id="macs-str"),
+            pytest.param(SWEEP + ["channels", "--values", '"2"'], {}, "channels",
+                         id="sweep-channels-str"),
+            pytest.param(["run"], {"workload": 5}, "workload", id="workload-int"),
+            # each ran and exited 0
+            pytest.param(["run"], {"out": 1}, "out", id="out-int"),
+            pytest.param(["run"], {"background_writes": "no"}, "background_writes",
+                         id="background_writes-str"),
+            pytest.param(["run"], {"channels": True}, "channels", id="channels-bool"),
+            pytest.param(["run"], {"seed": 1.5}, "seed", id="seed-float"),
+            pytest.param(SWEEP + ["seed", "--values", '"a"'], {}, "seed", id="sweep-seed-str"),
+            pytest.param(SWEEP + ["cache_kb", "--values", "1.5", "--scheme", "baseline"], {},
+                         "cache_kb", id="sweep-cache_kb-float"),
+            pytest.param(["run"], {"macs_per_cycle": math.nan}, "macs_per_cycle",
+                         id="macs-nan"),
+            pytest.param(["run"], {"fixed_latency": -1000}, "fixed_latency",
+                         id="fixed_latency-negative"),
+            # exited 2 without naming the key
+            pytest.param(SWEEP + ["mac_granularity", "--values", "true"], {}, "mac_granularity",
+                         id="sweep-mac_granularity-bool"),
+        ],
+    )
+    def test_config_value_of_wrong_type_or_range(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        rc = entry(command + ["--config", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
 
 class TestFileExits:
     """A file that cannot be read or written ends in exit 2 (exit 5 for a
