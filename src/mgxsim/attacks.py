@@ -32,13 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .baseline import CTR_W, BaselineGeometry
+from .baseline import CTR_W
 from .crypto import MAC_BYTES
 from .dram import LINE, BitFlip, PhysicalMemory, Relocate, Splice
 from .errors import ConfigError
 # `replay` is not called here; the benchmark's span tracer (bench/spans.py)
 # wraps `attacks.replay` by name, so the name stays importable.
-from .replay import ReplayResult, _Run, baseline_config, replay  # noqa: F401
+from .replay import ReplayResult, _Run, replay  # noqa: F401
 from .workloads.trace import READ, WRITE, Trace
 
 ATTACKS = ("bitflip", "splice", "relocate", "replay")
@@ -310,7 +310,7 @@ def run_campaign(
         raise ConfigError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
     if trials < 0:
         raise ConfigError(f"trials must be at least 0, got {trials}")
-    trace.validate()
+    shared = _Run(trace, scheme, "verify", region_mb, cache_kb, tree_arity)  # validates
     index = _TraceIndex(trace)
     if attack == "replay" and not index.replay_candidates:
         raise ConfigError(
@@ -318,9 +318,7 @@ def run_campaign(
         )
     if attack == "relocate" and not _has_relocation_source(index, scheme):
         raise ConfigError("no relocation source found for this trace")
-    geom = None
-    if scheme == "baseline":
-        geom = BaselineGeometry(baseline_config(trace, region_mb, cache_kb, tree_arity))
+    geom = shared.engine.geom if scheme == "baseline" else None
     build = _BUILDERS[attack]
     # event index -> hooks that only read memory, and -> (trial, last hook)
     readers: dict[int, list] = {}
@@ -333,7 +331,6 @@ def run_campaign(
         finals.setdefault(last, []).append((t, hooks[last]))
     outcomes: dict[int, tuple[str, str]] = {}
     if trials:
-        shared = _Run(trace, scheme, "verify", region_mb, cache_kb, tree_arity)
         for i in sorted(readers.keys() | finals.keys()):
             shared.run(i)
             if shared.over:

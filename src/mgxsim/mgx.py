@@ -299,11 +299,13 @@ class MgxMee:
         return pt[offset - span_start : end - span_start]
 
 
-def check_schedule(trace) -> None:
-    """Raise SecurityInvariantFault, naming the event, at the first event of a
-    valid `trace` that writes a (cipher block, VN) pair twice in one key epoch
-    (a counter wrap starts the next) or reads bytes not last written under its VN."""
-    vns, wraps = resolve_vns(trace)
+def check_schedule(trace) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
+    """Validate `trace` and return what its `validate()` returns, the walk
+    `(vns, wraps)` of `resolve_vns`. Raise SecurityInvariantFault, naming the
+    event, at the first event that writes a (cipher block, VN) pair twice in
+    one key epoch (a counter wrap starts the next) or reads bytes not last
+    written under its VN."""
+    vns, wraps = trace.validate()
     ledger = WriteLedger()
     # obj_id -> sorted, disjoint (start, end, vn) ranges under each byte's last VN
     shadow: dict[str, list[tuple[int, int, int]]] = {}
@@ -323,6 +325,7 @@ def check_schedule(trace) -> None:
                 _overwrite_shadow(ranges, ev.offset, end, vn)
     except SecurityInvariantFault as fault:
         raise SecurityInvariantFault(f"event {i}: {fault}") from None
+    return vns, wraps
 
 
 def _overwrite_shadow(ranges: list[tuple[int, int, int]], start: int, end: int, vn: int):

@@ -177,9 +177,8 @@ class _Run:
             raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         if payload_mode not in PAYLOAD_MODES:
             raise ConfigError(f"unknown payload mode {payload_mode!r}")
-        self.vns, self.wraps = trace.validate()
-        if scheme == "mgx":
-            check_schedule(trace)
+        # The trace's one counter walk, before any key or memory is made.
+        self.vns, self.wraps = check_schedule(trace) if scheme == "mgx" else trace.validate()
         use_crypto = payload_mode != "fast"
         enc_key, mac_key = derive_keys(trace.seed)
 

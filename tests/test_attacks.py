@@ -205,6 +205,28 @@ class TestValidation:
         res = run_campaign(attack_trace, "mgx", "bitflip", trials=0)
         assert res.trials == 0 and res.examples == []
 
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("scheme", ["none", "mgx", "baseline"])
+    def test_one_counter_walk_per_campaign(self, scheme, trials, attack_trace, monkeypatch):
+        # validation, the schedule check and the shared replay all take
+        # their VNs from one resolve_vns call
+        import mgxsim.mgx as mgx_module
+        import mgxsim.workloads.trace as trace_module
+
+        walks = []
+        resolve = mgx_module.resolve_vns
+        for module in (mgx_module, trace_module):
+            monkeypatch.setattr(module, "resolve_vns", lambda t: walks.append(t) or resolve(t))
+        run_campaign(attack_trace, scheme, "bitflip", trials=trials)
+        assert walks == [attack_trace]
+        walks.clear()
+        replay(attack_trace, scheme)
+        assert walks == [attack_trace]
+
+    def test_pre_pass_checks_the_schedule(self, broken_schedule_trace):
+        with pytest.raises(SecurityInvariantFault, match=r"^event 4: counter reuse"):
+            run_campaign(broken_schedule_trace, "mgx", "bitflip", trials=0)
+
     @pytest.mark.parametrize("scheme", ["mgx", "baseline"])
     def test_rare_relocation_source_still_found(self, scheme, rare_relocation_trace):
         # 64 random picks of a read mostly miss the one read with a source
