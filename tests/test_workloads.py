@@ -11,8 +11,11 @@ import json
 
 import pytest
 
+from baseline_oracle import oracle_for_trace
 from mgxsim.errors import ConfigError, TraceFormatError
 from mgxsim.mgx import MgxState
+from mgxsim.perf import traffic_increase
+from mgxsim.replay import baseline_config, replay
 from mgxsim.workloads import (
     PRESETS,
     NetworkGraph,
@@ -393,6 +396,17 @@ class TestRnn:
             unroll(micro_graph, 0)
         with pytest.raises(ConfigError):
             rnn_trace(micro_graph, 2, task="compile")
+
+    def test_training_replays_under_every_scheme(self):
+        # the unrolled training path: verify-clean under all three schemes,
+        # and the baseline's stream is the oracle's
+        trace = build_trace("rnn", args={"task": "training", "timesteps": 3})
+        assert trace.workload == "micro-rnn-T3-training"
+        runs = {s: replay(trace, s, payload_mode="verify") for s in ("none", "mgx", "baseline")}
+        assert all(run.clean for run in runs.values())
+        region = baseline_config(trace).region_size
+        assert list(runs["baseline"].log) == [tuple(a) for a in oracle_for_trace(trace, region)]
+        assert round(traffic_increase(runs["baseline"]), 4) == 1.4114
 
 
 class TestPruned:
