@@ -459,23 +459,14 @@ class TestRekey:
         eng, _ = make_engine(region_size=32768)
         write_block(eng, 0, bytes(64))
         # pretend the leaf line has been written back VN_LIMIT-1 times, then
-        # trigger one more parent bump (as a leaf write-back would)
-        parent = eng._cache[eng.geom.level_line_addr(1, 0)]
-        assert eng._parent(0, 0) is parent
-        parent.body[0:7] = self.LAST
-        assert eng._bump(eng._parent(0, 0).body, 0) == 1
-        assert eng.rekey_events == 1
-        assert parent.body[0:7] == self.ONE
-
-    def test_parent_marked_dirty_on_writeback(self):
-        eng, mem = make_engine(region_size=32768)
-        write_block(eng, 0, bytes(64))
+        # write it back once more
         addr = eng.geom.level_line_addr(0, 0)
         parent = eng._cache[eng.geom.level_line_addr(1, 0)]
-        assert not parent.dirty
+        assert eng._parent(0, 0) is parent and not parent.dirty
+        parent.body[0:7] = self.LAST
         eng._writeback(addr, eng._cache.pop(addr))
+        assert eng.rekey_events == 1
         assert parent.body[0:7] == self.ONE and parent.dirty
-        assert mem.peek(addr, 7) == self.ONE
 
     def test_root_counter_wrap(self):
         # region 32768 has stored levels [64, 8]; level 1 is topmost stored,
