@@ -43,6 +43,7 @@ CTR_W = 7  # packed width of one counter / one stored tag, bytes
 _MAC_OFF = 56  # embedded MAC offset inside a counter line
 _MAC_SLOTS = 8  # data MAC tags per 64-byte line, independent of tree arity
 _MAC = -1  # cache level of a data-MAC line; counter lines use tree levels 0..
+TREE_ARITIES = (2, 4, 8)  # counters per counter line; each divides _MAC_SLOTS
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class BaselineConfig:
     cache_bytes: int = 4096
 
     def __post_init__(self):
-        if self.arity not in (2, 4, 8):
+        if self.arity not in TREE_ARITIES:
             raise ConfigError(f"tree arity must be 2, 4 or 8, got {self.arity}")
         if self.region_size <= 0 or self.region_size % (LINE * _MAC_SLOTS):
             raise ConfigError("region size must be a positive multiple of 512 bytes")
@@ -105,8 +106,10 @@ def _ctr(body: bytearray, slot: int) -> int:
     return int.from_bytes(body[slot * CTR_W : (slot + 1) * CTR_W], "big")
 
 
-def _klass(level: int) -> str:
-    return MAC_LINE if level == _MAC else VN_LINE if level == 0 else TREE_NODE
+_NEVER = bytes(CTR_W)  # a counter slot that was never bumped
+# _ONES[n] adds 1 to each of n packed counters at once, carry-free as long
+# as none of them is at VN_LIMIT - 1.
+_ONES = [sum(1 << (8 * CTR_W * i) for i in range(n)) for n in range(_MAC_SLOTS + 1)]
 
 
 class _Line:
@@ -168,20 +171,24 @@ class BaselineMee:
         self._capacity = config.cache_bytes // LINE
         # First line address per cache level; index _MAC (-1) is the MAC region.
         self._bases = [*self.geom.level_bases, self.geom.mac_base]
+        levels = len(self.geom.level_counts)
+        self._klass = [VN_LINE] + [TREE_NODE] * (levels - 1) + [MAC_LINE]
+        self._top = levels - 1  # the root holds this level's counters
+        self._arity = config.arity
         self._ctr_bytes = config.arity * CTR_W
         # Bytes a fill keeps per cache level: the counters, or a whole MAC line.
-        self._kept = [self._ctr_bytes] * len(self.geom.level_counts) + [LINE]
+        self._kept = [self._ctr_bytes] * levels + [LINE]
         # Write-back generation per counter-line address; lets a miss in
         # flight notice that the line it is resolving was filled, modified
         # and evicted again by its own eviction cascade.
         self._wb_gen: dict[int, int] = {}
-        # Counter lines whose write-back is still executing (the parent bump
-        # can recurse into arbitrary evictions before the line lands in
-        # memory). A fill during that window must not trust the stale memory
-        # copy; it gets the live in-flight line instead. Value is
-        # [refcount, line] — re-eviction of a resurrected line nests.
+        # Counter lines whose write-back is filling its parent (the fill can
+        # recurse into arbitrary evictions before the line lands in memory).
+        # A fill during that window must not trust the stale memory copy; it
+        # gets the live in-flight line instead. Value is [refcount, line] —
+        # re-eviction of a resurrected line nests.
         self._wb_inflight: dict[int, list] = {}
-        self.root = _Line(len(self.geom.level_counts), 0, bytearray(LINE))
+        self.root = _Line(levels, 0, bytearray(LINE))
         self.rekey_events = 0
 
     def fork(self, memory: PhysicalMemory) -> "BaselineMee":
@@ -213,68 +220,96 @@ class BaselineMee:
         body[slot * CTR_W : (slot + 1) * CTR_W] = nv.to_bytes(CTR_W, "big")
         return nv
 
-    def _parent(self, level: int, index: int) -> _Line:
+    def _bump_run(self, body: bytearray, slot: int, n: int) -> list[int] | None:
+        """Bump counters slot..slot+n-1 of a counter line with one add and
+        return their new values, or None when crypto does not need them. A
+        run with a counter whose top byte is 0xff (any that could reach
+        VN_LIMIT) is bumped slot by slot, so that a wrap counts its re-key."""
+        lo, hi = slot * CTR_W, (slot + n) * CTR_W
+        if 0xFF in body[lo:hi:CTR_W]:
+            return [self._bump(body, s) for s in range(slot, slot + n)]
+        body[lo:hi] = raw = (int.from_bytes(body[lo:hi], "big") + _ONES[n]).to_bytes(hi - lo, "big")
+        if self.crypto:
+            return [int.from_bytes(raw[i : i + CTR_W], "big") for i in range(0, hi - lo, CTR_W)]
+        return None
+
+    def _parent(self, level: int, index: int) -> _Line | None:
         """The line holding the counter of line `index` at `level`, in slot
-        index % arity: the cached line above it, or the root."""
-        if level == len(self.geom.level_counts) - 1:
+        index % arity, if it is on chip: the root above the top stored level,
+        or the cached line above it, touched. None if it must be filled."""
+        if level == self._top:
             return self.root
-        return self._line(level + 1, index // self.geom.cfg.arity)
+        addr = self._bases[level + 1] + index // self._arity * LINE
+        line = self._cache.get(addr)
+        if line is not None:
+            self._cache.move_to_end(addr)
+        return line
 
     def _line_mac(self, raw: bytes, addr: int, pctr: int) -> bytes:
         """Embedded MAC of a counter line under its parent counter."""
         return compute_mac(self.mac_key, raw[: self._ctr_bytes], addr, pctr)[:CTR_W]
 
     def _writeback(self, addr: int, line: _Line):
-        if line.level == _MAC:
+        level, index = line.level, line.index
+        if level == _MAC:
             self.mem.write(addr, line.body, MAC_LINE)
             return
-        slot = self._wb_inflight.setdefault(addr, [0, line])
-        slot[0] += 1
-        try:
-            parent = self._parent(line.level, line.index)
-            pctr = self._bump(parent.body, line.index % self.geom.cfg.arity)
-            parent.dirty = True
-            self._wb_gen[addr] = self._wb_gen.get(addr, 0) + 1
-            if self.crypto:
-                line.body[_MAC_OFF : _MAC_OFF + CTR_W] = self._line_mac(line.body, addr, pctr)
-            self.mem.write(addr, line.body, _klass(line.level))
-        finally:
-            slot[0] -= 1
-            if slot[0] == 0:
-                del self._wb_inflight[addr]
-
-    def _make_room(self):
-        while len(self._cache) >= self._capacity:
-            victim, line = self._cache.popitem(last=False)
-            if line.dirty:
-                self._writeback(victim, line)
+        parent = self._parent(level, index)
+        if parent is None:
+            # Filling the parent can evict lines whose write-backs fill this
+            # very line, which memory does not hold until the write below:
+            # while the fill runs, such a fill takes the live copy.
+            slot = self._wb_inflight.setdefault(addr, [0, line])
+            slot[0] += 1
+            try:
+                parent = self._line(level + 1, index // self._arity)
+            finally:
+                slot[0] -= 1
+                if slot[0] == 0:
+                    del self._wb_inflight[addr]
+        pctr = self._bump(parent.body, index % self._arity)
+        parent.dirty = True
+        self._wb_gen[addr] = self._wb_gen.get(addr, 0) + 1
+        if self.crypto:
+            line.body[_MAC_OFF : _MAC_OFF + CTR_W] = self._line_mac(line.body, addr, pctr)
+        self.mem.write(addr, line.body, self._klass[level])
 
     def _line(self, level: int, index: int) -> _Line:
         """The cached line `index` of a tree level or of the MAC region
         (_MAC), read from memory and verified on a miss."""
-        addr, arity = self._bases[level] + index * LINE, self.geom.cfg.arity
+        cache = self._cache
+        addr = self._bases[level] + index * LINE
+        line = cache.get(addr)
+        if line is not None:
+            cache.move_to_end(addr)
+            return line
         while True:
-            line = self._cache.get(addr)
-            if line is not None:
-                self._cache.move_to_end(addr)
-                return line
             # Capture the parent counter before making room: making room may
             # evict the parent line, but the captured value only goes stale if
             # this very line is written back meanwhile — caught below.
             gen = self._wb_gen.get(addr, 0)
-            pctr = 0 if level == _MAC else _ctr(self._parent(level, index).body, index % arity)
-            self._make_room()
-            line = self._cache.get(addr)
+            pctr = 0
+            if level != _MAC:
+                parent = self._parent(level, index)
+                if parent is None:
+                    parent = self._line(level + 1, index // self._arity)
+                if self.crypto:
+                    pctr = _ctr(parent.body, index % self._arity)
+            while len(cache) >= self._capacity:
+                victim, old = cache.popitem(last=False)
+                if old.dirty:
+                    self._writeback(victim, old)
+            line = cache.get(addr)
             if line is not None:
                 # A victim's write-back cascade resolved this line on our
                 # behalf; it is verified and may already carry a counter bump.
-                self._cache.move_to_end(addr)
+                cache.move_to_end(addr)
                 return line
             if self._wb_gen.get(addr, 0) != gen:
                 # Filled, modified and evicted again while room was being
                 # made; the captured parent counter is stale. Start over.
                 continue
-            raw = self.mem.read(addr, LINE, _klass(level))
+            raw = self.mem.read(addr, LINE, self._klass[level])
             infl = self._wb_inflight.get(addr)
             if infl is not None:
                 # The line is mid write-back: memory does not hold it yet,
@@ -291,7 +326,7 @@ class BaselineMee:
                     elif self._line_mac(raw, addr, pctr) != raw[_MAC_OFF : _MAC_OFF + CTR_W]:
                         raise TamperDetected("counter line MAC mismatch", addr)
                 line = _Line(level, index, bytearray(raw[: self._kept[level]]).ljust(LINE, b"\0"))
-            self._cache[addr] = line
+            cache[addr] = line
             return line
 
     def flush(self):
@@ -305,51 +340,52 @@ class BaselineMee:
     #
     # Blocks move in runs that share one leaf counter line, `arity` blocks
     # long; since the arity divides 8, a run also shares one MAC line. At
-    # each block b the loops ask whether both lines of b's run are cached.
-    # If they are, the rest of the run moves as one access: the two lines
-    # are hit once each, leaf then MAC line, which leaves the LRU order that
-    # the run's per-block hits would leave; its counters are bumped or read
-    # in the held leaf line, its data crosses memory in one call that logs
-    # one record per block, and a write encrypts it with one keystream call.
-    # Otherwise block b alone moves through the cache (leaf line, data, MAC
-    # line) and the question is asked again at b + 1. A read decrypts all of
-    # its blocks with one keystream call at its end.
+    # each block b the loops look up the leaf line of b's run once; if it
+    # is cached they touch it and ask whether the run's MAC line is cached
+    # too. If both are, the rest of the run moves as one access: the two
+    # lines are hit once each, leaf then MAC line, which leaves the LRU
+    # order that the run's per-block hits would leave; its counters are
+    # bumped with one add, or searched for a never-written one with one
+    # find, in the held leaf line; its data crosses memory in one call that
+    # logs one record per block, and a write encrypts it with one keystream
+    # call. Otherwise block b alone moves through the cache (leaf line,
+    # data, MAC line) and the question is asked again at b + 1. Counter
+    # values are decoded only for crypto. A read decrypts all of its blocks
+    # with one keystream call at its end.
 
     def _tag(self, b: int, ct: bytes, vn: int) -> bytes:
         """The stored MAC tag of data block `b`."""
         return compute_mac(self.mac_key, ct, b * LINE, vn)[:CTR_W]
 
-    def _run_length(self, b: int, end: int) -> int:
-        """Blocks the move from block `b` covers: the rest of b's run below
-        `end` if its leaf and MAC lines are both cached, else 1."""
-        arity = self.geom.cfg.arity
-        leaf_i = b // arity
-        cache = self._cache
-        if (
-            self._bases[0] + leaf_i * LINE in cache
-            and self._bases[_MAC] + b // _MAC_SLOTS * LINE in cache
-        ):
-            return min(end, (leaf_i + 1) * arity) - b
-        return 1
-
     def _write(self, first: int, data: bytes):
         """Encrypt and store whole blocks from `first` on."""
-        arity = self.geom.cfg.arity
+        arity, cache, crypto = self._arity, self._cache, self.crypto
+        leaf_base, mac_base = self._bases[0], self._bases[_MAC]
         b, end = first, first + len(data) // LINE
         while b < end:
-            n = self._run_length(b, end)
-            pa, slot = b * LINE, b % arity
-            leaf = self._line(0, b // arity)
-            vns = [self._bump(leaf.body, v) for v in range(slot, slot + n)]
+            leaf_i, mac_i, pa = b // arity, b // _MAC_SLOTS, b * LINE
+            leaf_a, mac_a = leaf_base + leaf_i * LINE, mac_base + mac_i * LINE
+            leaf, mline, n = cache.get(leaf_a), None, 1
+            if leaf is None:
+                leaf = self._line(0, leaf_i)
+            else:
+                cache.move_to_end(leaf_a)
+                mline = cache.get(mac_a)
+                if mline is not None:
+                    n = min(end, (leaf_i + 1) * arity) - b
+            vns = self._bump_run(leaf.body, b % arity, n)
             leaf.dirty = True
-            if self.crypto:
+            if crypto:
                 pos = (b - first) * LINE
                 ct = keystream_xor(self.enc_key, pa, vns, data[pos : pos + n * LINE])
             else:
                 ct = bytes(n * LINE)
             self.mem.write(pa, ct, DATA, lines=n > 1)
-            mline = self._line(_MAC, b // _MAC_SLOTS)
-            if self.crypto:
+            if mline is None:
+                mline = self._line(_MAC, mac_i)
+            else:
+                cache.move_to_end(mac_a)
+            if crypto:
                 s = b % _MAC_SLOTS * CTR_W
                 for i, vn in enumerate(vns):
                     tag = self._tag(b + i, ct[i * LINE : (i + 1) * LINE], vn)
@@ -365,26 +401,46 @@ class BaselineMee:
         never-written one on. So the blocks of a held run are checked on a
         peek first, and its logged fetch stops where block-by-block reads
         would have stopped."""
-        arity, mem, crypto = self.geom.cfg.arity, self.mem, self.crypto
+        arity, cache, mem, crypto = self._arity, self._cache, self.mem, self.crypto
+        leaf_base, mac_base = self._bases[0], self._bases[_MAC]
         cts, vns = [], []  # ciphertext and VN of each verified block, in order
         b, end = first, first + count
         try:
             while b < end:
-                n = self._run_length(b, end)
                 leaf_i, mac_i, pa = b // arity, b // _MAC_SLOTS, b * LINE
-                leaf = self._line(0, leaf_i)
-                slot = b % arity
-                run = [_ctr(leaf.body, s) for s in range(slot, slot + n)]
-                written = run.index(0) if 0 in run else n
+                leaf_a, mac_a = leaf_base + leaf_i * LINE, mac_base + mac_i * LINE
+                leaf, mline, n = cache.get(leaf_a), None, 1
+                if leaf is None:
+                    leaf = self._line(0, leaf_i)
+                else:
+                    cache.move_to_end(leaf_a)
+                    mline = cache.get(mac_a)
+                    if mline is not None:
+                        n = min(end, (leaf_i + 1) * arity) - b
+                # The first never-written counter of the run: a zero slot,
+                # not seven zero bytes that straddle two slots.
+                body, lo = leaf.body, b % arity * CTR_W
+                hi = lo + n * CTR_W
+                z = body.find(_NEVER, lo, hi)
+                while z >= 0 and z % CTR_W:
+                    z = body.find(_NEVER, z - z % CTR_W + CTR_W, hi)
+                written = n if z < 0 else (z - lo) // CTR_W
                 if written:
                     if n == 1:
                         ct = mem.read(pa, LINE, DATA)
-                        mline = self._line(_MAC, mac_i)
+                        if mline is None:
+                            mline = self._line(_MAC, mac_i)
+                        else:
+                            cache.move_to_end(mac_a)
                     else:
-                        mline = self._line(_MAC, mac_i)
+                        cache.move_to_end(mac_a)
                         ct = mem.peek(pa, written * LINE) if crypto else None
                     good = written
                     if crypto:
+                        run = [
+                            int.from_bytes(body[s : s + CTR_W], "big")
+                            for s in range(lo, lo + written * CTR_W, CTR_W)
+                        ]
                         s = b % _MAC_SLOTS * CTR_W
                         for i in range(written):
                             tag = self._tag(b + i, ct[i * LINE : (i + 1) * LINE], run[i])

@@ -22,6 +22,7 @@ import sys
 from functools import cache, partial
 
 from .attacks import ATTACKS, run_campaign
+from .baseline import TREE_ARITIES
 from .config import ExperimentConfig, read_config, run_experiment, sweep_experiment
 from .errors import (
     ConfigError,
@@ -48,7 +49,7 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--channels", type=int)
     p.add_argument("--cache-kb", type=int, dest="cache_kb")
     p.add_argument("--region-mb", type=int, dest="region_mb")
-    p.add_argument("--tree-arity", type=int, dest="tree_arity", choices=(2, 4, 8))
+    p.add_argument("--tree-arity", type=int, dest="tree_arity", choices=TREE_ARITIES)
     p.add_argument("--mac-granularity", type=int, dest="mac_granularity")
     p.add_argument("--seed", type=int)
     p.add_argument("--payload-mode", dest="payload_mode", choices=PAYLOAD_MODES)

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
+from .baseline import TREE_ARITIES
 from .errors import ConfigError, has_type
 from .perf import ComputeModel, DramModel, SimResult, simulate, stats_row
 from .replay import PAYLOAD_MODES, SCHEMES
@@ -47,6 +48,8 @@ class ExperimentConfig:
             raise ConfigError("cache_kb must be at least 1")
         if self.region_mb < 1:
             raise ConfigError("region_mb must be at least 1")
+        if self.tree_arity not in TREE_ARITIES:
+            raise ConfigError(f"config key tree_arity={self.tree_arity} must be 2, 4 or 8")
         if self.mac_granularity < 1:
             raise ConfigError("mac_granularity must be at least 1 byte")
         self.dram_model()  # the timing models check their own ranges
@@ -125,16 +128,13 @@ def sweep_experiment(cfg: ExperimentConfig, param: str, values: list) -> list[di
     """Run the experiment once per value of `param` and return stats rows.
 
     `param` may name any config field or, failing that, a workload argument.
+    Every value's config is built, and so checked, before the first replay.
     """
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    rows = []
+    subs = []
     for v in values:
         if param in fields:
-            sub = dataclasses.replace(cfg, **{param: v})
+            subs.append(dataclasses.replace(cfg, **{param: v}))
         else:
-            args = dict(cfg.workload_args)
-            args[param] = v
-            sub = dataclasses.replace(cfg, workload_args=args)
-        sim = run_experiment(sub)
-        rows.append(stats_row(sim, param, v))
-    return rows
+            subs.append(dataclasses.replace(cfg, workload_args={**cfg.workload_args, param: v}))
+    return [stats_row(run_experiment(sub), param, v) for sub, v in zip(subs, values)]

@@ -217,9 +217,21 @@ class PhysicalMemory:
     # -- logged access (the accelerator-side interface) ---------------------
 
     # With lines=True an access of several 64-byte lines is logged as one
-    # record per line, as if each line had been accessed on its own.
+    # record per line, as if each line had been accessed on its own. An
+    # access inside capacity and one page, logged as one record, is served
+    # inline (the common 64-byte line); every other goes through peek/poke.
 
     def read(self, addr: int, length: int, klass: str = DATA, lines: bool = False) -> bytes:
+        off = addr % PAGE
+        if off + length <= PAGE and not lines and 0 <= addr <= addr + length <= self.capacity:
+            buf = self._pages.get(addr // PAGE)
+            out = bytes(length) if buf is None else bytes(buf[off : off + length])
+            code, log = _READ_CODE[klass], self.log
+            log.codes.append(code)
+            log.addrs.append(addr)
+            log.lengths.append(length)
+            log.byte_totals[code] += length
+            return out
         out = self.peek(addr, length)
         if lines:
             self.log.add_lines(_READ_CODE[klass], addr, length)
@@ -228,11 +240,25 @@ class PhysicalMemory:
         return out
 
     def write(self, addr: int, data: bytes, klass: str = DATA, lines: bool = False):
+        length, off = len(data), addr % PAGE
+        if off + length <= PAGE and not lines and 0 <= addr <= addr + length <= self.capacity:
+            buf = self._pages.get(addr // PAGE)
+            if buf is not None:
+                buf[off : off + length] = data
+            elif not _ZERO_PAGE.startswith(data):
+                buf = self._pages[addr // PAGE] = bytearray(PAGE)
+                buf[off : off + length] = data
+            code, log = _WRITE_CODE[klass], self.log
+            log.codes.append(code)
+            log.addrs.append(addr)
+            log.lengths.append(length)
+            log.byte_totals[code] += length
+            return
         self.poke(addr, data)
         if lines:
-            self.log.add_lines(_WRITE_CODE[klass], addr, len(data))
+            self.log.add_lines(_WRITE_CODE[klass], addr, length)
         else:
-            self.log.add(_WRITE_CODE[klass], addr, len(data))
+            self.log.add(_WRITE_CODE[klass], addr, length)
 
     # -- tamper API ---------------------------------------------------------
 

@@ -9,7 +9,8 @@ import struct
 import pytest
 
 import mgxsim.baseline as baseline_module
-from baseline_oracle import BaselineOracle
+import mgxsim.replay as replay_module
+from baseline_oracle import BaselineOracle, oracle_for_trace
 from mgxsim.baseline import (
     VN_LIMIT,
     BaselineConfig,
@@ -629,6 +630,74 @@ class TestObjectOracleParity:
                 off_eng.load(obj, 0, off, n)
         off_eng.flush()
         assert off_mem.log == list(mem.log)
+
+
+class TestWritebackParentFill:
+    """A write-back whose parent line is not cached fills it, with the line
+    registered as in flight. On ResNet-50 nearly every write-back finds its
+    parent cached, so this replays an H.264 trace under a two-line arity-2
+    cache, where the parent fill is the common case."""
+
+    def test_stream_and_data_with_parent_fills(self, monkeypatch):
+        trace = h264_trace("IBPB" * 2, frame_bytes=4096)
+        cfg = BaselineConfig(1 << 14, 2, 128)
+        monkeypatch.setattr(replay_module, "baseline_config", lambda *args: cfg)
+        in_fill = []  # _line calls made while a write-back fills its parent
+        line = BaselineMee._line
+
+        def counting_line(self, level, index):
+            if self._wb_inflight:
+                in_fill.append(level)
+            return line(self, level, index)
+
+        monkeypatch.setattr(BaselineMee, "_line", counting_line)
+        res = replay(trace, "baseline", payload_mode="verify")
+        assert res.clean
+        assert in_fill
+        want = oracle_for_trace(trace, cfg.region_size, cfg.arity, cfg.cache_bytes)
+        assert list(res.log) == [tuple(a) for a in want]
+
+
+class TestRunCounters:
+    """A held run's counters are bumped with one add over their packed
+    bytes, and searched for a never-written one with one find."""
+
+    @pytest.mark.parametrize("crypto", [True, False], ids=["crypto", "fast"])
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            {3: VN_LIMIT - 1, 5: VN_LIMIT - 2, 6: 0xFF << 48},  # slot 3 wraps
+            {0: (1 << 48) - 1, 4: (1 << 55) - 1, 7: 12345},  # carries inside slots
+        ],
+        ids=["wrap", "no-wrap"],
+    )
+    def test_run_bump_matches_per_slot_bumps(self, crypto, preset):
+        eng, _ = make_engine(region_size=32768, crypto=crypto)
+        region = _whole_region(eng)
+        eng.store(region, 0, 0, 8 * 64, lambda o, n: bytes(n))
+        leaf = eng._cache[eng.geom.level_line_addr(0, 0)]
+        for slot, value in preset.items():
+            leaf.body[slot * 7 : slot * 7 + 7] = value.to_bytes(7, "big")
+        want, ref = leaf.body[:], make_engine(region_size=32768, crypto=crypto)[0]
+        for slot in range(8):
+            ref._bump(want, slot)
+        data = random.Random(3).randbytes(8 * 64)
+        eng.store(region, 0, 0, 8 * 64, lambda o, n: data)  # one held run of 8
+        assert leaf.body == want
+        assert eng.rekey_events == ref.rekey_events == (VN_LIMIT - 1 in preset.values())
+        assert eng.load(region, 0, 0, 8 * 64) == (data if crypto else bytes(8 * 64))
+
+    def test_unaligned_zero_bytes_are_not_a_never_written_counter(self):
+        eng, _ = make_engine(region_size=32768, crypto=False)
+        region = _whole_region(eng)
+        eng.store(region, 0, 0, 2 * 64, lambda o, n: bytes(n))
+        leaf = eng._cache[eng.geom.level_line_addr(0, 0)]
+        # counters 256 and 1: seven zero bytes from byte 6 to byte 12
+        leaf.body[0:14] = (256).to_bytes(7, "big") + (1).to_bytes(7, "big")
+        assert eng.load(region, 0, 0, 2 * 64) == bytes(128)  # one held run of 2
+        leaf.body[7:14] = bytes(7)
+        with pytest.raises(SecurityInvariantFault, match="addr=0x40"):
+            eng.load(region, 0, 0, 2 * 64)
 
 
 class TestRoundTrip:

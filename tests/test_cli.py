@@ -208,6 +208,10 @@ class TestConfigExits:
             # exited 2 without naming the key
             pytest.param(SWEEP + ["mac_granularity", "--values", "true"], {}, "mac_granularity",
                          id="sweep-mac_granularity-bool"),
+            # each ran and exited 0: only a baseline replay checked the arity
+            pytest.param(["run"], {"tree_arity": 3}, "tree_arity", id="tree_arity-3"),
+            pytest.param(["run", "--scheme", "none"], {"tree_arity": 16}, "tree_arity",
+                         id="tree_arity-16-none"),
         ],
     )
     def test_config_value_of_wrong_type_or_range(self, tmp_path, capsys, command, config, key):
@@ -554,6 +558,31 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert out.count("param=frame_bytes") == 2
+
+    @pytest.mark.parametrize("scheme", ["mgx", "none"])
+    def test_tree_arity_outside_choices_rejected(self, capsys, scheme):
+        argv = ["sweep", "--workload", "micro", "--scheme", scheme, "--param", "tree_arity"]
+        rc = entry(argv + ["--values", "3"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "tree_arity" in err
+
+    def test_bad_value_stops_before_any_replay(self, capsys, monkeypatch):
+        import mgxsim.config as config_module
+
+        replays = []
+        real = config_module.run_experiment
+        monkeypatch.setattr(
+            config_module, "run_experiment", lambda cfg: replays.append(cfg) or real(cfg)
+        )
+        argv = ["sweep", "--workload", "h264", "--scheme", "baseline", "--param", "channels"]
+        rc = entry(argv + ["--values", '1,"2"'])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == "" and replays == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and "channels" in err
+        # the same sweep with good values replays once per value
+        assert entry(argv + ["--values", "1,2"]) == EXIT_OK
+        assert [c.channels for c in replays] == [1, 2]
 
     def test_empty_values_rejected(self, capsys):
         rc = entry(

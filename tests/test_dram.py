@@ -209,6 +209,46 @@ class TestLogging:
         mem.write(100, b"payload", DATA)
         assert mem.read(100, 7, DATA) == b"payload"
 
+    @pytest.mark.parametrize("addr", [-64, -1, 4 * PAGE - 63, 4 * PAGE])
+    def test_access_outside_capacity_raises_and_logs_nothing(self, addr):
+        mem = PhysicalMemory(capacity=4 * PAGE)
+        with pytest.raises(AddressError):
+            mem.read(addr, 64, VN_LINE)
+        with pytest.raises(AddressError):
+            mem.write(addr, b"\x01" * 64, VN_LINE)
+        with pytest.raises(AddressError):
+            mem.read(64, -1)
+        assert mem.log == [] and mem.log.byte_totals == [0] * len(RECORD_KINDS)
+        assert mem._pages == {}
+
+    def test_zero_write_to_absent_page_allocates_none(self):
+        mem = PhysicalMemory(capacity=4 * PAGE)
+        mem.write(PAGE + 64, bytes(64), DATA)
+        assert mem._pages == {}
+        mem.write(PAGE + 128, b"\x05" * 64, MAC_LINE)
+        mem.write(PAGE + 128, bytes(64), MAC_LINE)  # zeros over a page still land
+        assert sorted(mem._pages) == [1] and mem.peek(PAGE, PAGE) == bytes(PAGE)
+        assert mem.log == [
+            AccessRecord("write", DATA, PAGE + 64, 64),
+            AccessRecord("write", MAC_LINE, PAGE + 128, 64),
+            AccessRecord("write", MAC_LINE, PAGE + 128, 64),
+        ]
+
+    def test_page_straddling_and_per_line_accesses(self):
+        mem = PhysicalMemory(capacity=4 * PAGE)
+        data = bytes(range(256))
+        mem.write(PAGE - 64, data[:128], DATA)  # straddles a page boundary
+        mem.write(2 * PAGE, data, TREE_NODE, lines=True)  # one page, four lines
+        assert mem.read(PAGE - 64, 128, DATA) == data[:128]
+        assert mem.read(2 * PAGE - 64, 128, VN_LINE, lines=True) == bytes(64) + data[:64]
+        assert mem.log == [
+            AccessRecord("write", DATA, PAGE - 64, 128),
+            *(AccessRecord("write", TREE_NODE, 2 * PAGE + i * 64, 64) for i in range(4)),
+            AccessRecord("read", DATA, PAGE - 64, 128),
+            AccessRecord("read", VN_LINE, 2 * PAGE - 64, 64),
+            AccessRecord("read", VN_LINE, 2 * PAGE, 64),
+        ]
+
     def test_meta_classes(self):
         assert set(META_CLASSES) == {VN_LINE, MAC_LINE, TREE_NODE}
         assert DATA not in META_CLASSES
