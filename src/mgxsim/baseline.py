@@ -364,14 +364,13 @@ class BaselineMee:
         b, end = first, first + len(data) // LINE
         while b < end:
             leaf_i, mac_i, pa = b // arity, b // _MAC_SLOTS, b * LINE
-            leaf_a, mac_a = leaf_base + leaf_i * LINE, mac_base + mac_i * LINE
-            leaf, mline, n = cache.get(leaf_a), None, 1
+            leaf_a, n = leaf_base + leaf_i * LINE, 1
+            leaf = cache.get(leaf_a)
             if leaf is None:
                 leaf = self._line(0, leaf_i)
             else:
                 cache.move_to_end(leaf_a)
-                mline = cache.get(mac_a)
-                if mline is not None:
+                if mac_base + mac_i * LINE in cache:
                     n = min(end, (leaf_i + 1) * arity) - b
             vns = self._bump_run(leaf.body, b % arity, n)
             leaf.dirty = True
@@ -381,10 +380,7 @@ class BaselineMee:
             else:
                 ct = bytes(n * LINE)
             self.mem.write(pa, ct, DATA, lines=n > 1)
-            if mline is None:
-                mline = self._line(_MAC, mac_i)
-            else:
-                cache.move_to_end(mac_a)
+            mline = self._line(_MAC, mac_i)
             if crypto:
                 s = b % _MAC_SLOTS * CTR_W
                 for i, vn in enumerate(vns):
@@ -408,14 +404,13 @@ class BaselineMee:
         try:
             while b < end:
                 leaf_i, mac_i, pa = b // arity, b // _MAC_SLOTS, b * LINE
-                leaf_a, mac_a = leaf_base + leaf_i * LINE, mac_base + mac_i * LINE
-                leaf, mline, n = cache.get(leaf_a), None, 1
+                leaf_a, n = leaf_base + leaf_i * LINE, 1
+                leaf = cache.get(leaf_a)
                 if leaf is None:
                     leaf = self._line(0, leaf_i)
                 else:
                     cache.move_to_end(leaf_a)
-                    mline = cache.get(mac_a)
-                    if mline is not None:
+                    if mac_base + mac_i * LINE in cache:
                         n = min(end, (leaf_i + 1) * arity) - b
                 # The first never-written counter of the run: a zero slot,
                 # not seven zero bytes that straddle two slots.
@@ -428,12 +423,9 @@ class BaselineMee:
                 if written:
                     if n == 1:
                         ct = mem.read(pa, LINE, DATA)
-                        if mline is None:
-                            mline = self._line(_MAC, mac_i)
-                        else:
-                            cache.move_to_end(mac_a)
+                        mline = self._line(_MAC, mac_i)
                     else:
-                        cache.move_to_end(mac_a)
+                        mline = self._line(_MAC, mac_i)
                         ct = mem.peek(pa, written * LINE) if crypto else None
                     good = written
                     if crypto:
