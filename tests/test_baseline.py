@@ -737,17 +737,22 @@ class TestRoundTrip:
 
 
 class TestFrozenBytes:
-    """The baseline's access log and memory contents after four small
-    replays, as sha256 digests frozen from a known-good build: a change to
-    how the engine holds its metadata must leave both byte for byte. Each
-    record is hashed packed `>BQQ` (kind code, address, length) and each
-    non-zero page with its number, so page allocation order does not matter."""
+    """The access log and memory contents after four small replays under
+    `baseline` and four under `mgx`, as sha256 digests frozen from a
+    known-good build: a change to how an engine holds its metadata or moves
+    its tags must leave both byte for byte. Each record is hashed packed
+    `>BQQ` (kind code, address, length) and each non-zero page with its
+    number, so page allocation order does not matter."""
 
     DIGESTS = {
         "h264": "0bb671c846694338fe51249522002ab6a631bdcb5265bf793e6586146d8fd3f0",
         "gact": "45a9d390247e233ce71b293985f11aa73d04d489e6a0eff8d5122bd2ce52fa14",
         "lenet-training": "2adf9c9f414b8813c1170fe027224fcd6e4e6a0a23ee91fa23607340742b8720",
         "micro": "b705b6b6224f2d4863825b1d657af1e157b9fbb67b92aa367b4981d290e8829f",
+        "mgx-h264": "4c7138524c204cb4c2805f6f041ddd67aa0213664472ed8be3a43e00b1736a5a",
+        "mgx-gact": "1f1b3576116c559fe2b3baeb4b57bbfce36dc44d89a5146add4ec1bed0b7e2ba",
+        "mgx-lenet-training": "a35735eda97b7706995fb8eb5c91160b59f001c957440c9ec8441475b09059c6",
+        "mgx-micro": "19f6cb5b59fc5ffa1da50ac48a69f4e7022588cd91b695402b25a81a21ed4920",
     }
 
     @staticmethod
@@ -767,14 +772,15 @@ class TestFrozenBytes:
             batches=1, queries_per_batch=2, reference_bytes=1 << 14,
             seed_table_bytes=1 << 12, pos_table_bytes=1 << 13,
         )
+        scheme = "mgx" if case.startswith("mgx-") else "baseline"
         res = {
-            "h264": lambda: replay(h264_trace("IBPB" * 2, frame_bytes=4096), "baseline",
+            "h264": lambda: replay(h264_trace("IBPB" * 2, frame_bytes=4096), scheme,
                                    payload_mode="verify", cache_kb=1, tree_arity=4),
-            "gact": lambda: replay(gact_trace(**small_gact), "baseline",
+            "gact": lambda: replay(gact_trace(**small_gact), scheme,
                                    payload_mode="verify", cache_kb=1, tree_arity=2),
-            "lenet-training": lambda: replay(cnn_training_trace(lenet_graph), "baseline",
+            "lenet-training": lambda: replay(cnn_training_trace(lenet_graph), scheme,
                                              payload_mode="verify", tree_arity=2),
-            "micro": lambda: replay(cnn_inference_trace(micro_graph, 2), "baseline"),
-        }[case]()
+            "micro": lambda: replay(cnn_inference_trace(micro_graph, 2), scheme),
+        }[case.removeprefix("mgx-")]()
         assert res.clean
         assert self.digest(res) == self.DIGESTS[case]

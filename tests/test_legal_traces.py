@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from baseline_oracle import oracle_for_trace
 from mgxsim.baseline import BaselineConfig, BaselineMee
 from mgxsim.crypto import MAC_BYTES
-from mgxsim.dram import BitFlip, PhysicalMemory
+from mgxsim.dram import DATA, MAC_LINE, BitFlip, PhysicalMemory
 from mgxsim.errors import SecurityInvariantFault, TamperDetected
 from mgxsim.mgx import UPDATE_OPS, VN_KINDS, check_schedule, resolve_vns
 from mgxsim.perf import ProtectionStats
@@ -153,12 +153,44 @@ def test_modes_agree_verify_is_clean_and_forks_finish_alike(trace, arity, cut):
         _same_run(run.finish(), verify)
 
 
+def mgx_reference(trace):
+    """The `mgx` stream of `trace` as a per-chunk engine issues it, from the
+    trace alone: a write is the data write, then for each chunk it covers, in
+    order, the fetch-back of the chunk's bytes before the write, of those after
+    it, and the chunk's 8-byte tag; a read is one read of its whole chunks, then
+    each chunk's tag."""
+    want = []
+    for ev in trace.events:
+        if ev.op not in (READ, WRITE) or not ev.length:
+            continue
+        obj = trace.objects[ev.obj_id]
+        k, end = obj.mac_granularity, ev.offset + ev.length
+        chunks = range(ev.offset // k, (end - 1) // k + 1)
+        tags = [obj.mac_start + MAC_BYTES * c for c in chunks]
+        if ev.op == READ:
+            lo, hi = chunks[0] * k, min((chunks[-1] + 1) * k, obj.size)
+            want.append(("read", DATA, obj.base + lo, hi - lo))
+            want += [("read", MAC_LINE, t, MAC_BYTES) for t in tags]
+            continue
+        want.append(("write", DATA, obj.base + ev.offset, ev.length))
+        for c, t in zip(chunks, tags):
+            cs, ce = c * k, min((c + 1) * k, obj.size)
+            if cs < ev.offset:
+                want.append(("read", DATA, obj.base + cs, ev.offset - cs))
+            if ce > end:
+                want.append(("read", DATA, obj.base + end, ce - end))
+            want.append(("write", MAC_LINE, t, MAC_BYTES))
+    return want
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(trace=legal_traces(), data=st.data())
 def test_mgx_meta_closed_form_and_schedule_check(trace, data):
     moves = [ev for ev in trace.events if ev.op in (READ, WRITE)]
     chunks = sum(len(trace.objects[ev.obj_id].covering_chunks(ev.offset, ev.length)) for ev in moves)
-    assert ProtectionStats.of_replay(replay(trace, "mgx")).meta_bytes == MAC_BYTES * chunks
+    res = replay(trace, "mgx")
+    assert ProtectionStats.of_replay(res).meta_bytes == MAC_BYTES * chunks
+    assert [tuple(r) for r in res.log] == mgx_reference(trace)
     check_schedule(trace)
     writes = [i for i, ev in enumerate(trace.events) if ev.op == WRITE]
     if writes:
@@ -166,6 +198,25 @@ def test_mgx_meta_closed_form_and_schedule_check(trace, data):
         events = [*trace.events[: w + 1], trace.events[w], *trace.events[w + 1 :]]
         with pytest.raises(SecurityInvariantFault, match=rf"^event {w + 1}: counter reuse"):
             check_schedule(dataclasses.replace(trace, events=events))
+
+
+@pytest.mark.parametrize("k", (16, 64, 1024))
+def test_mgx_stream_with_partial_first_and_last_chunks(k):
+    """A rewrite of x[8:1100] under a fresh VN fetches back a partial head
+    and tail chunk, and a read of x[20:1090] starts and ends mid-chunk, at
+    every chunk size; both streams match the per-chunk reference."""
+    b = TraceBuilder("partial", mac_granularity=k)
+    x = b.alloc("x", 2100)
+    src = VnSource("feature", 1)
+    b.new_group()
+    b.write(x, src)
+    b.update("update_i")
+    b.write(x, src, 8, 1092)
+    b.read(x, src, 20, 1070)
+    for scheme_mode in ("fast", "verify"):
+        res = replay(b.trace, "mgx", payload_mode=scheme_mode)
+        assert res.clean
+        assert [tuple(r) for r in res.log] == mgx_reference(b.trace)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -568,6 +568,26 @@ class TestDetection:
         with pytest.raises(TamperDetected):
             eng.load(b, 6, 0, b.size)
 
+    @pytest.mark.parametrize("flip_at", ["tag of chunk 1", "data of chunk 2"])
+    def test_tampered_multi_chunk_load_stops_at_the_bad_chunk(self, keys, flip_at):
+        """A load over four 64-byte chunks logs its span read, then one tag
+        record per chunk up to and including the first bad one (none after
+        it), computes one MAC per chunk checked and reports that chunk's base."""
+        eng, mem, obj, _ = self._stored(keys, size=256)
+        j = 1 if flip_at.startswith("tag") else 2
+        at = obj.mac_addr(1) + 3 if j == 1 else obj.base + 2 * 64 + 9
+        mem.inject(BitFlip(at, 6))
+        mark = len(mem.log)
+        with patch("mgxsim.mgx.compute_mac", wraps=compute_mac) as mac:
+            with pytest.raises(TamperDetected) as exc:
+                eng.load(obj, 4, offset=10, length=230)
+        assert exc.value.addr == obj.base + j * 64
+        assert mac.call_count == j + 1
+        assert records(mem.log[mark:]) == [
+            ("read", DATA, obj.base, 256),
+            *(("read", MAC_LINE, obj.mac_addr(c), MAC_BYTES) for c in range(j + 1)),
+        ]
+
     def test_untampered_loads_still_pass(self, keys):
         eng, mem, obj, data = self._stored(keys)
         out = eng.load(obj, 4, 0, obj.size)
