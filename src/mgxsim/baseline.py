@@ -379,7 +379,7 @@ class BaselineMee:
                 ct = keystream_xor(self.enc_key, pa, vns, data[pos : pos + n * LINE])
             else:
                 ct = bytes(n * LINE)
-            self.mem.write(pa, ct, DATA, lines=n > 1)
+            self.mem.write(pa, ct, DATA, lines=LINE)
             mline = self._line(_MAC, mac_i)
             if crypto:
                 s = b % _MAC_SLOTS * CTR_W
@@ -442,7 +442,7 @@ class BaselineMee:
                         cts.append(ct[: good * LINE])
                         vns.extend(run[:good])
                     if n > 1:
-                        mem.read(pa, min(good + 1, written) * LINE, DATA, lines=True)
+                        mem.read(pa, min(good + 1, written) * LINE, DATA, lines=LINE)
                     if good < written:
                         raise TamperDetected("data block MAC mismatch", pa + good * LINE)
                 if written < n:

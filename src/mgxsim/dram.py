@@ -43,6 +43,10 @@ class AccessRecord(NamedTuple):
 RECORD_KINDS = tuple((op, k) for op in ("read", "write") for k in (DATA, *META_CLASSES))
 _READ_CODE = {k: i for i, (op, k) in enumerate(RECORD_KINDS) if op == "read"}
 _WRITE_CODE = {k: i for i, (op, k) in enumerate(RECORD_KINDS) if op == "write"}
+# What `AccessLog.add_lines` repeats per record: each code's byte, and each
+# record size's one-entry length column (filled on first use).
+_CODE_BYTE = [bytes((code,)) for code in range(len(RECORD_KINDS))]
+_ONE_LENGTH: dict[int, array] = {}
 
 
 class AccessLog:
@@ -69,15 +73,16 @@ class AccessLog:
         self.lengths.append(length)
         self.byte_totals[code] += length
 
-    def add_lines(self, code: int, addr: int, length: int):
-        """One LINE-byte record per line of [addr, addr + length), in address
-        order; `length` is a whole number of lines."""
-        if length % LINE:
-            raise ValueError(f"{length} bytes is not a whole number of {LINE}-byte lines")
-        n = length // LINE
-        self.codes.extend(bytes((code,)) * n)
-        self.addrs.extend(range(addr, addr + length, LINE))
-        self.lengths.extend([LINE] * n)
+    def add_lines(self, code: int, addr: int, length: int, size: int):
+        """One `size`-byte record per `size` bytes of [addr, addr + length),
+        in address order; `length` is a whole number of records."""
+        n, rest = divmod(length, size)
+        if rest:
+            raise ValueError(f"{length} bytes is not a whole number of {size}-byte records")
+        self.codes.extend(_CODE_BYTE[code] * n)
+        self.addrs.extend(range(addr, addr + length, size))
+        one = _ONE_LENGTH.get(size) or _ONE_LENGTH.setdefault(size, array("Q", (size,)))
+        self.lengths.extend(one * n)
         self.byte_totals[code] += length
 
     def kind_counts(self) -> list[int]:
@@ -216,14 +221,19 @@ class PhysicalMemory:
 
     # -- logged access (the accelerator-side interface) ---------------------
 
-    # With lines=True an access of several 64-byte lines is logged as one
-    # record per line, as if each line had been accessed on its own. An
-    # access inside capacity and one page, logged as one record, is served
-    # inline (the common 64-byte line); every other goes through peek/poke.
+    # With lines=n an access is logged as one n-byte record per n bytes, as
+    # if each had been accessed on its own (LINE for 64-byte lines, MAC_BYTES
+    # for chunk tags); with lines=0, as one record. An access inside capacity
+    # and one page, logged as one record, is served inline (the common 64-byte
+    # line); every other goes through peek/poke.
 
-    def read(self, addr: int, length: int, klass: str = DATA, lines: bool = False) -> bytes:
+    def read(self, addr: int, length: int, klass: str = DATA, lines: int = 0) -> bytes:
         off = addr % PAGE
-        if off + length <= PAGE and not lines and 0 <= addr <= addr + length <= self.capacity:
+        if (
+            off + length <= PAGE
+            and (not lines or lines == length)
+            and 0 <= addr <= addr + length <= self.capacity
+        ):
             buf = self._pages.get(addr // PAGE)
             out = bytes(length) if buf is None else bytes(buf[off : off + length])
             code, log = _READ_CODE[klass], self.log
@@ -234,14 +244,18 @@ class PhysicalMemory:
             return out
         out = self.peek(addr, length)
         if lines:
-            self.log.add_lines(_READ_CODE[klass], addr, length)
+            self.log.add_lines(_READ_CODE[klass], addr, length, lines)
         else:
             self.log.add(_READ_CODE[klass], addr, length)
         return out
 
-    def write(self, addr: int, data: bytes, klass: str = DATA, lines: bool = False):
+    def write(self, addr: int, data: bytes, klass: str = DATA, lines: int = 0):
         length, off = len(data), addr % PAGE
-        if off + length <= PAGE and not lines and 0 <= addr <= addr + length <= self.capacity:
+        if (
+            off + length <= PAGE
+            and (not lines or lines == length)
+            and 0 <= addr <= addr + length <= self.capacity
+        ):
             buf = self._pages.get(addr // PAGE)
             if buf is not None:
                 buf[off : off + length] = data
@@ -256,7 +270,7 @@ class PhysicalMemory:
             return
         self.poke(addr, data)
         if lines:
-            self.log.add_lines(_WRITE_CODE[klass], addr, length)
+            self.log.add_lines(_WRITE_CODE[klass], addr, length, lines)
         else:
             self.log.add(_WRITE_CODE[klass], addr, length)
 

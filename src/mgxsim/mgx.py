@@ -235,6 +235,9 @@ class MgxMee:
         Chunk MACs always cover the chunk's full current extent; a store that
         covers a chunk only partially fetches the missing bytes back (counted
         as data reads) so the stored MAC stays the MAC of what is in memory.
+        The tags move as one access per event, logged as one MAC_BYTES record
+        per chunk: the data write, the first chunk's head, the tags of every
+        chunk but the last, the last chunk's tail, then the last tag.
         """
         end = offset + length
         if offset < 0 or length < 0 or end > obj.size:
@@ -247,29 +250,29 @@ class MgxMee:
             ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, plaintext(offset, length))
         else:
             ct = bytes(length)
-        self.mem.write(obj.base + offset, ct, DATA)
-        for c in obj.covering_chunks(offset, length):
-            cs, ce = obj.chunk_extent(c)
-            before = b""
-            after = b""
-            if cs < offset:
-                before = self.mem.read(obj.base + cs, offset - cs, DATA)
-            if ce > end:
-                after = self.mem.read(obj.base + end, ce - end, DATA)
-            if self.crypto:
-                chunk_ct = before + ct[max(cs - offset, 0) : ce - offset] + after
-                tag = compute_mac(self.mac_key, chunk_ct, obj.base + cs, vn)
-            else:
-                tag = bytes(MAC_BYTES)
-            self.mem.write(obj.mac_addr(c), tag, MAC_LINE)
+        mem, k = self.mem, obj.mac_granularity
+        mem.write(obj.base + offset, ct, DATA)
+        first, last = offset // k, (end - 1) // k
+        span_start, span_end = first * k, min((last + 1) * k, obj.size)
+        if span_start < offset:
+            ct = mem.read(obj.base + span_start, offset - span_start, DATA) + ct
+        if last > first:
+            tags = self._tags(obj, vn, span_start, ct, first, last)
+            mem.write(obj.mac_addr(first), tags, MAC_LINE, MAC_BYTES)
+        if span_end > end:
+            ct += mem.read(obj.base + end, span_end - end, DATA)
+        mem.write(obj.mac_addr(last), self._tags(obj, vn, span_start, ct, last, last + 1), MAC_LINE)
 
     def load(self, obj: ObjectDescriptor, vn: int, offset: int, length: int) -> bytes:
         """Fetch the chunks covering obj[offset:offset+length], verify each
         chunk MAC under the caller-regenerated VN, and return the decrypted
-        requested bytes.
+        requested bytes. The tags move as one access per event, logged as one
+        MAC_BYTES record per chunk.
 
-        Any MAC mismatch raises TamperDetected. That each byte was last
-        written under `vn` is the schedule's to ensure (`check_schedule`).
+        Any MAC mismatch raises TamperDetected, after logging the tags up to
+        and including the bad chunk's, as a chunk-by-chunk fetch would. That
+        each byte was last written under `vn` is the schedule's to ensure
+        (`check_schedule`).
         """
         end = offset + length
         if offset < 0 or length < 0 or end > obj.size:
@@ -278,25 +281,40 @@ class MgxMee:
             )
         if length == 0:
             return b""
-        chunks = obj.covering_chunks(offset, length)
-        span_start, _ = obj.chunk_extent(chunks[0])
-        _, span_end = obj.chunk_extent(chunks[-1])
+        k = obj.mac_granularity
+        first, last = offset // k, (end - 1) // k
+        span_start, span_end = first * k, min((last + 1) * k, obj.size)
         span_ct = self.mem.read(obj.base + span_start, span_end - span_start, DATA)
-        for c in chunks:
-            cs, ce = obj.chunk_extent(c)
-            stored = self.mem.read(obj.mac_addr(c), MAC_BYTES, MAC_LINE)
-            if self.crypto:
-                want = compute_mac(
-                    self.mac_key, span_ct[cs - span_start : ce - span_start], obj.base + cs, vn
-                )
-                if want != stored:
+        tags_at, tags_len = obj.mac_addr(first), (last + 1 - first) * MAC_BYTES
+        if self.crypto:
+            stored = self.mem.peek(tags_at, tags_len)
+            for i, cs in enumerate(range(span_start, span_end, k)):
+                pos = cs - span_start
+                tag = compute_mac(self.mac_key, span_ct[pos : pos + k], obj.base + cs, vn)
+                if tag != stored[i * MAC_BYTES : (i + 1) * MAC_BYTES]:
+                    self.mem.read(tags_at, (i + 1) * MAC_BYTES, MAC_LINE, MAC_BYTES)
                     raise TamperDetected(
                         f"chunk MAC mismatch in object {obj.obj_id}", obj.base + cs
                     )
+        self.mem.read(tags_at, tags_len, MAC_LINE, MAC_BYTES)
         if not self.crypto:
             return bytes(length)
         pt = keystream_xor_at(self.enc_key, obj.base, vn, span_start, span_ct)
         return pt[offset - span_start : end - span_start]
+
+    def _tags(
+        self, obj: ObjectDescriptor, vn: int, start: int, ct: bytes, c0: int, c1: int
+    ) -> bytes:
+        """The tags of chunks c0..c1-1, given `ct`, the object's ciphertext
+        from offset `start` on through the end of chunk c1 - 1; zeros with
+        crypto off."""
+        if not self.crypto:
+            return bytes(MAC_BYTES * (c1 - c0))
+        k = obj.mac_granularity
+        return b"".join(
+            compute_mac(self.mac_key, ct[c * k - start : (c + 1) * k - start], obj.base + c * k, vn)
+            for c in range(c0, c1)
+        )
 
 
 def check_schedule(trace) -> tuple[tuple[int | None, ...], tuple[int, ...]]:

@@ -238,16 +238,22 @@ class TestLogging:
         mem = PhysicalMemory(capacity=4 * PAGE)
         data = bytes(range(256))
         mem.write(PAGE - 64, data[:128], DATA)  # straddles a page boundary
-        mem.write(2 * PAGE, data, TREE_NODE, lines=True)  # one page, four lines
+        mem.write(2 * PAGE, data, TREE_NODE, lines=LINE)  # one page, four lines
         assert mem.read(PAGE - 64, 128, DATA) == data[:128]
-        assert mem.read(2 * PAGE - 64, 128, VN_LINE, lines=True) == bytes(64) + data[:64]
+        assert mem.read(2 * PAGE - 64, 128, VN_LINE, lines=LINE) == bytes(64) + data[:64]
+        mem.write(3 * PAGE - 8, data[:24], MAC_LINE, lines=8)  # three 8-byte tags
+        assert mem.read(3 * PAGE - 8, 16, MAC_LINE, lines=8) == data[:16]
         assert mem.log == [
             AccessRecord("write", DATA, PAGE - 64, 128),
             *(AccessRecord("write", TREE_NODE, 2 * PAGE + i * 64, 64) for i in range(4)),
             AccessRecord("read", DATA, PAGE - 64, 128),
             AccessRecord("read", VN_LINE, 2 * PAGE - 64, 64),
             AccessRecord("read", VN_LINE, 2 * PAGE, 64),
+            *(AccessRecord("write", MAC_LINE, 3 * PAGE + i * 8, 8) for i in (-1, 0, 1)),
+            *(AccessRecord("read", MAC_LINE, 3 * PAGE + i * 8, 8) for i in (-1, 0)),
         ]
+        with pytest.raises(ValueError, match="whole number of 8-byte records"):
+            mem.read(0, 12, MAC_LINE, lines=8)
 
     def test_meta_classes(self):
         assert set(META_CLASSES) == {VN_LINE, MAC_LINE, TREE_NODE}
