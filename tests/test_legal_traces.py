@@ -12,7 +12,8 @@ baseline engine matches its oracle access for access, also on caches so
 small that a MAC fill evicts the leaf line in the middle of a run; payload
 modes do not change any scheme's stream; verify replays are clean; a run
 forked at any event ends as a straight replay does; mgx moves one 8-byte
-tag per chunk that a read or write covers; the schedule check passes, and
+tag per chunk that a read or write covers, and its stream equals the one a
+per-chunk engine issues, record for record; the schedule check passes, and
 fails at a repeated write; and a bit flipped in a byte a read consumes is
 detected at that read by both protected schemes.
 """
@@ -213,8 +214,8 @@ def test_mgx_stream_with_partial_first_and_last_chunks(k):
     b.update("update_i")
     b.write(x, src, 8, 1092)
     b.read(x, src, 20, 1070)
-    for scheme_mode in ("fast", "verify"):
-        res = replay(b.trace, "mgx", payload_mode=scheme_mode)
+    for mode in ("fast", "verify"):
+        res = replay(b.trace, "mgx", payload_mode=mode)
         assert res.clean
         assert [tuple(r) for r in res.log] == mgx_reference(b.trace)
 
