@@ -31,7 +31,7 @@ from .errors import (
     TamperDetected,
     VerifyMismatch,
 )
-from .mgx import MgxMee, MgxState, ObjectDescriptor, WriteLedger
+from .mgx import MgxMee, MgxState, ObjectDescriptor
 
 __all__ = [
     "AddressError",
@@ -53,7 +53,6 @@ __all__ = [
     "Splice",
     "TamperDetected",
     "VerifyMismatch",
-    "WriteLedger",
     "compute_mac",
     "keystream_xor",
     "keystream_xor_at",

@@ -209,12 +209,7 @@ def cmd_attack(args) -> int:
             }
         )
     if cfg.out:
-        import csv
-
-        with open(cfg.out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            w.writerows(rows)
+        write_stats_csv(rows, cfg.out)
     if missed:
         print(f"{missed} undetected trial(s)", file=sys.stderr)
         return EXIT_UNDETECTED

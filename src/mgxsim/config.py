@@ -108,7 +108,8 @@ def run_experiment(cfg: ExperimentConfig, trace=None) -> SimResult:
     """Build the trace (unless given), replay it, and evaluate the models.
 
     Tamper rejections and verify-mode payload mismatches propagate as their
-    exceptions; a rejection carries the partial stats gathered before it.
+    exceptions. The traffic up to a rejection is `evaluate(replay(...))` of
+    the same trace, since `replay` records a rejection instead of raising.
     """
     if trace is None:
         trace = cfg.build_trace()

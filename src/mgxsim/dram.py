@@ -85,10 +85,6 @@ class AccessLog:
         self.lengths.extend(one * n)
         self.byte_totals[code] += length
 
-    def kind_counts(self) -> list[int]:
-        """Number of records of every kind, indexed by code."""
-        return [self.codes.count(code) for code in range(len(RECORD_KINDS))]
-
     def __len__(self) -> int:
         return len(self.codes)
 

@@ -35,14 +35,14 @@ class TamperDetected(Exception):
     Attributes:
         reason: human-readable description of the failed check.
         addr: physical address of the offending access, when known.
-        partial_stats: filled in by the simulation layer when a run aborts.
+
+    `replay` records it in its result; `perf.simulate` raises it.
     """
 
     def __init__(self, reason: str, addr: int | None = None):
         super().__init__(reason if addr is None else f"{reason} (addr=0x{addr:x})")
         self.reason = reason
         self.addr = addr
-        self.partial_stats = None
 
 
 class SecurityInvariantFault(AssertionError):

@@ -22,7 +22,7 @@ asserts that per cipher block, once per trace.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -163,38 +163,24 @@ class ObjectDescriptor:
 class WriteLedger:
     """Record of every (cipher-block, VN) write pair within a key epoch.
 
-    Per VN, the written blocks are kept as a sorted flat list of boundaries
-    [s0, e0, s1, e1, ...] of disjoint, merged half-open intervals, so a record
-    costs O(log n) in the intervals of its VN, not O(blocks).
+    Per VN, the written blocks are kept as sorted, disjoint, merged
+    (start, end, vn) block ranges, the read shadow's form, so a record costs
+    O(log n) in the ranges of its VN, not O(blocks).
     """
 
     def __init__(self):
-        self._bounds: dict[int, list[int]] = {}
+        self._ranges: dict[int, list[tuple[int, int, int]]] = {}
 
     def record(self, first_block: int, last_block: int, vn: int):
         lo, hi = first_block, last_block + 1
-        bounds = self._bounds.setdefault(vn, [])
-        i = bisect_right(bounds, lo)
-        if i % 2:
-            repeated = lo  # lo falls inside a written interval
-        elif i < len(bounds) and bounds[i] < hi:
-            repeated = bounds[i]  # a written interval starts inside [lo, hi)
-        else:
-            repeated = None
-        if repeated is not None:
+        ranges = self._ranges.setdefault(vn, [])
+        i = _first_ending_after(ranges, lo)
+        if i < len(ranges) and ranges[i][0] < hi:
             raise SecurityInvariantFault(
-                f"counter reuse: cipher block 0x{repeated * 16:x} written twice under VN {vn}"
+                f"counter reuse: cipher block 0x{max(lo, ranges[i][0]) * 16:x} "
+                f"written twice under VN {vn}"
             )
-        joins_left = i > 0 and bounds[i - 1] == lo
-        joins_right = i < len(bounds) and bounds[i] == hi
-        if joins_left and joins_right:
-            del bounds[i - 1 : i + 1]
-        elif joins_left:
-            bounds[i - 1] = hi
-        elif joins_right:
-            bounds[i] = lo
-        else:
-            bounds[i:i] = (lo, hi)
+        _overwrite_shadow(ranges, lo, hi, vn)
 
 
 class MgxMee:
@@ -372,13 +358,18 @@ def _overwrite_shadow(ranges: list[tuple[int, int, int]], start: int, end: int, 
     ranges[lo:hi] = keep
 
 
+def _first_ending_after(ranges: list[tuple[int, int, int]], start: int) -> int:
+    """Index of the first of the sorted, disjoint `ranges` that ends after
+    `start`; len(ranges) if none does."""
+    i = bisect_left(ranges, (start,))
+    return i - 1 if i and ranges[i - 1][1] > start else i
+
+
 def _check_shadow(obj_id: str, ranges: list[tuple[int, int, int]], vn: int, start: int, end: int):
     """Every byte in [start, end) must have been written, most recently
     under `vn`. Walks only the ranges the read overlaps, in address order,
     and reports the lowest-address fault."""
-    i = bisect_left(ranges, (start,))
-    if i and ranges[i - 1][1] > start:
-        i -= 1
+    i = _first_ending_after(ranges, start)
     pos = start
     while pos < end:
         if i == len(ranges) or ranges[i][0] > pos:

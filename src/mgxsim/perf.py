@@ -13,8 +13,8 @@ exceeds synchronous mode for the same traffic, and extra traffic never makes
 a group faster, which gives the scheme orderings their shape.
 
 Every figure comes from the byte totals the replay recorded at the end of
-each group span and from per-kind record counts, so an evaluation costs
-O(groups), not O(log records).
+each group span, so an evaluation costs O(groups), not O(log records), and
+never reads the log itself.
 
 Traffic increase is measured in bytes: everything the engine moved (data and
 metadata classes alike) divided by the bytes the trace's events name. An
@@ -26,9 +26,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .dram import DATA, META_CLASSES, RECORD_KINDS, AccessRecord
+from .dram import DATA, META_CLASSES, RECORD_KINDS
 from .errors import ConfigError
 from .replay import ReplayResult, replay
 
@@ -70,34 +70,20 @@ class ComputeModel:
 
 @dataclass
 class ProtectionStats:
-    """Byte and access counts split by DRAM traffic class."""
+    """Byte counts split by DRAM traffic class."""
 
     read_bytes: dict[str, int] = field(default_factory=dict)
     write_bytes: dict[str, int] = field(default_factory=dict)
-    read_accesses: dict[str, int] = field(default_factory=dict)
-    write_accesses: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_log(cls, log: Iterable[AccessRecord]) -> "ProtectionStats":
-        """Stats of any sequence of records, walked one by one."""
-        s = cls()
-        for rec in log:
-            bytes_d = s.read_bytes if rec.op == "read" else s.write_bytes
-            count_d = s.read_accesses if rec.op == "read" else s.write_accesses
-            bytes_d[rec.klass] = bytes_d.get(rec.klass, 0) + rec.length
-            count_d[rec.klass] = count_d.get(rec.klass, 0) + 1
-        return s
 
     @classmethod
     def of_replay(cls, result: ReplayResult) -> "ProtectionStats":
         """Stats of a replay's whole log, from the byte totals recorded at
-        its last group boundary and the log's per-kind record counts."""
+        its last group boundary: one key per class that moved bytes."""
         s = cls()
         totals = result.group_totals[-1] if result.group_totals else ()
-        for (op, klass), nbytes, count in zip(RECORD_KINDS, totals, result.log.kind_counts()):
-            if count:
+        for (op, klass), nbytes in zip(RECORD_KINDS, totals):
+            if nbytes:
                 (s.read_bytes if op == "read" else s.write_bytes)[klass] = nbytes
-                (s.read_accesses if op == "read" else s.write_accesses)[klass] = count
         return s
 
     @property
@@ -227,18 +213,16 @@ def simulate(
 ) -> SimResult:
     """Replay a trace under a scheme and evaluate the performance model.
 
-    Tamper rejections and payload mismatches abort the run; the exception
-    carries the stats accumulated up to the aborting event so callers can
-    still report partial traffic.
+    Tamper rejections and payload mismatches abort the run by raising. The
+    traffic up to the aborting event is `evaluate(replay(...))`: `replay`
+    records the rejection or mismatch in its result rather than raising.
     """
     result = replay(trace, scheme, **replay_kwargs)
-    sim = evaluate(result, dram, compute)
     if result.detected is not None:
-        result.detected.partial_stats = sim.stats
         raise result.detected
     if result.mismatch is not None:
         raise result.mismatch
-    return sim
+    return evaluate(result, dram, compute)
 
 
 STATS_HEADER = [
@@ -266,9 +250,9 @@ def stats_row(sim: SimResult, param: str = "", value="") -> dict:
     }
 
 
-def write_stats_csv(rows: Iterable[dict], path: str):
+def write_stats_csv(rows: list[dict], path: str):
+    """Write `rows` as CSV, with the first row's keys as the header."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=STATS_HEADER)
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from ..dram import ADDRESS_LIMIT
 from ..errors import ConfigError, TraceFormatError
-from ..mgx import READ, UPDATE_OPS, VN_KINDS, WRITE, MgxState, ObjectDescriptor, resolve_vns
+from ..mgx import READ, UPDATE_OPS, VN_KINDS, WRITE, ObjectDescriptor, resolve_vns
 
 
 class VnSource(NamedTuple):
@@ -32,9 +32,6 @@ class VnSource(NamedTuple):
     def parse(cls, text: str) -> "VnSource":
         kind, sep, arg = text.partition(":")
         return cls(kind, int(arg)) if sep else cls(kind)
-
-    def resolve(self, state: MgxState) -> int:
-        return state.vn(self.kind, self.arg)
 
 
 class TraceEvent(NamedTuple):

@@ -213,7 +213,7 @@ def test_c7_sweep_trends(bank):
     meta = []
     for cfg in ({"cache_kb": 1}, {}, {"cache_kb": 8}):
         res = bank.replay("dnn-googlenet", "baseline", **cfg)
-        meta.append(ProtectionStats.from_log(res.log).meta_bytes)
+        meta.append(ProtectionStats.of_replay(res).meta_bytes)
     assert meta[0] >= meta[1] >= meta[2], f"meta traffic not monotone: {meta}"
 
     # (b) region sweep, 128 MB (default) -> 1 GB -> 8 GB
@@ -282,7 +282,7 @@ def _resolved_writes(trace):
         if e.op in UPDATE_OPS:
             state, _ = state.advance(e.op)
         elif e.op == WRITE:
-            out.append((e.obj_id, e.vn_source.resolve(state), e.offset, e.length))
+            out.append((e.obj_id, state.vn(*e.vn_source), e.offset, e.length))
     return out
 
 

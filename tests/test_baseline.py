@@ -435,12 +435,12 @@ class TestDetection:
             seen.append((mem.log[mark:], list(eng._cache)))
         assert seen[0] == seen[1]
 
-    def test_partial_stats_not_attached_at_engine_level(self):
+    def test_engine_rejection_names_the_address(self):
         eng, mem, _ = self._flushed_engine()
         mem.inject(BitFlip(0, 3))
         with pytest.raises(TamperDetected) as exc:
             read_block(eng, 0)
-        assert exc.value.addr == 0 and exc.value.partial_stats is None
+        assert exc.value.addr == 0
 
 
 class TestRekey:

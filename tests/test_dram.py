@@ -186,7 +186,6 @@ class TestLogging:
         assert log == want
         by_kind["read", DATA] = 0
         assert log.byte_totals == list(by_kind.values())
-        assert log.kind_counts() == [int(by_kind[k] > 0) for k in RECORD_KINDS]
         with pytest.raises(IndexError):
             del log[3]
 

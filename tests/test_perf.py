@@ -12,10 +12,11 @@ with BW = 8 B/cycle (one channel), L = 100, mpc = 2048.
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import pytest
 
-from mgxsim.dram import DATA, MAC_LINE, VN_LINE, AccessRecord, BitFlip, PhysicalMemory
+from mgxsim.dram import DATA, MAC_LINE, VN_LINE, BitFlip, PhysicalMemory
 from mgxsim.errors import ConfigError, TamperDetected, VerifyMismatch
 from mgxsim.perf import (
     STATS_HEADER,
@@ -55,6 +56,15 @@ def synthetic_result() -> ReplayResult:
     return res
 
 
+def stats_from_log(log) -> ProtectionStats:
+    """Stats of any sequence of records, walked one by one."""
+    s = ProtectionStats()
+    for rec in log:
+        d = s.read_bytes if rec.op == "read" else s.write_bytes
+        d[rec.klass] = d.get(rec.klass, 0) + rec.length
+    return s
+
+
 def walked_group_bytes(res: ReplayResult) -> list[tuple[int, int, int]]:
     """(group, read bytes, write bytes) of every costed group, summed record
     by record over the log spans."""
@@ -83,25 +93,26 @@ class TestModels:
 
 class TestProtectionStats:
     def test_from_log_frozen_counts(self):
-        log = [
-            AccessRecord("read", DATA, 0, 64),
-            AccessRecord("read", DATA, 64, 64),
-            AccessRecord("write", DATA, 0, 128),
-            AccessRecord("read", VN_LINE, 4096, 64),
-            AccessRecord("write", MAC_LINE, 8192, 8),
-        ]
-        s = ProtectionStats.from_log(log)
+        mem = PhysicalMemory(1 << 20)
+        res = ReplayResult("none", "fast", Trace("t"), mem, mem.log, completed=True)
+        res.mark_group(0)
+        mem.read(0, 64, DATA)
+        mem.read(64, 64, DATA)
+        mem.write(0, bytes(128), DATA)
+        mem.read(4096, 64, VN_LINE)
+        mem.write(8192, bytes(8), MAC_LINE)
+        res.finish_groups()
+        s = ProtectionStats.of_replay(res)
         assert s.read_bytes == {DATA: 128, VN_LINE: 64}
         assert s.write_bytes == {DATA: 128, MAC_LINE: 8}
-        assert s.read_accesses == {DATA: 2, VN_LINE: 1}
-        assert s.write_accesses == {DATA: 1, MAC_LINE: 1}
         assert s.data_bytes == 256
         assert s.meta_bytes == 72
         assert s.total_bytes == 328
+        assert stats_from_log(mem.log) == s
 
     def test_empty_log(self):
-        s = ProtectionStats.from_log([])
-        assert s.total_bytes == 0
+        s = ProtectionStats.of_replay(replay(Trace("empty"), "none"))
+        assert s == stats_from_log([]) and s.total_bytes == 0
 
 
 class TestGroupCosts:
@@ -166,10 +177,15 @@ class TestTotalsEqualWalk:
     @staticmethod
     def check(res: ReplayResult):
         sim = evaluate(res)
-        assert sim.stats == ProtectionStats.from_log(res.log)
+        assert sim.stats == stats_from_log(res.log)
         got = [(c.group, c.read_bytes, c.write_bytes) for c in sim.groups]
         assert got == walked_group_bytes(res)
         assert traffic_increase(res) == sim.traffic_increase
+        # evaluate reads the recorded totals only, never the log
+        blind = evaluate(dataclasses.replace(res, log=None))
+        assert (blind.stats, blind.groups, blind.est_time, blind.traffic_increase) == (
+            sim.stats, sim.groups, sim.est_time, sim.traffic_increase
+        )
 
     @pytest.mark.parametrize("scheme", ["none", "mgx", "baseline"])
     @pytest.mark.parametrize("workload", ["micro", "h264", "gact"])
@@ -228,7 +244,7 @@ class TestEvaluateSimulate:
         assert sim.scheme == "mgx"
         assert sim.est_time == sum(c.cycles for c in sim.groups)
         assert sim.traffic_increase == traffic_increase(res)
-        assert sim.stats.total_bytes == ProtectionStats.from_log(res.log).total_bytes
+        assert sim.stats.total_bytes == stats_from_log(res.log).total_bytes
 
     def test_simulate_clean(self, micro_graph):
         sim = simulate(cnn_inference_trace(micro_graph, 1), "mgx")
@@ -242,15 +258,12 @@ class TestEvaluateSimulate:
         b.write(o, VnSource("feature", 1))
         b.new_group()
         b.read(o, VnSource("feature", 1))
-        with pytest.raises(TamperDetected) as exc:
-            simulate(
-                b.trace,
-                "mgx",
-                payload_mode="real",
-                hooks={2: lambda m: m.inject(BitFlip(o.base, 1))},
-            )
-        assert isinstance(exc.value.partial_stats, ProtectionStats)
-        assert exc.value.partial_stats.total_bytes > 0
+        kwargs = dict(payload_mode="real", hooks={2: lambda m: m.inject(BitFlip(o.base, 1))})
+        with pytest.raises(TamperDetected):
+            simulate(b.trace, "mgx", **kwargs)
+        res = replay(b.trace, "mgx", **kwargs)
+        assert res.detected is not None
+        assert evaluate(res).stats.total_bytes > 0
 
     def test_simulate_raises_on_mismatch(self):
         b = TraceBuilder("t", mac_granularity=64)

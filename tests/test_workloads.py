@@ -69,7 +69,7 @@ def resolve_writes(trace: Trace):
         if e.op in UPDATE_OPS:
             state, _ = state.advance(e.op)
         elif e.op == WRITE:
-            out.append((e.obj_id, e.vn_source.resolve(state), e.offset, e.length))
+            out.append((e.obj_id, state.vn(*e.vn_source), e.offset, e.length))
     return out
 
 
@@ -90,15 +90,15 @@ class TestVnSourceRepr:
 
     def test_resolution(self):
         s = MgxState(ctr_i=5, ctr_w=9, ctr_genome=2, ctr_query=3)
-        assert VnSource("weights").resolve(s) == 9
-        assert VnSource("feature", 3).resolve(s) == 1283
-        assert VnSource("frame", 4).resolve(s) == (5 << 8) | 4
-        assert VnSource("genome").resolve(s) == 2
-        assert VnSource("query").resolve(s) == (2 << 32) | 3
+        assert s.vn(*VnSource("weights")) == 9
+        assert s.vn(*VnSource("feature", 3)) == 1283
+        assert s.vn(*VnSource("frame", 4)) == (5 << 8) | 4
+        assert s.vn(*VnSource("genome")) == 2
+        assert s.vn(*VnSource("query")) == (2 << 32) | 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            VnSource("epoch").resolve(MgxState())
+            MgxState().vn(*VnSource("epoch"))
 
 
 class TestTraceBuilder:
