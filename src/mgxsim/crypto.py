@@ -31,16 +31,28 @@ MAC_BYTES = 8
 _MASK64 = (1 << 64) - 1
 _BLOCKS_PER_LINE = 4  # cipher blocks per 64-byte line of a per-line VN
 _CTR = struct.Struct(">QQ")  # one counter block; also the MAC's (pa, vn) tail
+_LINE_CTRS = struct.Struct(">8Q")  # the four counter blocks of one per-line-VN line
 _LEN = struct.Struct(">Q")  # the MAC's ciphertext length prefix
 
 # A VN for the whole range, or one per 64-byte line of it.
 Vn = Union[int, Sequence[int]]
 
-# From this many cipher blocks on, the counter stream is assembled with numpy;
-# below it a plain struct loop is cheaper. With per-line VNs the loop also
-# looks up a VN per block, so numpy pays from fewer blocks on.
+# Cutovers between a pure-Python path and a numpy one, each set where the two
+# cost the same (measured on a 2-vCPU Xeon, Python 3.11, numpy 2.4). numpy
+# pays a fixed cost of about 7 us to build a counter array and 1.3 us for
+# any XOR.
+# - Counters under one VN: from 32 blocks on, numpy; below it one struct
+#   call per block.
+# - Counters with per-line VNs: from 64 blocks (16 lines) on, numpy; below it
+#   one struct call per line: 1.3 us for one line and 4.5 us for eight,
+#   against 7-8 us through numpy. The baseline encrypts each write run of up
+#   to tree_arity lines (8 by default) with one call.
+# - XOR: from 256 bytes on, numpy views of the data and the pad; below it
+#   three Python integers, which cost 0.7 us for a 64-byte line but about
+#   3.5 us more per KiB: 350 us for a 100 KB H.264 frame, against 9 us.
 _NUMPY_CUTOVER = 32
-_NUMPY_CUTOVER_PER_LINE = 12
+_NUMPY_CUTOVER_PER_LINE = 64
+_XOR_CUTOVER = 256
 
 
 @dataclass(frozen=True)
@@ -91,10 +103,18 @@ def _raw_keystream(key: EncryptionKey, base_pa: int, vn: Vn, first: int, nblocks
         ctrs[:, 1] = np.asarray(vn, dtype=np.uint64)[idx // _BLOCKS_PER_LINE] if per_line else vn
         material = ctrs.tobytes()
     elif per_line:
-        material = b"".join(
-            _CTR.pack((base_pa + 16 * i) & _MASK64, vn[i // _BLOCKS_PER_LINE])
-            for i in range(first, first + nblocks)
-        )
+        # One pack per line, over the whole lines the run touches; a run that
+        # starts or ends inside a line is cut out of them.
+        lo, hi = first // _BLOCKS_PER_LINE, -(-(first + nblocks) // _BLOCKS_PER_LINE)
+        a, pack, parts = base_pa + 64 * lo, _LINE_CTRS.pack, []
+        for v in vn[lo:hi]:
+            a1, a2, a3 = (a + 16) & _MASK64, (a + 32) & _MASK64, (a + 48) & _MASK64
+            parts.append(pack(a & _MASK64, v, a1, v, a2, v, a3, v))
+            a += 64
+        material = b"".join(parts)
+        if len(material) != nblocks * CIPHER_BLOCK:
+            cut = first % _BLOCKS_PER_LINE * CIPHER_BLOCK
+            material = material[cut : cut + nblocks * CIPHER_BLOCK]
     else:
         material = b"".join(
             _CTR.pack((base_pa + 16 * i) & _MASK64, vn) for i in range(first, first + nblocks)
@@ -102,9 +122,13 @@ def _raw_keystream(key: EncryptionKey, base_pa: int, vn: Vn, first: int, nblocks
     return key._ecb.update(material)
 
 
-def _xor(data: bytes, pad: bytes) -> bytes:
+def _xor(data: bytes, pad: bytes, skip: int) -> bytes:
+    """`data` XOR pad[skip : skip + len(data)], as bytes."""
     n = len(data)
-    return (int.from_bytes(data, "big") ^ int.from_bytes(pad[:n], "big")).to_bytes(n, "big")
+    if n < _XOR_CUTOVER:
+        x = int.from_bytes(data, "big") ^ int.from_bytes(pad[skip : skip + n], "big")
+        return x.to_bytes(n, "big")
+    return (np.frombuffer(data, np.uint8) ^ np.frombuffer(pad, np.uint8, n, skip)).tobytes()
 
 
 def keystream_xor(key: EncryptionKey, base_pa: int, vn: Vn, data: bytes) -> bytes:
@@ -133,8 +157,7 @@ def keystream_xor_at(key: EncryptionKey, base_pa: int, vn: Vn, offset: int, data
     first = offset // CIPHER_BLOCK
     skip = offset % CIPHER_BLOCK
     nblocks = (skip + len(data) + CIPHER_BLOCK - 1) // CIPHER_BLOCK
-    pad = _raw_keystream(key, base_pa, vn, first, nblocks)
-    return _xor(data, pad[skip : skip + len(data)])
+    return _xor(data, _raw_keystream(key, base_pa, vn, first, nblocks), skip)
 
 
 def compute_mac(key: MacKey, ciphertext: bytes, pa: int, vn: int) -> bytes:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import get_args, get_origin
+
 
 class ConfigError(ValueError):
     """Invalid configuration value (bad scheme name, vID overflow, odd region size, ...)."""
@@ -9,7 +11,11 @@ class ConfigError(ValueError):
 
 def has_type(value, annotation) -> bool:
     """Whether a configured value has its annotated type: an int passes for a
-    float, and a bool passes only for a bool."""
+    float, a bool passes only for a bool, and a JSON list of T for
+    tuple[T, ...]."""
+    if get_origin(annotation) is tuple:
+        item = get_args(annotation)[0]
+        return isinstance(value, (list, tuple)) and all(has_type(v, item) for v in value)
     want = (int, float) if annotation is float else annotation
     return isinstance(value, want) and (annotation is bool or not isinstance(value, bool))
 

@@ -14,19 +14,21 @@ its output n times uses one vID per pass; consumers read the last one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from math import prod
+from typing import get_args, get_origin, get_type_hints
 
-from ..errors import ConfigError
+from ..errors import ConfigError, has_type
 
 MAX_VID = 255
+KINDS = ("conv", "dense", "add", "concat", "pool", "input")
 
 
 @dataclass
 class LayerSpec:
     name: str
-    kind: str  # conv | dense | add | concat | input
+    kind: str  # one of KINDS; "type" in a network description
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
     weight_bytes: int = 0
@@ -35,6 +37,13 @@ class LayerSpec:
     dram_writes: int = 1
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(
+                f"layer {self.name}: type {self.kind!r} is not one of {', '.join(KINDS)}"
+            )
+        for dims in ("in_dims", "out_dims"):
+            if not getattr(self, dims) or min(getattr(self, dims)) < 1:
+                raise ConfigError(f"layer {self.name}: {dims} must be positive integers")
         if self.dram_writes < 1:
             raise ConfigError(f"layer {self.name}: dram_writes must be >= 1")
         if self.weight_bytes < 0:
@@ -75,6 +84,8 @@ class NetworkGraph:
     first_vid: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if not self.input_dims or min(self.input_dims) < 1:
+            raise ConfigError("input_dims must be positive integers")
         if not self.layers:
             raise ConfigError("network needs at least one layer")
         names = set()
@@ -137,30 +148,55 @@ class NetworkGraph:
         return prod(self.input_dims)
 
 
+# Network description key -> LayerSpec field, and the keys every layer has.
+_LAYER_KEYS = {("type" if f.name == "kind" else f.name): f.name for f in fields(LayerSpec)}
+_LAYER_REQUIRED = ("name", "type", "in_dims", "out_dims")
+_NETWORK_HINTS = {"name": str, "input_dims": tuple[int, ...], "layers": list}
+
+
+def _checked(where: str, key: str, value, hint):
+    """`value` if it has the annotated type `hint`; a JSON list becomes a tuple."""
+    listed = get_origin(hint) is tuple
+    if not has_type(value, hint):
+        want = getattr(hint, "__name__", hint)
+        if listed:
+            want = f"a list of {get_args(hint)[0].__name__}"
+        raise ConfigError(f"{where}: {key}={value!r} must be {want}")
+    return tuple(value) if listed else value
+
+
 def graph_from_dict(spec: dict) -> NetworkGraph:
-    try:
-        layers = [
-            LayerSpec(
-                name=l["name"],
-                kind=l["type"],
-                in_dims=tuple(l["in_dims"]),
-                out_dims=tuple(l["out_dims"]),
-                weight_bytes=int(l.get("weight_bytes", 0)),
-                bypass_from=tuple(l.get("bypass_from", ())),
-                in_from=l.get("in_from"),
-                dram_writes=int(l.get("dram_writes", 1)),
-            )
-            for l in spec["layers"]
-        ]
-        return NetworkGraph(
-            name=spec.get("name", "network"),
-            input_dims=tuple(spec["input_dims"]),
-            layers=layers,
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed network description: {exc}") from exc
+    """The network of a parsed description. Every key of the network and of
+    each layer is checked against its annotation; an unknown key, a missing
+    one or a value of the wrong type raises ConfigError naming the layer and
+    the key."""
+    if not isinstance(spec, dict):
+        raise ConfigError("a network description must be a JSON object")
+    net = {"name": "network"}
+    for key, value in spec.items():
+        if key not in _NETWORK_HINTS:
+            raise ConfigError(f"top level: unknown key {key!r}")
+        net[key] = _checked("top level", key, value, _NETWORK_HINTS[key])
+    for key in ("input_dims", "layers"):
+        if key not in net:
+            raise ConfigError(f"top level: missing key {key!r}")
+    hints = get_type_hints(LayerSpec)
+    layers = []
+    for i, raw in enumerate(net["layers"]):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"layer #{i} must be a JSON object")
+        name = raw.get("name")
+        where = f"layer {name}" if isinstance(name, str) else f"layer #{i}"
+        args = {}
+        for key, value in raw.items():
+            if key not in _LAYER_KEYS:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            args[_LAYER_KEYS[key]] = _checked(where, key, value, hints[_LAYER_KEYS[key]])
+        missing = [key for key in _LAYER_REQUIRED if key not in raw]
+        if missing:
+            raise ConfigError(f"{where}: missing key {missing[0]!r}")
+        layers.append(LayerSpec(**args))
+    return NetworkGraph(name=net["name"], input_dims=net["input_dims"], layers=layers)
 
 
 def load_graph(path: str) -> NetworkGraph:

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from aes_reference import aes128_encrypt_block, ctr_keystream
 from mgxsim.crypto import (
+    _NUMPY_CUTOVER_PER_LINE,
+    _XOR_CUTOVER,
     CIPHER_BLOCK,
     MAC_BYTES,
     EncryptionKey,
@@ -150,6 +152,94 @@ class TestKeystreamAgainstReference:
         ek = EncryptionKey(self.KEY)
         with pytest.raises(ValueError, match="per-line"):
             keystream_xor(ek, 0, [1, 2], bytes(129))
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _line_reference(key: bytes, base_pa: int, vns) -> bytes:
+    """The reference stream of whole lines, one VN each, with addresses
+    taken modulo 2**64."""
+    counters = [
+        struct.pack(">QQ", (base_pa + 64 * j + CIPHER_BLOCK * b) % 2**64, vn)
+        for j, vn in enumerate(vns)
+        for b in range(4)
+    ]
+    return ctr_keystream(key, counters)
+
+
+class TestCutovers:
+    """Both sides of every switch between a pure-Python path and a numpy one
+    (XOR, and counters with per-line VNs) against the reference AES."""
+
+    KEY = bytes(range(16))
+    EK = EncryptionKey(KEY)
+
+    @pytest.mark.parametrize("offset", [0, 5, 16, 37])
+    @pytest.mark.parametrize("length", [_XOR_CUTOVER - 1, _XOR_CUTOVER, _XOR_CUTOVER + 1])
+    def test_xor_lengths_around_the_cutover(self, length, offset):
+        # 255 and 257 bytes end in a partial cipher block; a nonzero offset
+        # starts inside one.
+        data = bytes(i * 13 % 251 for i in range(length))
+        nblocks = (offset + length + CIPHER_BLOCK - 1) // CIPHER_BLOCK
+        stream = _reference_stream(self.KEY, 0x9000, 11, nblocks)[offset : offset + length]
+        got = keystream_xor_at(self.EK, 0x9000, 11, offset, data)
+        assert type(got) is bytes and got == _xor(data, stream)
+
+    def test_one_mebibyte_span(self):
+        # The reference AES takes ~0.2 ms a block, so it checks a sample of
+        # blocks; the whole span must equal 128-byte calls, which take the
+        # integer XOR the tests above check against the reference.
+        n = 1 << 20
+        data = bytes(range(256)) * (n // 256)
+        got = keystream_xor_at(self.EK, 0x100000, 3, 8, data)
+        assert type(got) is bytes and len(got) == n
+        pieces = [
+            keystream_xor_at(self.EK, 0x100000, 3, 8 + pos, data[pos : pos + 128])
+            for pos in range(0, n, 128)
+        ]
+        assert got == b"".join(pieces)
+        for b in (0, 1, 2, 4095, 4096, 40000, n // CIPHER_BLOCK - 1):
+            want = _reference_stream(self.KEY, 0x100000 + CIPHER_BLOCK * b, 3, 1)
+            pos = b * CIPHER_BLOCK - 8  # the span starts 8 bytes into block 0
+            lo = max(pos, 0)
+            assert got[lo : pos + CIPHER_BLOCK] == _xor(data[lo : pos + CIPHER_BLOCK], want[lo - pos :])
+
+    @pytest.mark.parametrize("lines", range(1, _NUMPY_CUTOVER_PER_LINE // 4 + 1))
+    def test_per_line_vns_line_aligned(self, lines):
+        vns = [(7 << 48) + 5 * j for j in range(lines)]
+        data = bytes(i * 29 % 256 for i in range(64 * lines))
+        got = keystream_xor(self.EK, 0x3C0, vns, data)
+        assert got == _xor(data, _line_reference(self.KEY, 0x3C0, vns))
+
+    def test_per_line_vns_first_block_not_line_aligned(self):
+        # Blocks 3..21 of a six-line run: it starts in the last block of line
+        # 0 and ends inside line 5.
+        vns = [100 + j for j in range(6)]
+        data = bytes(i % 256 for i in range(300))
+        got = keystream_xor_at(self.EK, 0x1000, vns, 3 * CIPHER_BLOCK + 4, data)
+        ref = _line_reference(self.KEY, 0x1000, vns)[3 * CIPHER_BLOCK + 4 :]
+        assert got == _xor(data, ref)
+
+    @pytest.mark.parametrize("lines", [2, _NUMPY_CUTOVER_PER_LINE // 4])
+    def test_per_line_addresses_wrap_at_2_to_the_64(self, lines):
+        base = 2**64 - 48  # the first line's last three blocks wrap to 0, 16, 32
+        vns = list(range(1, lines + 1))
+        got = keystream_xor(self.EK, base, vns, bytes(64 * lines))
+        assert got == _line_reference(self.KEY, base, vns)
+
+    @pytest.mark.parametrize("length", [64, _XOR_CUTOVER + 64])
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytes_like_input_unmutated(self, kind, length):
+        raw = bytes(i * 7 % 256 for i in range(length))
+        buf = bytearray(raw)
+        data = buf if kind is bytearray else memoryview(buf)
+        want = keystream_xor_at(self.EK, 0x40, 9, 16, raw)
+        for vn in (9, [9] * (length // 64 + 1)):
+            got = keystream_xor_at(self.EK, 0x40, vn, 16, data)
+            assert type(got) is bytes and got == want
+            assert buf == raw
 
 
 class TestKeystreamProperties:

@@ -1,7 +1,7 @@
-"""Mutated exported traces. One changed CSV cell or sidecar field makes a
-broken input, not an attack, so every command must end in a classified
-outcome: exit 0, 2 or 5, never a traceback (exit 1) and never a tamper
-report (exit 3), since nobody tampered."""
+"""Mutated exported traces and network descriptions. One changed CSV cell,
+sidecar field or network field makes a broken input, not an attack, so every
+command must end in a classified outcome: exit 0, 2 or 5, never a traceback
+(exit 1) and never a tamper report (exit 3), since nobody tampered."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from mgxsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, entry
 from mgxsim.replay import SCHEMES
 from mgxsim.workloads import build_trace, export_trace, gact_trace, h264_trace
+from mgxsim.workloads.graph import LayerSpec
 
 SOURCES = {
     "micro": lambda: build_trace("micro"),
@@ -121,3 +123,60 @@ def test_one_mutation_ends_in_a_classified_exit(exported, data):
                 assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY), (
                     f"{name}: {what}: {command} --scheme {scheme} exited {rc}: {err.getvalue()}"
                 )
+
+
+# -- network descriptions ------------------------------------------------------
+
+MICRO = json.loads(resources.files("mgxsim.presets").joinpath("micro.json").read_text())
+# A value of the wrong type for each key of a network description.
+WRONG_TYPE = {"name": 7, "type": 7, "in_dims": "16", "out_dims": [1.5], "weight_bytes": 1.5,
+              "bypass_from": "c1", "in_from": 3, "dram_writes": "2", "input_dims": [True],
+              "layers": {}}
+LIST_KEYS = ("in_dims", "out_dims", "input_dims", "bypass_from")
+NOT_INT_KEYS = ("name", "type", "in_from", "bypass_from", "layers")  # 0 and -1 are wrong types
+
+
+def _network_mutations():
+    """(label, description, key, layer index or None, must exit 2): every
+    key of every layer of micro.json, and of its top level, set to a wrong
+    type, to 0 and to -1 (as a one-item list for a list key), and deleted
+    where present; plus an unknown type on every layer and an unknown key on
+    every layer and at the top level."""
+    layer_keys = ["type" if k == "kind" else k for k in LayerSpec.__dataclass_fields__]
+    targets = [(i, k) for i in range(len(MICRO["layers"])) for k in layer_keys]
+    targets += [(None, k) for k in ("name", "input_dims", "layers")]
+    for i, key in targets:
+        values = [(WRONG_TYPE[key], True)]
+        values += [([v] if key in LIST_KEYS else v, key in NOT_INT_KEYS) for v in (0, -1)]
+        if key in (MICRO if i is None else MICRO["layers"][i]):
+            values.append((MISSING, False))
+        if key == "type":
+            values.append(("bogus", True))
+        for value, must_fail in values:
+            spec = json.loads(json.dumps(MICRO))
+            _set(spec if i is None else spec["layers"][i], key, value)
+            shown = "deleted" if value is MISSING else repr(value)
+            yield f"layer {i} {key}: {shown}", spec, key, i, must_fail
+    for i in [*range(len(MICRO["layers"])), None]:
+        spec = json.loads(json.dumps(MICRO))
+        (spec if i is None else spec["layers"][i])["weigth_bytes"] = 1
+        yield f"layer {i} weigth_bytes: 1", spec, "weigth_bytes", i, True
+
+
+def test_network_mutations_end_in_a_classified_exit(tmp_path):
+    """Each mutated micro.json runs to exit 0, or exits 2 with a message that
+    names the file, the layer and the key. A wrong type, an unknown key and
+    an unknown type always exit 2."""
+    path = str(tmp_path / "net.json")
+    for label, spec, key, i, must_fail in _network_mutations():
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = entry(["run", "--workload", path, "--scheme", "mgx"])
+        msg = err.getvalue()
+        assert rc in ((EXIT_CONFIG,) if must_fail else (EXIT_OK, EXIT_CONFIG)), (label, rc, msg)
+        if rc == EXIT_CONFIG:
+            assert path in msg and key in msg, (label, msg)
+            if i is not None and key != "name":
+                assert f"layer {MICRO['layers'][i]['name']}" in msg, (label, msg)
