@@ -203,8 +203,8 @@ class TestCutovers:
         for b in (0, 1, 2, 4095, 4096, 40000, n // CIPHER_BLOCK - 1):
             want = _reference_stream(self.KEY, 0x100000 + CIPHER_BLOCK * b, 3, 1)
             pos = b * CIPHER_BLOCK - 8  # the span starts 8 bytes into block 0
-            lo = max(pos, 0)
-            assert got[lo : pos + CIPHER_BLOCK] == _xor(data[lo : pos + CIPHER_BLOCK], want[lo - pos :])
+            lo, hi = max(pos, 0), pos + CIPHER_BLOCK
+            assert got[lo:hi] == _xor(data[lo:hi], want[lo - pos :])
 
     @pytest.mark.parametrize("lines", range(1, _NUMPY_CUTOVER_PER_LINE // 4 + 1))
     def test_per_line_vns_line_aligned(self, lines):
