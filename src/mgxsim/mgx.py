@@ -238,6 +238,8 @@ class MgxMee:
             ct = bytes(length)
         mem, k = self.mem, obj.mac_granularity
         mem.write(obj.base + offset, ct, DATA)
+        if not self.crypto:
+            ct = b""  # the tags are zeros: the fetches below are only logged
         first, last = offset // k, (end - 1) // k
         span_start, span_end = first * k, min((last + 1) * k, obj.size)
         if span_start < offset:
@@ -273,6 +275,7 @@ class MgxMee:
         span_ct = self.mem.read(obj.base + span_start, span_end - span_start, DATA)
         tags_at, tags_len = obj.mac_addr(first), (last + 1 - first) * MAC_BYTES
         if not self.crypto:
+            del span_ct  # logged only; freed before the zeros are built
             self.mem.read(tags_at, tags_len, MAC_LINE, MAC_BYTES)
             return bytes(length)
         if first == last:

@@ -15,11 +15,15 @@ test was first run. Each test prints one summary line on success.
 from __future__ import annotations
 
 import time
+from array import array
+from itertools import repeat
+from operator import itemgetter
 
 import pytest
 
 from baseline_oracle import oracle_for_trace
 from mgxsim.attacks import ATTACKS, run_campaign
+from mgxsim.dram import RECORD_KINDS
 from mgxsim.errors import SecurityInvariantFault
 from mgxsim.mgx import MgxState
 from mgxsim.perf import DramModel, ProtectionStats, estimate_time, traffic_increase
@@ -143,6 +147,19 @@ def test_c3_tamper_detection_campaigns():
     print("C3 PASS —", ", ".join(cells))
 
 
+_KIND_CODE = {kind: code for code, kind in enumerate(RECORD_KINDS)}
+
+
+def _log_columns(accesses) -> tuple[bytes, array, array]:
+    """(op, klass, addr, length) records encoded into the access log's own
+    columns: kind codes (an unknown kind gets a code no record has),
+    addresses and lengths."""
+    kinds = map(itemgetter(0, 1), accesses)
+    codes = bytes(map(_KIND_CODE.get, kinds, repeat(len(RECORD_KINDS))))
+    addrs, lengths = (array("Q", map(itemgetter(i), accesses)) for i in (2, 3))
+    return codes, addrs, lengths
+
+
 def test_c4_baseline_oracle_equivalence(bank):
     """The baseline engine's full access list (count, class, address, length)
     equals the independent brute-force path enumerator's prediction on a
@@ -155,9 +172,18 @@ def test_c4_baseline_oracle_equivalence(bank):
             # Not banked: these nine logs are large and used only here.
             res = replay(trace, "baseline", region_mb=region_mb, cache_kb=cache_kb)
             assert _clean(res)
-            got = [(r.op, r.klass, r.addr, r.length) for r in res.log]
-            want = [tuple(a) for a in oracle_for_trace(trace, region_mb << 20, 8, cache_kb * 1024)]
-            assert got == want, f"region={region_mb}MB cache={cache_kb}KB: access lists differ"
+            got = res.log
+            want = oracle_for_trace(trace, region_mb << 20, 8, cache_kb * 1024)
+            if (got.codes, got.addrs, got.lengths) != _log_columns(want):
+                i = next(
+                    (i for i, (g, w) in enumerate(zip(got, want)) if tuple(g) != tuple(w)),
+                    min(len(got), len(want)),
+                )
+                pytest.fail(
+                    f"region={region_mb}MB cache={cache_kb}KB: access lists differ at "
+                    f"record {i}: engine {got[i] if i < len(got) else None}, "
+                    f"oracle {tuple(want[i]) if i < len(want) else None}"
+                )
             checked.append(f"{region_mb}MB/{cache_kb}KB:{len(got)}")
     print("C4 PASS — exact oracle match (records per config):", ", ".join(checked))
 

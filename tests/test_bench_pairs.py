@@ -1,0 +1,79 @@
+"""The aggregation of tools/bench_pairs.py, on hand-made runs: medians,
+inclusive quartiles, wins with ties counting for neither side, each metric's
+change against its bound, and the claim rule met and not met."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+HIGHER = {"unit": "MB/s", "better": "higher", "bound": 0.25}
+LOWER = {"unit": "MiB", "better": "lower", "bound": 0.05}
+
+
+def test_side_stats(pairs):
+    # Inclusive quartiles of 1..10 sit a quarter and three quarters along.
+    s = pairs.side_stats([10, 1, 9, 2, 8, 3, 7, 4, 6, 5])
+    assert (s["median"], s["q1"], s["q3"]) == (5.5, 3.25, 7.75)
+    assert s["runs"] == [10, 1, 9, 2, 8, 3, 7, 4, 6, 5]
+    assert pairs.side_stats([4.0]) == {"median": 4.0, "q1": 4.0, "q3": 4.0, "runs": [4.0]}
+    odd = pairs.side_stats([3, 1, 2, 5, 4])
+    assert (odd["median"], odd["q1"], odd["q3"]) == (3, 2, 4)
+
+
+def test_wins_ties_and_bound(pairs):
+    parent = [100, 100, 100, 100]
+    change = [110, 100, 90, 120]  # a win, a tie, a loss, a win
+    up = pairs.compare(HIGHER, parent, change)
+    assert (up["change_wins"], up["ties"]) == (2, 1)
+    assert up["median_change"] == pytest.approx(0.05)
+    assert up["worse_by"] == pytest.approx(-0.05) and up["within_bound"]
+    # The same numbers where lower is better: the loss becomes the one win.
+    down = pairs.compare(LOWER, parent, change)
+    assert (down["change_wins"], down["ties"]) == (1, 1)
+    assert down["worse_by"] == pytest.approx(0.05)
+    assert down["within_bound"]  # exactly at the bound still counts as within
+    assert not pairs.compare(LOWER, parent, [106, 106, 106, 106])["within_bound"]
+    with pytest.raises(ValueError):
+        pairs.compare(HIGHER, [1, 2], [1])
+
+
+def test_claim_rule(pairs):
+    parent = [100, 98, 102, 97, 103, 99, 101, 96, 104, 100]  # q1 98.25, q3 101.75
+    change = [p * 2 for p in parent]
+    met = pairs.claim_result(pairs.compare(HIGHER, parent, change))
+    assert met["met"] and met["change_wins"] == 10 and met["pairs"] == 10
+    assert met["ratio"] == pytest.approx(2.0)
+    assert met["median_gap"] == pytest.approx(100)
+    assert met["parent_quartile_spread"] == pytest.approx(3.5)
+
+    # Nine wins of ten still meet it; eight do not, nor does a tie for the ninth.
+    nine = change[:9] + [parent[9] - 1]
+    assert pairs.claim_result(pairs.compare(HIGHER, parent, nine))["met"]
+    eight = change[:8] + [parent[8] - 1, parent[9] - 1]
+    assert not pairs.claim_result(pairs.compare(HIGHER, parent, eight))["met"]
+    tie = change[:8] + [parent[8], parent[9] - 1]
+    assert not pairs.claim_result(pairs.compare(HIGHER, parent, tie))["met"]
+
+    # Ten wins whose median gap (3) is inside the parent's spread (3.5).
+    small = [p + 3 for p in parent]
+    res = pairs.claim_result(pairs.compare(HIGHER, parent, small))
+    assert res["change_wins"] == 10 and not res["met"]
+
+    # Lower is better: the gap is measured downwards, the ratio stays change / parent.
+    halved = pairs.claim_result(pairs.compare(LOWER, parent, [p / 2 for p in parent]))
+    assert halved["met"] and halved["ratio"] == pytest.approx(0.5)
+    assert halved["median_gap"] == pytest.approx(50)

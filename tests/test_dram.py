@@ -21,8 +21,11 @@ from mgxsim.dram import (
     PhysicalMemory,
     Relocate,
     Splice,
+    _ZEROS,
 )
 from mgxsim.errors import AddressError
+
+STRIDE = len(_ZEROS)  # what the byte store's zero check compares at once
 
 
 class TestStore:
@@ -97,6 +100,49 @@ class TestStore:
         poke(PAGE + 250, bytes(100))  # zeros over an existing page
         poke(PAGE - 10, bytes(PAGE))  # zeros across an absent and an existing page
         assert sorted(mem._pages) == [1]
+
+    # A span of two zero-check strides and more that starts inside a page,
+    # over absent pages; each case is checked against a flat shadow.
+    SPAN_AT, SPAN_LEN = PAGE - 30, 2 * STRIDE + 100
+    SPAN_PAGES = range(SPAN_AT // PAGE, (SPAN_AT + SPAN_LEN - 1) // PAGE + 1)
+
+    @staticmethod
+    def _poke_both(mem, shadow, addr, data):
+        mem.poke(addr, data)
+        shadow[addr : addr + len(data)] = data
+        assert mem.peek(0, len(shadow)) == bytes(shadow)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize(
+        "pos",
+        [SPAN_LEN - 1, 0, STRIDE - 1, STRIDE, STRIDE + 1, 30],
+        ids=["last", "first", "stride-end", "past-stride", "past-stride+1", "page-start"],
+    )
+    def test_zero_span_with_one_nonzero_byte(self, kind, pos):
+        # The one byte allocates its page, and only it.
+        mem, shadow = PhysicalMemory(capacity=3 * STRIDE), bytearray(3 * STRIDE)
+        data = bytearray(self.SPAN_LEN)
+        data[pos] = 0x5A
+        self._poke_both(mem, shadow, self.SPAN_AT, kind(data))
+        assert sorted(mem._pages) == [(self.SPAN_AT + pos) // PAGE]
+        self._poke_both(mem, shadow, self.SPAN_AT, kind(bytes(self.SPAN_LEN)))
+
+    @pytest.mark.parametrize("where", [0, len(SPAN_PAGES) // 2, -1], ids=["first", "middle", "last"])
+    def test_zeros_over_a_span_with_one_allocated_page(self, where):
+        page = self.SPAN_PAGES[where]
+        mem, shadow = PhysicalMemory(capacity=3 * STRIDE), bytearray(3 * STRIDE)
+        self._poke_both(mem, shadow, page * PAGE, b"\xff" * PAGE)
+        self._poke_both(mem, shadow, self.SPAN_AT, bytes(self.SPAN_LEN))
+        assert sorted(mem._pages) == [page]
+
+    def test_peek_whose_only_allocated_page_is_the_last(self):
+        mem, shadow = PhysicalMemory(capacity=3 * STRIDE), bytearray(3 * STRIDE)
+        end = self.SPAN_AT + self.SPAN_LEN
+        self._poke_both(mem, shadow, end - 7, b"tail!!!")
+        assert sorted(mem._pages) == [self.SPAN_PAGES[-1]]
+        for lo in (self.SPAN_AT, 0, PAGE, end - PAGE - 1):
+            assert mem.peek(lo, end - lo) == bytes(shadow[lo:end])
+        assert mem.peek(self.SPAN_AT, self.SPAN_LEN - 7) == bytes(self.SPAN_LEN - 7)
 
     def test_capacity_enforced(self):
         mem = PhysicalMemory(capacity=128)

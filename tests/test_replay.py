@@ -17,6 +17,7 @@ from mgxsim.dram import (
     DATA,
     LINE,
     MAC_LINE,
+    PAGE,
     TREE_NODE,
     VN_LINE,
     BitFlip,
@@ -86,6 +87,22 @@ class TestPayloadModeEquivalence:
             assert streams["fast"] == streams["real"] == streams["verify"], (
                 f"{trace.workload}/{scheme}: payload mode changed the access stream"
             )
+
+    @pytest.mark.parametrize("scheme", ["none", "mgx"])
+    def test_fast_replays_allocate_no_page(self, scheme, micro_graph):
+        # Fast mode moves only zeros, and under these schemes every byte it
+        # writes is data or a tag: not one page is allocated, while the log
+        # equals the verify replay's, multi-page accesses included.
+        trace = cnn_inference_trace(micro_graph, 2)
+        fast = replay(trace, scheme, payload_mode="fast")
+        verify = replay(trace, scheme, payload_mode="verify")
+        assert fast.clean and verify.clean
+        assert fast.memory._pages == {}
+        assert verify.memory._pages
+        assert max(fast.log.lengths) > 2 * PAGE
+        assert fast.log.codes == verify.log.codes
+        assert fast.log.addrs == verify.log.addrs
+        assert fast.log.lengths == verify.log.lengths
 
     def test_verify_mode_checks_real_payloads(self, micro_graph):
         # verify mode passes only because loads decrypt to the exact expected
