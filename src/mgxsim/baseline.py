@@ -34,16 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .crypto import EncryptionKey, MacKey, compute_mac, keystream_xor
-from .dram import (
-    ADDRESS_LIMIT,
-    DATA,
-    LINE,
-    MAC_LINE,
-    RECORD_KINDS,
-    TREE_NODE,
-    VN_LINE,
-    PhysicalMemory,
-)
+from .dram import ADDRESS_LIMIT, DATA, LINE, MAC_LINE, TREE_NODE, VN_LINE, PhysicalMemory
 from .errors import ConfigError, SecurityInvariantFault, TamperDetected
 from .mgx import ObjectDescriptor
 
@@ -53,7 +44,6 @@ _MAC_OFF = 56  # embedded MAC offset inside a counter line
 _MAC_SLOTS = 8  # data MAC tags per 64-byte line, independent of tree arity
 _MAC = -1  # cache level of a data-MAC line; counter lines use tree levels 0..
 TREE_ARITIES = (2, 4, 8)  # counters per counter line; each divides _MAC_SLOTS
-_DATA_READ = RECORD_KINDS.index(("read", DATA))  # the log's code of a data read
 
 
 @dataclass(frozen=True)
@@ -451,12 +441,8 @@ class BaselineMee:
                                 break
                         cts.append(ct[: good * LINE])
                         vns.extend(run[:good])
-                    if n > 1 and crypto:
+                    if n > 1:
                         mem.read(pa, min(good + 1, written) * LINE, DATA, lines=LINE)
-                    elif n > 1:
-                        # Zeros that nothing reads: log the run, which `_blocks`
-                        # has checked against the region, without copying it.
-                        mem.log.add_lines(_DATA_READ, pa, written * LINE, LINE)
                     if good < written:
                         raise TamperDetected("data block MAC mismatch", pa + good * LINE)
                 if written < n:
