@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .baseline import CTR_W
+from .baseline import CTR_W, BaselineGeometry
 from .crypto import MAC_BYTES
 from .dram import LINE, BitFlip, PhysicalMemory, Relocate, Splice
 from .errors import ConfigError
@@ -61,26 +62,29 @@ class CampaignResult:
 
 
 class _TraceIndex:
-    """Per-trace candidate tables shared by all trials of a campaign."""
+    """Per-trace candidate tables shared by all trials of a campaign under
+    one scheme; `geom` is the baseline's metadata layout, else None. Reads
+    and writes of no bytes are left out. The replay and relocation tables
+    are built when a campaign first draws from them."""
 
-    def __init__(self, trace: Trace):
+    def __init__(self, trace: Trace, scheme: str, geom: BaselineGeometry | None):
         self.trace = trace
+        self.scheme = scheme
+        self.geom = geom
         self.reads: list[int] = []
         self.writes_by_obj: dict[str, list[tuple[int, int, int]]] = {}
         for i, ev in enumerate(trace.events):
-            if ev.op == READ:
+            if ev.op == READ and ev.length:
                 self.reads.append(i)
-            elif ev.op == WRITE:
+            elif ev.op == WRITE and ev.length:
                 self.writes_by_obj.setdefault(ev.obj_id, []).append(
                     (i, ev.offset, ev.offset + ev.length)
                 )
         if not self.reads:
             raise ConfigError("trace performs no reads; nothing to attack")
-        self.replay_candidates = self._find_replay_candidates()
-        # _relocation_targets, computed when a campaign first needs it
-        self.relocation_targets: list[tuple[int, object, int]] | None = None
 
-    def _find_replay_candidates(self) -> list[tuple[int, int, int, int]]:
+    @cached_property
+    def replay_candidates(self) -> list[tuple[int, int, int, int]]:
         """(read_idx, older_write_idx, lo, hi): byte range of the read also
         covered by an older write with at least one newer write in between."""
         out = []
@@ -101,11 +105,18 @@ class _TraceIndex:
                     out.append((r, w[0], lo, hi))
         return out
 
+    @cached_property
+    def relocation_targets(self) -> list[tuple[int, object, int]]:
+        return list(_relocation_targets(self))
+
     def established_writes(self, before: int):
-        """Writes that completed before event index `before`."""
-        return [
-            (o, s, e) for o, ws in self.writes_by_obj.items() for i, s, e in ws if i < before
-        ]
+        """Writes that completed before event index `before`: (object,
+        start, end), object by object, each object's in event order."""
+        for o, ws in self.writes_by_obj.items():
+            for i, s, e in ws:
+                if i >= before:
+                    break
+                yield o, s, e
 
 
 def _pick_read(index: _TraceIndex, rng: random.Random) -> tuple[int, object, int]:
@@ -116,13 +127,13 @@ def _pick_read(index: _TraceIndex, rng: random.Random) -> tuple[int, object, int
     return r, obj, b
 
 
-def _bitflip_hooks(index, rng, scheme, geom):
+def _bitflip_hooks(index, rng):
     r, obj, b = _pick_read(index, rng)
     action = BitFlip(obj.base + b, rng.randrange(8))
     return {r: lambda mem: mem.inject(action)}
 
 
-def _splice_hooks(index, rng, scheme, geom):
+def _splice_hooks(index, rng):
     r, obj, b = _pick_read(index, rng)
     ev = index.trace.events[r]
     n = min(8, ev.offset + ev.length - b)
@@ -139,90 +150,66 @@ def _splice_hooks(index, rng, scheme, geom):
     return {r: inject}
 
 
-def _relocation_sources(index, scheme, r, obj, b) -> list:
+def _relocation_sources(index, r, obj, b):
     """Where a relocate attack on byte `b` of `obj`, consumed by read `r`,
-    can copy from: block addresses under the baseline, else (object, chunk,
-    chunk start) of a chunk-sized unit of written data."""
-    if scheme == "baseline":
+    can copy from, in the order of `established_writes(r)`: block addresses
+    under the baseline, else (object, chunk, chunk start) of a chunk-sized
+    unit of written data."""
+    objects = index.trace.objects
+    if index.scheme == "baseline":
         dst_block = (obj.base + b) // LINE * LINE
-        sources = [
-            (index.trace.objects[o].base + (s // LINE) * LINE)
-            for o, s, e in index.established_writes(r)
-            if e - (s // LINE) * LINE >= LINE
-        ]
-        return [a for a in sources if a != dst_block]
+        for o, s, e in index.established_writes(r):
+            src_block = objects[o].base + (s // LINE) * LINE
+            if e - (s // LINE) * LINE >= LINE and src_block != dst_block:
+                yield src_block
+        return
     c = b // obj.mac_granularity
     cs, ce = obj.chunk_extent(c)
     span = ce - cs
-    sources = []
     for o, s, e in index.established_writes(r):
-        so = index.trace.objects[o]
+        so = objects[o]
         for sc in so.covering_chunks(s, e - s):
             scs, sce = so.chunk_extent(sc)
             if scs >= s and sce <= e and sce - scs == span:
                 if so.obj_id != obj.obj_id or sc != c:
-                    sources.append((so, sc, scs))
-    return sources
+                    yield so, sc, scs
 
 
-def _has_relocation_source(index, scheme) -> bool:
-    """Whether any byte of any read has a relocation source. Targets in one
-    read differ only in the one unit they exclude and, for chunks, in the
-    length of the object's last chunk, so the first two units of a read and
-    its last one stand for all of them."""
-    for r in index.reads:
-        ev = index.trace.events[r]
-        obj = index.trace.objects[ev.obj_id]
-        unit = LINE if scheme == "baseline" else obj.mac_granularity
-        end = ev.offset + ev.length
-        first, last = ev.offset // unit, (end - 1) // unit
-        for u in {first, min(first + 1, last), last}:
-            if _relocation_sources(index, scheme, r, obj, max(ev.offset, u * unit)):
-                return True
-    return False
-
-
-def _relocation_targets(index, scheme) -> list[tuple[int, object, int]]:
+def _relocation_targets(index):
     """(read, object, first byte) of every unit (a block under the
     baseline, else a chunk) of every read that has a relocation source."""
-    out = []
     for r in index.reads:
         ev = index.trace.events[r]
         obj = index.trace.objects[ev.obj_id]
-        unit = LINE if scheme == "baseline" else obj.mac_granularity
+        unit = LINE if index.scheme == "baseline" else obj.mac_granularity
         end = ev.offset + ev.length
         for u in range(ev.offset // unit, (end - 1) // unit + 1):
             b = max(ev.offset, u * unit)
-            if _relocation_sources(index, scheme, r, obj, b):
-                out.append((r, obj, b))
-    return out
+            if next(_relocation_sources(index, r, obj, b), None) is not None:
+                yield r, obj, b
 
 
-def _relocate_target(index, rng, scheme):
+def _relocate_target(index, rng):
     """A (read, object, byte) whose unit has relocation sources, and those
     sources: the first of 64 random picks that has any, else a draw from
     every target that has some, so that a trace with few of them still
     gets its trials."""
     for _ in range(64):
         r, obj, b = _pick_read(index, rng)
-        sources = _relocation_sources(index, scheme, r, obj, b)
+        sources = list(_relocation_sources(index, r, obj, b))
         if sources:
             return r, obj, b, sources
-    if index.relocation_targets is None:
-        index.relocation_targets = _relocation_targets(index, scheme)
-    if not index.relocation_targets:
-        raise ConfigError("no relocation source found for this trace")
     r, obj, b = rng.choice(index.relocation_targets)
-    return r, obj, b, _relocation_sources(index, scheme, r, obj, b)
+    return r, obj, b, list(_relocation_sources(index, r, obj, b))
 
 
-def _relocate_hooks(index, rng, scheme, geom):
-    r, obj, b, sources = _relocate_target(index, rng, scheme)
-    if scheme == "baseline":
+def _relocate_hooks(index, rng):
+    r, obj, b, sources = _relocate_target(index, rng)
+    if index.scheme == "baseline":
         dst_block = (obj.base + b) // LINE * LINE
         src_block = rng.choice(sources)
-        sl, ss = geom.mac_slot(geom.block_index(src_block))
-        dl, ds = geom.mac_slot(geom.block_index(dst_block))
+        sl, ss = index.geom.mac_slot(src_block // LINE)
+        dl, ds = index.geom.mac_slot(dst_block // LINE)
         actions = [
             Relocate(src_block, dst_block, LINE),
             Relocate(sl + ss * CTR_W, dl + ds * CTR_W, CTR_W),
@@ -234,27 +221,26 @@ def _relocate_hooks(index, rng, scheme, geom):
     cs, ce = obj.chunk_extent(c)
     so, sc, scs = rng.choice(sources)
     actions = [Relocate(so.base + scs, obj.base + cs, ce - cs)]
-    if scheme == "mgx":
+    if index.scheme == "mgx":
         actions.append(Relocate(so.mac_addr(sc), obj.mac_addr(c), MAC_BYTES))
     return {r: lambda mem: [mem.inject(a) for a in actions]}
 
 
-def _replay_hooks(index, rng, scheme, geom):
+def _replay_hooks(index, rng):
     r, w1, lo, hi = rng.choice(index.replay_candidates)
     obj = index.trace.objects[index.trace.events[r].obj_id]
     b = rng.randrange(lo, hi)
     ranges: list[tuple[int, int]]
-    if scheme == "baseline":
-        block_addr = (obj.base + b) // LINE * LINE
-        blk = geom.block_index(block_addr)
+    if index.scheme == "baseline":
+        geom, blk = index.geom, (obj.base + b) // LINE
         mac_line, _ = geom.mac_slot(blk)
         leaf = geom.level_line_addr(0, blk // geom.cfg.arity)
-        ranges = [(block_addr, LINE), (mac_line, LINE), (leaf, LINE)]
+        ranges = [(blk * LINE, LINE), (mac_line, LINE), (leaf, LINE)]
     else:
         c = b // obj.mac_granularity
         cs, ce = obj.chunk_extent(c)
         ranges = [(obj.base + cs, ce - cs)]
-        if scheme == "mgx":
+        if index.scheme == "mgx":
             ranges.append((obj.mac_addr(c), MAC_BYTES))
     saved: list[tuple[int, bytes]] = []
 
@@ -311,20 +297,19 @@ def run_campaign(
     if trials < 0:
         raise ConfigError(f"trials must be at least 0, got {trials}")
     shared = _Run(trace, scheme, "verify", region_mb, cache_kb, tree_arity)  # validates
-    index = _TraceIndex(trace)
+    index = _TraceIndex(trace, scheme, shared.engine.geom if scheme == "baseline" else None)
     if attack == "replay" and not index.replay_candidates:
         raise ConfigError(
             "trace has no byte written twice before a read; replay attacks need one"
         )
-    if attack == "relocate" and not _has_relocation_source(index, scheme):
+    if attack == "relocate" and next(_relocation_targets(index), None) is None:
         raise ConfigError("no relocation source found for this trace")
-    geom = shared.engine.geom if scheme == "baseline" else None
     build = _BUILDERS[attack]
     # event index -> hooks that only read memory, and -> (trial, last hook)
     readers: dict[int, list] = {}
     finals: dict[int, list] = {}
     for t in range(trials):
-        hooks = build(index, random.Random(seed + t), scheme, geom)
+        hooks = build(index, random.Random(seed + t))
         *before, last = sorted(hooks)
         for i in before:
             readers.setdefault(i, []).append(hooks[i])

@@ -89,10 +89,6 @@ class BaselineGeometry:
         self.meta_end = cursor
         if cursor > ADDRESS_LIMIT:
             raise ConfigError(f"a {cfg.region_size}-byte region puts metadata past 2**64")
-        self.root_fanout = counts[-1]
-
-    def block_index(self, pa: int) -> int:
-        return pa // LINE
 
     def mac_slot(self, block: int) -> tuple[int, int]:
         return self.mac_base + (block // _MAC_SLOTS) * LINE, block % _MAC_SLOTS
@@ -465,8 +461,6 @@ class BaselineMee:
     def _blocks(self, obj: ObjectDescriptor, a0: int, a1: int) -> tuple[int, int]:
         """First block and block count of obj[a0:a1], a line-aligned range,
         checked before any traffic."""
-        if a1 == a0:
-            return 0, 0
         lo, hi = obj.base + a0, obj.base + a1
         if lo % LINE or lo < 0 or hi > self.geom.cfg.region_size:
             raise ConfigError(
@@ -485,11 +479,15 @@ class BaselineMee:
     ) -> None:
         """Write the lines holding obj[offset:offset+length], filled whole from
         `plaintext` over the widened range (no read-modify-write)."""
+        if not length:
+            return
         a0, a1 = _line_range(offset, length)
         first, _ = self._blocks(obj, a0, a1)
         self._write(first, plaintext(a0, a1 - a0))
 
     def load(self, obj: ObjectDescriptor, vn: int, offset: int, length: int) -> bytes:
+        if not length:
+            return b""
         a0, a1 = _line_range(offset, length)
         pt = self._read(*self._blocks(obj, a0, a1))
         return pt[offset - a0 : offset - a0 + length]

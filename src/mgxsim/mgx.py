@@ -297,8 +297,8 @@ class MgxMee:
                         f"chunk MAC mismatch in object {obj.obj_id}", obj.base + cs
                     )
             self.mem.read(tags_at, tags_len, MAC_LINE, MAC_BYTES)
-        pt = keystream_xor_at(self.enc_key, obj.base, vn, span_start, span_ct)
-        return pt[offset - span_start : end - span_start]
+        ct = span_ct[offset - span_start : end - span_start]  # the tags covered the span
+        return keystream_xor_at(self.enc_key, obj.base, vn, offset, ct)
 
     def _tags(
         self, obj: ObjectDescriptor, vn: int, start: int, ct: bytes, c0: int, c1: int

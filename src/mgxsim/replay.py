@@ -13,6 +13,8 @@ the same object interface:
   engine asks only for the range it writes.
 * load(obj, vn, offset, length) -> bytes: exactly the requested plaintext.
 
+An empty range (length 0) moves and logs nothing under every engine.
+
 A run's `rekey_events` counts key changes: under `mgx`, the counter wraps
 `resolve_vns` found among the events processed; under `baseline`, the
 engine's stored-VN overflows; under `none`, nothing is keyed.
@@ -61,10 +63,11 @@ class PlainEngine:
         self.mem = memory
 
     def store(self, obj, vn: int, offset: int, length: int, plaintext) -> None:
-        self.mem.write(obj.base + offset, plaintext(offset, length), DATA)
+        if length:
+            self.mem.write(obj.base + offset, plaintext(offset, length), DATA)
 
     def load(self, obj, vn: int, offset: int, length: int) -> bytes:
-        return self.mem.read(obj.base + offset, length, DATA)
+        return self.mem.read(obj.base + offset, length, DATA) if length else b""
 
     def fork(self, memory: PhysicalMemory) -> "PlainEngine":
         return PlainEngine(memory)

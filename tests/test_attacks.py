@@ -3,6 +3,7 @@ corruption on the unprotected one, input validation, determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -15,8 +16,8 @@ from mgxsim.baseline import BaselineGeometry
 from mgxsim.dram import PhysicalMemory
 from mgxsim.errors import ConfigError, SecurityInvariantFault
 from mgxsim.replay import baseline_config, replay
-from mgxsim.workloads import VnSource, cnn_inference_trace, h264_trace
-from mgxsim.workloads.trace import WRITE, TraceBuilder, TraceEvent
+from mgxsim.workloads import VnSource, cnn_inference_trace, gact_trace, h264_trace
+from mgxsim.workloads.trace import READ, WRITE, TraceBuilder, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +45,11 @@ class TestProtectedSchemesDetect:
 
 def per_trial_campaign(trace, scheme, attack, trials, seed):
     """The reference: one replay of the whole trace per trial."""
-    index = attacks._TraceIndex(trace)
     geom = BaselineGeometry(baseline_config(trace)) if scheme == "baseline" else None
+    index = attacks._TraceIndex(trace, scheme, geom)
     res = CampaignResult(scheme, attack, trace.workload)
     for t in range(trials):
-        hooks = attacks._BUILDERS[attack](index, random.Random(seed + t), scheme, geom)
+        hooks = attacks._BUILDERS[attack](index, random.Random(seed + t))
         run = replay(trace, scheme, payload_mode="verify", hooks=hooks)
         res.trials += 1
         if run.detected is not None:
@@ -233,6 +234,31 @@ class TestValidation:
         res = run_campaign(rare_relocation_trace, scheme, "relocate", trials=20, seed=0)
         assert res.detected == res.trials == 20
 
+    @pytest.mark.parametrize("scheme", ["none", "mgx", "baseline"])
+    def test_empty_reads_and_writes_are_not_attacked(self, scheme, attack_trace):
+        # as many reads and writes of no bytes as the trace has reads, after
+        # its last event: no trial picks them, so every outcome stays
+        reads = [ev for ev in attack_trace.events if ev.op == READ]
+        empty = [ev._replace(op=op, offset=ev.offset + 8, length=0)
+                 for ev in reads for op in (READ, WRITE)]
+        padded = dataclasses.replace(attack_trace, events=attack_trace.events + empty)
+        for attack in ATTACKS:
+            got = run_campaign(padded, scheme, attack, trials=6, seed=4)
+            assert got == run_campaign(attack_trace, scheme, attack, trials=6, seed=4), attack
+
+    def test_an_empty_write_is_no_newer_write(self):
+        b = TraceBuilder("empty", mac_granularity=64)
+        a = b.alloc("a", 128)
+        src = VnSource("feature", 1)
+        for _ in range(2):
+            b.update("update_i")
+            b.new_group()
+            b.write(a, src)  # events 1 and 3
+        b.read(a, src)  # 4
+        assert attacks._TraceIndex(b.trace, "mgx", None).replay_candidates == [(4, 1, 0, 128)]
+        b.trace.events.insert(4, TraceEvent(WRITE, "a", src, 8, 0, b.trace.events[3].group))
+        assert attacks._TraceIndex(b.trace, "mgx", None).replay_candidates == [(5, 1, 0, 128)]
+
     def test_relocate_needs_a_source(self):
         b = TraceBuilder("tiny", mac_granularity=64)
         o = b.alloc("o", 64)
@@ -243,6 +269,37 @@ class TestValidation:
         b.read(o, VnSource("feature", 1))
         with pytest.raises(ConfigError):
             run_campaign(b.trace, "mgx", "relocate", trials=1)
+
+
+class TestRelocationTargets:
+    """The fallback draw's table: every (read, object, first byte) whose
+    unit has a relocation source. Counts frozen from the definition that
+    sampled three units per read to decide the precondition."""
+
+    COUNTS = {
+        "h264": (3861, 3861, 61775),
+        "gact": (577, 577, 6208),
+        "micro-2": (90, 90, 1460),
+        "c3": (17, 17, 143),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_counts(self, name, attack_trace):
+        trace = {
+            "h264": h264_trace,
+            "gact": gact_trace,
+            "micro-2": lambda: attack_trace,
+            "c3": lambda: h264_trace("IBPB" * 2, frame_bytes=512, streams=2),
+        }[name]()
+        got = []
+        for scheme in ("none", "mgx", "baseline"):
+            geom = BaselineGeometry(baseline_config(trace)) if scheme == "baseline" else None
+            index = attacks._TraceIndex(trace, scheme, geom)
+            targets = index.relocation_targets
+            assert index.relocation_targets is targets  # built once
+            assert next(attacks._relocation_targets(index)) == targets[0]
+            got.append(len(targets))
+        assert tuple(got) == self.COUNTS[name]
 
 
 class TestCampaignResult:

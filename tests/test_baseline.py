@@ -113,7 +113,7 @@ class TestGeometryFrozen:
             0x0A249000,
         ]
         assert g.meta_end == 0x0A249200
-        assert g.root_fanout == 8
+        assert g.level_counts[-1] == 8
 
     def test_small_region_layout(self):
         g = BaselineGeometry(BaselineConfig(32768, 8, 1024))
@@ -121,11 +121,10 @@ class TestGeometryFrozen:
         assert g.mac_base == 32768
         assert g.level_counts == [64, 8]
         assert g.level_bases == [32768 + 64 * 64, 32768 + 64 * 64 + 64 * 64]
-        assert g.root_fanout == 8
+        assert g.level_counts[-1] == 8
 
     def test_address_helpers(self):
         g = BaselineGeometry(BaselineConfig(128 * MB, 8, 4096))
-        assert g.block_index(64 * 7) == 7
         assert g.mac_slot(0) == (0x08000000, 0)
         assert g.mac_slot(13) == (0x08000000 + 64, 5)
         assert g.level_line_addr(0, 3) == 0x09000000 + 3 * 64

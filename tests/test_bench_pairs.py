@@ -77,3 +77,46 @@ def test_claim_rule(pairs):
     halved = pairs.claim_result(pairs.compare(LOWER, parent, [p / 2 for p in parent]))
     assert halved["met"] and halved["ratio"] == pytest.approx(0.5)
     assert halved["median_gap"] == pytest.approx(50)
+
+
+def cell(events=100, model=None, **layers):
+    return {
+        "events": events,
+        "model": {"est_cycles": 5000.0, "meta_bytes": 64} if model is None else model,
+        "layers": {"dram.calls": 10, "dram.bytes": 4096, "dram.s": 0.01,
+                   "mgx.ledger_s": 0.002, **layers},
+        "rate": 123.0,  # not a stream value
+    }
+
+
+def test_same_streams_all_equal(pairs):
+    parent = [{"mgx": cell(), "none": cell()}, {"mgx": cell(), "none": cell()}]
+    # times and rates differ from run to run; they are not compared
+    change = [{"mgx": cell(**{"dram.s": 0.5, "mgx.ledger_s": 0.4}) | {"rate": 1.0},
+               "none": cell()} for _ in range(2)]
+    got = pairs.same_streams(parent, change)
+    assert got == {"rounds": {"parent": 2, "change": 2}, "rounds_compared": 2,
+                   "values_compared": 2 * 2 * 5, "differ": []}
+
+
+def test_same_streams_names_one_differing_count(pairs):
+    parent = [{"mgx": cell(), "baseline": cell()}] * 2
+    change = [{"mgx": cell(), "baseline": cell()},
+              {"mgx": cell(), "baseline": cell(**{"dram.bytes": 4160})}]
+    assert pairs.same_streams(parent, change)["differ"] == ["dram.bytes.baseline"]
+    change = [{"mgx": cell(model={"est_cycles": 5001.0, "meta_bytes": 64}),
+               "baseline": cell(events=99)}]
+    assert pairs.same_streams(parent, change)["differ"] == [
+        "events.baseline", "model.est_cycles.mgx"]
+
+
+def test_same_streams_over_the_rounds_both_ran(pairs):
+    parent = [{"mgx": cell()}] * 3
+    change = [{"mgx": cell()}, {"mgx": cell(**{"crypto.bytes": 8})}]
+    got = pairs.same_streams(parent, change)
+    assert got["rounds"] == {"parent": 3, "change": 2}
+    assert got["rounds_compared"] == 2
+    # a value only one side has differs; the third parent round is not read
+    assert got["differ"] == ["crypto.bytes.mgx"]
+    assert got["values_compared"] == 5 + 6
+    assert pairs.same_streams(parent, [])["rounds_compared"] == 0

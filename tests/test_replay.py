@@ -112,6 +112,39 @@ class TestPayloadModeEquivalence:
         assert res.clean
 
 
+class TestZeroLengthEvents:
+    """A read or write of no bytes moves and logs nothing under every scheme
+    and payload mode, at any offset, before or after the object's first
+    write: the replay's log and memory equal those of the trace without it."""
+
+    @staticmethod
+    def with_empty_events(trace):
+        first = next(i for i, ev in enumerate(trace.events) if ev.op == WRITE)
+        ev = trace.events[first]
+        size = trace.objects[ev.obj_id].size
+        empty = [
+            ev._replace(op=op, offset=offset, length=0)
+            for op in (READ, WRITE)
+            for offset in (0, 8, 64, size - 8, size)
+        ]
+        events = trace.events[:first] + empty + [ev] + empty + trace.events[first + 1 :]
+        return dataclasses.replace(trace, events=events)
+
+    @pytest.mark.parametrize("mode", ["fast", "real", "verify"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_logs_and_memory_unchanged(self, scheme, mode, micro_graph):
+        trace = cnn_inference_trace(micro_graph, 1)
+        padded = self.with_empty_events(trace)
+        assert len(padded.events) == len(trace.events) + 20
+        want, got = (replay(t, scheme, payload_mode=mode) for t in (trace, padded))
+        assert got.clean, got.detected or got.mismatch
+        for log in ("codes", "addrs", "lengths"):
+            assert getattr(got.log, log) == getattr(want.log, log), log
+        assert got.group_spans == want.group_spans
+        assert got.group_totals == want.group_totals
+        assert got.memory._pages == want.memory._pages
+
+
 class TestNoneScheme:
     def test_only_data_traffic(self, micro_graph):
         res = replay(cnn_inference_trace(micro_graph, 1), "none")

@@ -11,6 +11,13 @@ others. The file it writes holds, per end-to-end metric and side, the median,
 the inclusive quartiles and every run; how many pairs the change won (ties
 count for neither side); each metric's change against its bound; the claim
 rule's result; machine facts; and the `src/` tree hashes of both sides.
+
+Its "same streams" section comes from one more run per workload and side,
+`python3 bench/run.py --workload W --seed 7 --seconds S --trace 1`. Over the
+rounds both sides ran, it compares cell by cell every model output, every
+layer value that is not a time (names ending in `_s` or `.s`) and the event
+count, and records the rounds compared and the names of the values that
+differ.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import tempfile
 from importlib import metadata
 from pathlib import Path
 
-COMMAND = "python3 bench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
+COMMAND = ("python3 bench/run.py --workload {workload} --seed {seed} --seconds {seconds} "
+           "--trace {trace}")
+STREAM_SEED = 7
 CLAIM_RULE = (
     "change wins >= 9 of 10 pairs (9/10 of the pairs in general) and its median beats the "
     "parent's by more than the parent's quartile spread (q3 - q1)"
@@ -87,6 +96,32 @@ def claim_result(metric: dict) -> dict:
     }
 
 
+def same_streams(parent: list[dict], change: list[dict]) -> dict:
+    """Compare two `--trace 1` runs' rounds (scheme -> cell) round for round,
+    over the rounds both ran. A differing value is named `<name>.<scheme>`,
+    where the name is `events`, `model.<output>` or the layer's."""
+    compared, differ = 0, set()
+    for p_round, c_round in zip(parent, change):
+        for scheme in sorted(p_round.keys() | c_round.keys()):
+            p, c = p_round.get(scheme, {}), c_round.get(scheme, {})
+            values = {"events": (p.get("events"), c.get("events"))}
+            pm, cm = p.get("model") or {}, c.get("model") or {}
+            for k in pm.keys() | cm.keys():
+                values[f"model.{k}"] = (pm.get(k), cm.get(k))
+            pl, cl = p.get("layers", {}), c.get("layers", {})
+            for k in pl.keys() | cl.keys():
+                if not k.endswith(("_s", ".s")):
+                    values[k] = (pl.get(k), cl.get(k))
+            compared += len(values)
+            differ.update(f"{k}.{scheme}" for k, (a, b) in values.items() if a != b)
+    return {
+        "rounds": {"parent": len(parent), "change": len(change)},
+        "rounds_compared": min(len(parent), len(change)),
+        "values_compared": compared,
+        "differ": sorted(differ),
+    }
+
+
 def _git(repo: Path, *args: str, env: dict | None = None) -> str:
     return subprocess.run(
         ["git", *args], cwd=repo, env=env, check=True, capture_output=True, text=True
@@ -110,8 +145,8 @@ def export(repo: Path, treeish: str, dest: Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = COMMAND.format(workload=workload, seed=seed, seconds=f"{seconds:g}").split()
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    cmd = COMMAND.format(workload=workload, seed=seed, seconds=f"{seconds:g}", trace=trace).split()
     cmd[0] = sys.executable
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -210,13 +245,22 @@ def main(argv=None) -> int:
                     for m in metrics
                 },
             }
+        streams = {}
+        for workload in workloads:
+            rounds = {}
+            for side, checkout in sides.items():
+                run_bench(checkout, workload, STREAM_SEED, seconds, trace=1)
+                out = checkout / "bench" / "out" / f"{workload}-seed{STREAM_SEED}-trace1.json"
+                rounds[side] = json.loads(out.read_text())["rounds"]
+            streams[workload] = same_streams(rounds["parent"], rounds["change"])
+            print(f"{workload} same streams: {streams[workload]}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     first, last = args.seeds[0], args.seeds[-1]
     doc = {
         "what": args.what,
-        "command": COMMAND.format(workload="W", seed="N", seconds=f"{seconds:g}"),
+        "command": COMMAND.format(workload="W", seed="N", seconds=f"{seconds:g}", trace=0),
         "pairing": (f"for seed N in {first}..{last}: pair i (N = {first} + i) runs the parent "
                     "checkout first when i is even and the change first when i is odd; both "
                     "checkouts are git archive exports of equal path length; every workload's "
@@ -228,6 +272,11 @@ def main(argv=None) -> int:
         "bench_tree": _git(repo, "rev-parse", f"{change}:bench"),
         "machine": machine(),
         "workloads": results,
+        "same_streams": {
+            "command": COMMAND.format(workload="W", seed=STREAM_SEED, seconds=f"{seconds:g}",
+                                      trace=1),
+            "workloads": streams,
+        },
         "regressions_beyond_bound": [
             f"{w}:{name}" for w, r in results.items()
             for name, m in r["metrics"].items() if not m["within_bound"]
