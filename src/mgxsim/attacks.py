@@ -232,9 +232,9 @@ def _replay_hooks(index, rng):
     b = rng.randrange(lo, hi)
     ranges: list[tuple[int, int]]
     if index.scheme == "baseline":
-        geom, blk = index.geom, (obj.base + b) // LINE
-        mac_line, _ = geom.mac_slot(blk)
-        leaf = geom.level_line_addr(0, blk // geom.cfg.arity)
+        blk = (obj.base + b) // LINE
+        mac_line, _ = index.geom.mac_slot(blk)
+        leaf = index.geom.level_line_addr(0, blk // index.geom.cfg.arity)
         ranges = [(blk * LINE, LINE), (mac_line, LINE), (leaf, LINE)]
     else:
         c = b // obj.mac_granularity
