@@ -13,49 +13,4 @@ bandwidth and execution-time estimates; :mod:`mgxsim.attacks` runs tamper
 campaigns against live replays.
 """
 
-from .baseline import BaselineConfig, BaselineGeometry, BaselineMee
-from .crypto import (
-    CIPHER_BLOCK,
-    EncryptionKey,
-    MacKey,
-    compute_mac,
-    keystream_xor,
-    keystream_xor_at,
-)
-from .dram import BitFlip, PhysicalMemory, Relocate, Splice
-from .errors import (
-    AddressError,
-    AlignmentError,
-    ConfigError,
-    SecurityInvariantFault,
-    TamperDetected,
-    VerifyMismatch,
-)
-from .mgx import MgxMee, MgxState, ObjectDescriptor
-
-__all__ = [
-    "AddressError",
-    "AlignmentError",
-    "BaselineConfig",
-    "BaselineGeometry",
-    "BaselineMee",
-    "BitFlip",
-    "CIPHER_BLOCK",
-    "ConfigError",
-    "EncryptionKey",
-    "MacKey",
-    "MgxMee",
-    "MgxState",
-    "ObjectDescriptor",
-    "PhysicalMemory",
-    "Relocate",
-    "SecurityInvariantFault",
-    "Splice",
-    "TamperDetected",
-    "VerifyMismatch",
-    "compute_mac",
-    "keystream_xor",
-    "keystream_xor_at",
-]
-
 __version__ = "0.1.0"

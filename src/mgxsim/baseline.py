@@ -458,16 +458,22 @@ class BaselineMee:
     # Accesses widen to the whole 64-byte lines of the object that hold the
     # requested range. `vn` is unused: this scheme keeps a stored VN per block.
 
-    def _blocks(self, obj: ObjectDescriptor, a0: int, a1: int) -> tuple[int, int]:
-        """First block and block count of obj[a0:a1], a line-aligned range,
-        checked before any traffic."""
+    def _blocks(
+        self, obj: ObjectDescriptor, op: str, offset: int, length: int
+    ) -> tuple[int, int, int]:
+        """Offset, first block and block count of the whole lines holding
+        obj[offset:offset+length], checked before any traffic: against the
+        protected region, then against the object."""
+        a0 = offset // LINE * LINE
+        a1 = -(-(offset + length) // LINE) * LINE
         lo, hi = obj.base + a0, obj.base + a1
         if lo % LINE or lo < 0 or hi > self.geom.cfg.region_size:
             raise ConfigError(
                 f"[0x{lo:x}, 0x{hi:x}) is not a range of whole 64-byte blocks "
                 "inside the protected region"
             )
-        return lo // LINE, (a1 - a0) // LINE
+        obj.check_range(op, offset, length)
+        return a0, lo // LINE, (a1 - a0) // LINE
 
     def store(
         self,
@@ -479,19 +485,12 @@ class BaselineMee:
     ) -> None:
         """Write the lines holding obj[offset:offset+length], filled whole from
         `plaintext` over the widened range (no read-modify-write)."""
-        if not length:
-            return
-        a0, a1 = _line_range(offset, length)
-        first, _ = self._blocks(obj, a0, a1)
-        self._write(first, plaintext(a0, a1 - a0))
+        a0, first, n = self._blocks(obj, "store", offset, length)
+        if length:
+            self._write(first, plaintext(a0, n * LINE))
 
     def load(self, obj: ObjectDescriptor, vn: int, offset: int, length: int) -> bytes:
+        a0, first, n = self._blocks(obj, "load", offset, length)
         if not length:
             return b""
-        a0, a1 = _line_range(offset, length)
-        pt = self._read(*self._blocks(obj, a0, a1))
-        return pt[offset - a0 : offset - a0 + length]
-
-
-def _line_range(offset: int, length: int) -> tuple[int, int]:
-    return offset // LINE * LINE, -(-(offset + length) // LINE) * LINE
+        return self._read(first, n)[offset - a0 : offset - a0 + length]

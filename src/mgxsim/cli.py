@@ -7,7 +7,7 @@ Subcommands:
 * sweep:  repeat run over a list of values for one parameter.
 * attack: run randomized tamper campaigns and report detection rates.
 * verify: replay with full crypto and payload checking; exit status tells
-          whether the data survived intact.
+          whether the data survived intact. `--out` writes run's CSV row.
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 tampering detected
 during a plain run, 4 attack campaign with undetected trials, 5 verification
@@ -46,13 +46,11 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with an experiment configuration")
     p.add_argument("--workload", help="preset name, generator name, .json network or .csv trace")
     p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--channels", type=int)
     p.add_argument("--cache-kb", type=int, dest="cache_kb")
     p.add_argument("--region-mb", type=int, dest="region_mb")
     p.add_argument("--tree-arity", type=int, dest="tree_arity", choices=TREE_ARITIES)
     p.add_argument("--mac-granularity", type=int, dest="mac_granularity")
     p.add_argument("--seed", type=int)
-    p.add_argument("--payload-mode", dest="payload_mode", choices=PAYLOAD_MODES)
     p.add_argument("--out", help="write results as CSV to this path")
     p.add_argument(
         "--arg",
@@ -85,6 +83,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", help="full-crypto replay with payload checking")
     _common_flags(ver_p)
+
+    # Only the commands that time a replay take a channel count, and only
+    # those that choose how payloads move take a payload mode.
+    for timed in (run_p, sweep_p, ver_p):
+        timed.add_argument("--channels", type=int)
+    for chooser in (run_p, sweep_p):
+        chooser.add_argument("--payload-mode", dest="payload_mode", choices=PAYLOAD_MODES)
     return p
 
 
@@ -100,7 +105,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(from_file).with_overrides(
         workload=args.workload,
         scheme=args.scheme,
-        channels=args.channels,
+        channels=getattr(args, "channels", None),
         cache_kb=args.cache_kb,
         region_mb=args.region_mb,
         tree_arity=args.tree_arity,
@@ -221,6 +226,8 @@ def cmd_verify(args) -> int:
     sim = run_experiment(cfg)
     _print_sim(sim)
     print("verify: all loads returned the expected payloads")
+    if cfg.out:
+        write_stats_csv([stats_row(sim)], cfg.out)
     return EXIT_OK
 
 

@@ -129,7 +129,8 @@ def sweep_experiment(cfg: ExperimentConfig, param: str, values: list) -> list[di
     """Run the experiment once per value of `param` and return stats rows.
 
     `param` may name any config field or, failing that, a workload argument.
-    Every value's config is built, and so checked, before the first replay.
+    Every value's config and trace is built, and so checked, before the first
+    replay.
     """
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     subs = []
@@ -138,4 +139,7 @@ def sweep_experiment(cfg: ExperimentConfig, param: str, values: list) -> list[di
             subs.append(dataclasses.replace(cfg, **{param: v}))
         else:
             subs.append(dataclasses.replace(cfg, workload_args={**cfg.workload_args, param: v}))
-    return [stats_row(run_experiment(sub), param, v) for sub, v in zip(subs, values)]
+    traces = [sub.build_trace() for sub in subs]
+    return [
+        stats_row(run_experiment(sub, trace=t), param, v) for sub, t, v in zip(subs, traces, values)
+    ]

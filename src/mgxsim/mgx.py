@@ -150,6 +150,15 @@ class ObjectDescriptor:
         k = self.mac_granularity
         return c * k, min((c + 1) * k, self.size)
 
+    def check_range(self, op: str, offset: int, length: int) -> None:
+        """Reject an access to [offset, offset + length) that leaves the
+        object; every engine checks this before it moves a byte."""
+        if offset < 0 or length < 0 or offset + length > self.size:
+            raise ConfigError(
+                f"{op} [{offset},{offset + length}) outside object {self.obj_id} "
+                f"of size {self.size}"
+            )
+
     def covering_chunks(self, offset: int, length: int) -> range:
         if length <= 0:
             return range(0)
@@ -225,13 +234,10 @@ class MgxMee:
         per chunk: the data write, the first chunk's head, the tags of every
         chunk but the last, the last chunk's tail, then the last tag.
         """
-        end = offset + length
-        if offset < 0 or length < 0 or end > obj.size:
-            raise ConfigError(
-                f"store [{offset},{end}) outside object {obj.obj_id} of size {obj.size}"
-            )
+        obj.check_range("store", offset, length)
         if not length:
             return
+        end = offset + length
         if self.crypto:
             ct = keystream_xor_at(self.enc_key, obj.base, vn, offset, plaintext(offset, length))
         else:
@@ -262,13 +268,10 @@ class MgxMee:
         each byte was last written under `vn` is the schedule's to ensure
         (`check_schedule`).
         """
-        end = offset + length
-        if offset < 0 or length < 0 or end > obj.size:
-            raise ConfigError(
-                f"load [{offset},{end}) outside object {obj.obj_id} of size {obj.size}"
-            )
+        obj.check_range("load", offset, length)
         if length == 0:
             return b""
+        end = offset + length
         k = obj.mac_granularity
         first, last = offset // k, (end - 1) // k
         span_start, span_end = first * k, min((last + 1) * k, obj.size)
@@ -280,7 +283,11 @@ class MgxMee:
             return bytes(length)
         if first == last:
             # One chunk logs its one tag whatever the check finds, so the
-            # check takes the tag from the logged read.
+            # check takes the tag from the logged read. The loop below gives
+            # the same result, but every load of the two-stream H.264 tamper
+            # trace is single-chunk, and its `mgx` campaigns ran 4-6 % slower
+            # through the loop (2-core x86 host, min of 40 blocks, 4 of 4
+            # alternations).
             stored = self.mem.read(tags_at, MAC_BYTES, MAC_LINE, MAC_BYTES)
             if compute_mac(self.mac_key, span_ct, obj.base + span_start, vn) != stored:
                 raise TamperDetected(

@@ -151,24 +151,6 @@ def cost_groups(
     return costs
 
 
-def estimate_time(
-    result: ReplayResult,
-    dram: DramModel | None = None,
-    compute: ComputeModel | None = None,
-) -> float:
-    """Estimated execution time in accelerator cycles."""
-    return sum(c.cycles for c in cost_groups(result, dram, compute))
-
-
-def traffic_increase(result: ReplayResult) -> float:
-    return _increase(result, ProtectionStats.of_replay(result))
-
-
-def _increase(result: ReplayResult, stats: ProtectionStats) -> float:
-    payload = result.trace.payload_bytes()
-    return stats.total_bytes / payload if payload else 1.0
-
-
 @dataclass
 class SimResult:
     replay: ReplayResult
@@ -189,16 +171,19 @@ def evaluate(
     dram: DramModel | None = None,
     compute: ComputeModel | None = None,
 ) -> SimResult:
+    """The model's figures for a replay: cost per group, their sum in
+    accelerator cycles (`est_time`) and the traffic increase."""
     dram = dram or DramModel()
     compute = compute or ComputeModel()
     stats = ProtectionStats.of_replay(result)
     groups = cost_groups(result, dram, compute)
+    payload = result.trace.payload_bytes()
     return SimResult(
         replay=result,
         stats=stats,
         groups=groups,
         est_time=sum(c.cycles for c in groups),
-        traffic_increase=_increase(result, stats),
+        traffic_increase=stats.total_bytes / payload if payload else 1.0,
         dram=dram,
         compute=compute,
     )

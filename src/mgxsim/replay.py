@@ -63,10 +63,12 @@ class PlainEngine:
         self.mem = memory
 
     def store(self, obj, vn: int, offset: int, length: int, plaintext) -> None:
+        obj.check_range("store", offset, length)
         if length:
             self.mem.write(obj.base + offset, plaintext(offset, length), DATA)
 
     def load(self, obj, vn: int, offset: int, length: int) -> bytes:
+        obj.check_range("load", offset, length)
         return self.mem.read(obj.base + offset, length, DATA) if length else b""
 
     def fork(self, memory: PhysicalMemory) -> "PlainEngine":

@@ -26,7 +26,7 @@ from mgxsim.attacks import ATTACKS, run_campaign
 from mgxsim.dram import RECORD_KINDS
 from mgxsim.errors import SecurityInvariantFault
 from mgxsim.mgx import MgxState
-from mgxsim.perf import DramModel, ProtectionStats, estimate_time, traffic_increase
+from mgxsim.perf import DramModel, ProtectionStats, evaluate
 from mgxsim.replay import replay
 from mgxsim.workloads import (
     PRESETS,
@@ -202,13 +202,13 @@ def test_c5_overhead_bound(bank):
         # A-priori bound from trace shape alone: one 8-byte MAC per k-byte
         # chunk, plus per-event alignment and partial-chunk complement fetches.
         slack = n_mem * (16 + 2 * (K - 1)) / payload
-        overhead = traffic_increase(bank.replay(key, "mgx")) - 1.0
+        overhead = evaluate(bank.replay(key, "mgx")).traffic_increase - 1.0
         assert overhead <= 8 / K + slack, f"{key}: {overhead:.6f} > {8 / K + slack:.6f}"
         assert overhead <= 0.0079 + slack
         headroom = min(headroom, 8 / K + slack - overhead)
     preset_vals = []
     for p in PRESETS:
-        overhead = traffic_increase(bank.replay(f"dnn-{p}", "mgx")) - 1.0
+        overhead = evaluate(bank.replay(f"dnn-{p}", "mgx")).traffic_increase - 1.0
         assert overhead <= 0.012, f"{p}: {overhead:.4%} > 1.2%"
         preset_vals.append(f"{p}={overhead:.3%}")
     print(
@@ -222,8 +222,8 @@ def test_c6_scheme_ordering(bank):
     than the counter-tree baseline, whose increase sits in [5%, 60%]."""
     rows = []
     for p in PRESETS:
-        tm = traffic_increase(bank.replay(f"dnn-{p}", "mgx"))
-        tb = traffic_increase(bank.replay(f"dnn-{p}", "baseline"))
+        tm = evaluate(bank.replay(f"dnn-{p}", "mgx")).traffic_increase
+        tb = evaluate(bank.replay(f"dnn-{p}", "baseline")).traffic_increase
         assert tm < tb, f"{p}: mgx {tm:.4f} !< baseline {tb:.4f}"
         assert 0.05 <= tb - 1.0 <= 0.60, f"{p}: baseline increase {tb - 1.0:.4f} outside [5%, 60%]"
         rows.append(f"{p}: mgx={tm - 1:.2%} base={tb - 1:.2%}")
@@ -245,7 +245,7 @@ def test_c7_sweep_trends(bank):
     # (b) region sweep, 128 MB (default) -> 1 GB -> 8 GB
     tis = []
     for cfg in ({}, {"region_mb": 1024}, {"region_mb": 8192}):
-        tis.append(traffic_increase(bank.replay("dnn-googlenet", "baseline", **cfg)))
+        tis.append(evaluate(bank.replay("dnn-googlenet", "baseline", **cfg)).traffic_increase)
     spread = max(tis) - min(tis)
     assert spread < 0.05, f"region sweep moved traffic by {spread:.4f}"
 
@@ -256,7 +256,7 @@ def test_c7_sweep_trends(bank):
         prev_b = None
         for ch in (1, 2, 4):
             model = DramModel(channels=ch)
-            t = {s: estimate_time(res[s], model) for s in res}
+            t = {s: evaluate(res[s], model).est_time for s in res}
             slow_b = t["baseline"] / t["none"]
             slow_m = t["mgx"] / t["none"]
             assert slow_m - 1.0 < 0.01, f"{key} ch={ch}: mgx slowdown {slow_m - 1.0:.4%}"
@@ -278,22 +278,22 @@ def test_c8_time_model_ordering(bank):
         res = {s: bank.replay(f"dnn-{p}", s) for s in ("none", "mgx", "baseline")}
         for ch in (1, 2, 4):
             model = DramModel(channels=ch)
-            tn, tm, tb = (estimate_time(res[s], model) for s in ("none", "mgx", "baseline"))
+            tn, tm, tb = (evaluate(res[s], model).est_time for s in ("none", "mgx", "baseline"))
             assert tn <= tm <= tb, f"{p} ch={ch}: {tn} {tm} {tb}"
             count += 1
     # Baseline cache/region variants against the same unprotected/mgx runs.
     model = DramModel()
-    tn = estimate_time(bank.replay("dnn-googlenet", "none"), model)
-    tm = estimate_time(bank.replay("dnn-googlenet", "mgx"), model)
+    tn = evaluate(bank.replay("dnn-googlenet", "none"), model).est_time
+    tm = evaluate(bank.replay("dnn-googlenet", "mgx"), model).est_time
     for cfg in ({"cache_kb": 1}, {"cache_kb": 8}, {"region_mb": 1024}, {"region_mb": 8192}):
-        tb = estimate_time(bank.replay("dnn-googlenet", "baseline", **cfg), model)
+        tb = evaluate(bank.replay("dnn-googlenet", "baseline", **cfg), model).est_time
         assert tn <= tm <= tb, f"googlenet {cfg}: {tn} {tm} {tb}"
         count += 1
     # Training workload ordering.
     res = {s: bank.replay("cnn-training", s) for s in ("none", "mgx", "baseline")}
     for ch in (1, 2, 4):
         model = DramModel(channels=ch)
-        tn, tm, tb = (estimate_time(res[s], model) for s in ("none", "mgx", "baseline"))
+        tn, tm, tb = (evaluate(res[s], model).est_time for s in ("none", "mgx", "baseline"))
         assert tn <= tm <= tb
         count += 1
     print(f"C8 PASS — none ≤ mgx ≤ baseline on {count} preset/config pairs")

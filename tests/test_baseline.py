@@ -455,6 +455,19 @@ class TestRekey:
         assert eng.rekey_events == 1
         assert leaf.body[0:7] == self.ONE
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a counter wrap reuses a (key, address, VN) keystream",
+    )
+    def test_leaf_wrap_never_repeats_a_keystream(self):
+        eng, mem = make_engine(region_size=32768)
+        write_block(eng, 0, b"p" * 64)
+        before = mem.peek(0, 64)
+        eng._cache[eng.geom.level_line_addr(0, 0)].body[0:7] = self.LAST
+        write_block(eng, 0, b"p" * 64)  # the slot wraps back to VN 1
+        assert eng.rekey_events == 1
+        assert mem.peek(0, 64) != before
+
     def test_parent_counter_wrap_on_writeback(self):
         eng, _ = make_engine(region_size=32768)
         write_block(eng, 0, bytes(64))

@@ -96,18 +96,42 @@ def test_same_streams_all_equal(pairs):
                "none": cell()} for _ in range(2)]
     got = pairs.same_streams(parent, change)
     assert got == {"rounds": {"parent": 2, "change": 2}, "rounds_compared": 2,
-                   "values_compared": 2 * 2 * 5, "differ": []}
+                   "values_compared": 2 * 2 * 5, "stream": [], "work": []}
 
 
 def test_same_streams_names_one_differing_count(pairs):
     parent = [{"mgx": cell(), "baseline": cell()}] * 2
     change = [{"mgx": cell(), "baseline": cell()},
               {"mgx": cell(), "baseline": cell(**{"dram.bytes": 4160})}]
-    assert pairs.same_streams(parent, change)["differ"] == ["dram.bytes.baseline"]
+    got = pairs.same_streams(parent, change)
+    assert (got["stream"], got["work"]) == ([], ["dram.bytes.baseline"])
     change = [{"mgx": cell(model={"est_cycles": 5001.0, "meta_bytes": 64}),
                "baseline": cell(events=99)}]
-    assert pairs.same_streams(parent, change)["differ"] == [
-        "events.baseline", "model.est_cycles.mgx"]
+    got = pairs.same_streams(parent, change)
+    assert (got["stream"], got["work"]) == (["events.baseline", "model.est_cycles.mgx"], [])
+
+
+def test_same_streams_only_work_differs(pairs):
+    # counts of the simulator's own work: byte store, crypto, payloads, ledger
+    parent = [{"mgx": cell(**{"crypto.bytes": 64, "payload.bytes": 32,
+                              "mgx.ledger_blocks": 4})}]
+    change = [{"mgx": cell(**{"dram.calls": 9, "crypto.bytes": 48, "payload.bytes": 16,
+                              "mgx.ledger_blocks": 3})}]
+    got = pairs.same_streams(parent, change)
+    assert got["stream"] == []
+    assert got["work"] == ["crypto.bytes.mgx", "dram.calls.mgx", "mgx.ledger_blocks.mgx",
+                           "payload.bytes.mgx"]
+
+
+def test_same_streams_only_a_model_output_differs(pairs):
+    parent = [{"baseline": cell(**{"perf.log_records": 7})}]
+    change = [{"baseline": cell(model={"est_cycles": 5000.0, "meta_bytes": 128},
+                                **{"perf.log_records": 7})}]
+    got = pairs.same_streams(parent, change)
+    assert (got["stream"], got["work"]) == (["model.meta_bytes.baseline"], [])
+    # a log count is stream too
+    change = [{"baseline": cell(**{"perf.log_records": 8})}]
+    assert pairs.same_streams(parent, change)["stream"] == ["perf.log_records.baseline"]
 
 
 def test_same_streams_over_the_rounds_both_ran(pairs):
@@ -117,6 +141,6 @@ def test_same_streams_over_the_rounds_both_ran(pairs):
     assert got["rounds"] == {"parent": 3, "change": 2}
     assert got["rounds_compared"] == 2
     # a value only one side has differs; the third parent round is not read
-    assert got["differ"] == ["crypto.bytes.mgx"]
+    assert (got["stream"], got["work"]) == ([], ["crypto.bytes.mgx"])
     assert got["values_compared"] == 5 + 6
     assert pairs.same_streams(parent, [])["rounds_compared"] == 0

@@ -392,6 +392,14 @@ class TestVerifyExits:
         assert rc == EXIT_OK
         assert "verify: all loads returned the expected payloads" in out
 
+    def test_verify_out_writes_the_run_row(self, tmp_path, capsys):
+        paths = [str(tmp_path / "verify.csv"), str(tmp_path / "run.csv")]
+        assert entry(["verify", "--workload", "micro", "--out", paths[0]]) == EXIT_OK
+        argv = ["run", "--workload", "micro", "--payload-mode", "verify", "--out", paths[1]]
+        assert entry(argv) == EXIT_OK
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
+
     def test_verify_overrides_payload_mode(self, tmp_path, capsys):
         # even a config that says fast is forced to full verification
         cfg = tmp_path / "cfg.json"
@@ -573,13 +581,18 @@ class TestSweepCommand:
         replays = []
         real = config_module.run_experiment
         monkeypatch.setattr(
-            config_module, "run_experiment", lambda cfg: replays.append(cfg) or real(cfg)
+            config_module,
+            "run_experiment",
+            lambda cfg, trace=None: replays.append(cfg) or real(cfg, trace=trace),
         )
+        # a bad config value, and a bad generator argument after a good one
+        for param, values in (("channels", '1,"2"'), ("frame_bytes", "4096,true")):
+            argv = ["sweep", "--workload", "h264", "--scheme", "baseline", "--param", param]
+            rc = entry(argv + ["--values", values])
+            out, err = capsys.readouterr()
+            assert rc == EXIT_CONFIG and out == "" and replays == []
+            assert err.startswith("error: ") and err.count("\n") == 1 and param in err
         argv = ["sweep", "--workload", "h264", "--scheme", "baseline", "--param", "channels"]
-        rc = entry(argv + ["--values", '1,"2"'])
-        out, err = capsys.readouterr()
-        assert rc == EXIT_CONFIG and out == "" and replays == []
-        assert err.startswith("error: ") and err.count("\n") == 1 and "channels" in err
         # the same sweep with good values replays once per value
         assert entry(argv + ["--values", "1,2"]) == EXIT_OK
         assert [c.channels for c in replays] == [1, 2]
@@ -682,6 +695,33 @@ class TestAttackCommand:
         out, err = capsys.readouterr()
         assert rc == EXIT_CONFIG and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "--trials" in err
+
+
+class TestIgnoredFlags:
+    """A subcommand takes no flag it would ignore: campaigns replay in verify
+    mode and time nothing, and verify fixes the payload mode."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--attack", "bitflip", "--channels", "2"],
+            ["attack", "--attack", "bitflip", "--payload-mode", "real"],
+            ["verify", "--payload-mode", "fast"],
+        ],
+        ids=["attack-channels", "attack-payload-mode", "verify-payload-mode"],
+    )
+    def test_rejected_as_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv + ["--workload", "micro"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+    def test_verify_takes_channels(self, capsys):
+        outs = []
+        for ch in ("1", "4"):
+            assert entry(["verify", "--workload", "micro", "--channels", ch]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1] and "expected payloads" in outs[1]
 
 
 class TestCsvWorkloadFlags:

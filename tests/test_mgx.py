@@ -179,6 +179,25 @@ class TestCounterWrap:
         check_schedule(b.trace)
         assert replay(b.trace, "mgx").rekey_events == 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a counter wrap reuses a (key, address, VN) keystream",
+    )
+    def test_wrap_never_repeats_a_keystream(self, monkeypatch):
+        monkeypatch.setitem(COUNTERS, "update_i", ("ctr_i", 2))
+        b = TraceBuilder("wrap", mac_granularity=64)
+        obj = b.alloc("x", 64)
+        src = VnSource("feature", 1)
+        b.update("update_i")
+        b.write(obj, src)
+        b.update("update_i")  # ctr_i wraps back to 1: the same VN comes again
+        b.write(obj, src)
+        before = []
+        hooks = {2: lambda mem: before.append(mem.peek(obj.base, obj.size))}
+        res = replay(b.trace, "mgx", payload_mode="verify", hooks=hooks)
+        assert res.clean and res.rekey_events == 1
+        assert res.memory.peek(obj.base, obj.size) != before[0]
+
 
 class TestDescriptor:
     def test_frozen_layout_math(self):

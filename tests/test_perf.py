@@ -24,11 +24,9 @@ from mgxsim.perf import (
     DramModel,
     ProtectionStats,
     cost_groups,
-    estimate_time,
     evaluate,
     simulate,
     stats_row,
-    traffic_increase,
     write_stats_csv,
 )
 from mgxsim.replay import ReplayResult, replay
@@ -132,7 +130,7 @@ class TestGroupCosts:
         # g7: no traffic at all, still pays the fixed latency
         assert (g7.read_bytes, g7.write_bytes) == (0, 0)
         assert g7.cycles == 100.0
-        assert estimate_time(res) == 1748.0
+        assert evaluate(res).est_time == 1748.0
 
     def test_synchronous_mode_frozen(self):
         res = synthetic_result()
@@ -145,7 +143,7 @@ class TestGroupCosts:
         # g2: writes no longer hide behind compute: 1000 + 4096/8
         assert g2.cycles == 1512.0
         assert g7.cycles == 100.0
-        assert estimate_time(res, dram) == 2260.0
+        assert evaluate(res, dram).est_time == 2260.0
 
     def test_background_never_slower_than_sync(self, micro_graph):
         for scheme in ("none", "mgx", "baseline"):
@@ -159,13 +157,13 @@ class TestGroupCosts:
     def test_more_channels_never_slower(self, micro_graph):
         res = replay(cnn_inference_trace(micro_graph, 2), "baseline")
         times = [
-            estimate_time(res, DramModel(channels=ch)) for ch in (1, 2, 4)
+            evaluate(res, DramModel(channels=ch)).est_time for ch in (1, 2, 4)
         ]
         assert times[0] >= times[1] >= times[2]
 
     def test_larger_bandwidth_converges_to_compute(self):
         res = synthetic_result()
-        t = estimate_time(res, DramModel(bytes_per_cycle_per_channel=1e12))
+        t = evaluate(res, DramModel(bytes_per_cycle_per_channel=1e12)).est_time
         # every group collapses to max(compute, latency)
         assert t == pytest.approx(100.0 + 100.0 + 1000.0 + 100.0)
 
@@ -180,7 +178,6 @@ class TestTotalsEqualWalk:
         assert sim.stats == stats_from_log(res.log)
         got = [(c.group, c.read_bytes, c.write_bytes) for c in sim.groups]
         assert got == walked_group_bytes(res)
-        assert traffic_increase(res) == sim.traffic_increase
         # evaluate reads the recorded totals only, never the log
         blind = evaluate(dataclasses.replace(res, log=None))
         assert (blind.stats, blind.groups, blind.est_time, blind.traffic_increase) == (
@@ -218,22 +215,22 @@ class TestTotalsEqualWalk:
 class TestTrafficIncrease:
     def test_none_scheme_is_exactly_one(self, micro_graph):
         res = replay(cnn_inference_trace(micro_graph, 2), "none")
-        assert traffic_increase(res) == 1.0
+        assert evaluate(res).traffic_increase == 1.0
 
     def test_protected_schemes_exceed_one(self, micro_graph):
         t = cnn_inference_trace(micro_graph, 1)
-        assert traffic_increase(replay(t, "mgx")) > 1.0
-        assert traffic_increase(replay(t, "baseline")) > 1.0
+        assert evaluate(replay(t, "mgx")).traffic_increase > 1.0
+        assert evaluate(replay(t, "baseline")).traffic_increase > 1.0
 
     def test_empty_trace_defined(self):
         res = replay(Trace("empty"), "none")
-        assert traffic_increase(res) == 1.0
+        assert evaluate(res).traffic_increase == 1.0
 
     def test_scheme_ordering_spot_check(self, micro_graph):
         t = cnn_inference_trace(micro_graph, 1)
-        tn = estimate_time(replay(t, "none"))
-        tm = estimate_time(replay(t, "mgx"))
-        tb = estimate_time(replay(t, "baseline"))
+        tn = evaluate(replay(t, "none")).est_time
+        tm = evaluate(replay(t, "mgx")).est_time
+        tb = evaluate(replay(t, "baseline")).est_time
         assert tn <= tm <= tb
 
 
@@ -243,7 +240,6 @@ class TestEvaluateSimulate:
         sim = evaluate(res)
         assert sim.scheme == "mgx"
         assert sim.est_time == sum(c.cycles for c in sim.groups)
-        assert sim.traffic_increase == traffic_increase(res)
         assert sim.stats.total_bytes == stats_from_log(res.log).total_bytes
 
     def test_simulate_clean(self, micro_graph):

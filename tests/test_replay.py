@@ -145,6 +145,27 @@ class TestZeroLengthEvents:
         assert got.memory._pages == want.memory._pages
 
 
+class TestAccessOutsideObject:
+    """Every engine rejects a range that leaves its object, before it moves
+    or logs a byte, even where the range stays inside the replay's memory."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rejected_by_every_engine(self, scheme):
+        b = TraceBuilder("two", mac_granularity=64)
+        o, p = b.alloc("o", 128), b.alloc("p", 128)
+        for obj in (o, p):
+            b.write(obj, VnSource("feature", 1))
+        run = _Run(b.trace, scheme, "real", 128, 4, 8)
+        run.run(len(b.trace.events))
+        mem, vn = run.result.memory, run.vns[0]
+        image, records = mem.peek(0, b.trace.span_end), len(mem.log)
+        with pytest.raises(ConfigError, match=r"store \[128,192\) outside object o of size 128"):
+            run.engine.store(o, vn, 128, 64, lambda off, n: b"x" * n)
+        with pytest.raises(ConfigError, match=r"load \[120,136\) outside object o of size 128"):
+            run.engine.load(o, vn, 120, 16)
+        assert (mem.peek(0, b.trace.span_end), len(mem.log)) == (image, records)
+
+
 class TestNoneScheme:
     def test_only_data_traffic(self, micro_graph):
         res = replay(cnn_inference_trace(micro_graph, 1), "none")

@@ -14,7 +14,7 @@ import pytest
 from baseline_oracle import oracle_for_trace
 from mgxsim.errors import ConfigError, TraceFormatError
 from mgxsim.mgx import MgxState
-from mgxsim.perf import traffic_increase
+from mgxsim.perf import evaluate
 from mgxsim.replay import baseline_config, replay
 from mgxsim.workloads import (
     PRESETS,
@@ -406,7 +406,7 @@ class TestRnn:
         assert all(run.clean for run in runs.values())
         region = baseline_config(trace).region_size
         assert list(runs["baseline"].log) == [tuple(a) for a in oracle_for_trace(trace, region)]
-        assert round(traffic_increase(runs["baseline"]), 4) == 1.4114
+        assert round(evaluate(runs["baseline"]).traffic_increase, 4) == 1.4114
 
 
 class TestPruned:

@@ -17,7 +17,9 @@ Its "same streams" section comes from one more run per workload and side,
 rounds both sides ran, it compares cell by cell every model output, every
 layer value that is not a time (names ending in `_s` or `.s`) and the event
 count, and records the rounds compared and the names of the values that
-differ.
+differ in two lists: `work` for the counts of the simulator's own work
+(byte-store calls and bytes, crypto, payload generation, ledger blocks) and
+`stream` for everything else (events, model outputs, log records).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from pathlib import Path
 COMMAND = ("python3 bench/run.py --workload {workload} --seed {seed} --seconds {seconds} "
            "--trace {trace}")
 STREAM_SEED = 7
+WORK = ("dram.", "crypto.", "payload.", "mgx.ledger_blocks")  # name prefixes of work counts
 CLAIM_RULE = (
     "change wins >= 9 of 10 pairs (9/10 of the pairs in general) and its median beats the "
     "parent's by more than the parent's quartile spread (q3 - q1)"
@@ -99,7 +102,8 @@ def claim_result(metric: dict) -> dict:
 def same_streams(parent: list[dict], change: list[dict]) -> dict:
     """Compare two `--trace 1` runs' rounds (scheme -> cell) round for round,
     over the rounds both ran. A differing value is named `<name>.<scheme>`,
-    where the name is `events`, `model.<output>` or the layer's."""
+    where the name is `events`, `model.<output>` or the layer's, and listed
+    under `work` if the name starts with one of WORK, else under `stream`."""
     compared, differ = 0, set()
     for p_round, c_round in zip(parent, change):
         for scheme in sorted(p_round.keys() | c_round.keys()):
@@ -118,7 +122,8 @@ def same_streams(parent: list[dict], change: list[dict]) -> dict:
         "rounds": {"parent": len(parent), "change": len(change)},
         "rounds_compared": min(len(parent), len(change)),
         "values_compared": compared,
-        "differ": sorted(differ),
+        "stream": sorted(k for k in differ if not k.startswith(WORK)),
+        "work": sorted(k for k in differ if k.startswith(WORK)),
     }
 
 
