@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
 from .errors import AlignmentError
 
 CIPHER_BLOCK = 16
@@ -50,6 +47,10 @@ Vn = Union[int, Sequence[int]]
 # - XOR: from 256 bytes on, numpy views of the data and the pad; below it
 #   three Python integers, which cost 0.7 us for a 64-byte line but about
 #   3.5 us more per KiB: 350 us for a 100 KB H.264 frame, against 9 us.
+# The first call at or above a cutover also imports numpy: about 0.1 s and
+# 14-19 MiB of peak RSS. Fast-mode and `none` replays never encrypt, so they
+# never reach a cutover. numpy is imported there, not at the top of this
+# module, so that a process that never encrypts never pays for it.
 _NUMPY_CUTOVER = 32
 _NUMPY_CUTOVER_PER_LINE = 64
 _XOR_CUTOVER = 256
@@ -69,7 +70,11 @@ class EncryptionKey:
     def _ecb(self):
         """The key's one AES-ECB context. ECB carries no state from one block
         to the next, so every keystream call update()s it; it is never
-        finalized."""
+        finalized. `cryptography` is imported here, by the first keystream
+        call, so that a process that never encrypts (fast mode, `none`)
+        never loads it."""
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
         return Cipher(algorithms.AES(self.key_bytes), modes.ECB()).encryptor()
 
 
@@ -97,6 +102,8 @@ def _raw_keystream(key: EncryptionKey, base_pa: int, vn: Vn, first: int, nblocks
     if per_line and len(vn) * _BLOCKS_PER_LINE < first + nblocks:
         raise ValueError("per-line VNs must cover every 64-byte line of the data")
     if nblocks >= (_NUMPY_CUTOVER_PER_LINE if per_line else _NUMPY_CUTOVER):
+        import numpy as np
+
         idx = np.arange(first, first + nblocks, dtype=np.uint64)
         ctrs = np.empty((nblocks, 2), dtype=">u8")
         ctrs[:, 0] = (base_pa + 16 * idx) & _MASK64
@@ -128,6 +135,8 @@ def _xor(data: bytes, pad: bytes, skip: int) -> bytes:
     if n < _XOR_CUTOVER:
         x = int.from_bytes(data, "big") ^ int.from_bytes(pad[skip : skip + n], "big")
         return x.to_bytes(n, "big")
+    import numpy as np
+
     return (np.frombuffer(data, np.uint8) ^ np.frombuffer(pad, np.uint8, n, skip)).tobytes()
 
 

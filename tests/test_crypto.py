@@ -10,7 +10,12 @@ circularly.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -372,3 +377,36 @@ class TestValueObjects:
         for bad in (bytes(7), bytes(65), b""):
             with pytest.raises(ValueError):
                 MacKey(bad)
+
+
+# -- imports on first encryption ---------------------------------------------
+
+# Runs in a fresh interpreter, since the suite's own has long loaded both.
+_LAZY_IMPORTS = """
+import json, sys
+from mgxsim.cli import entry
+
+def loaded():
+    return [m for m in ("numpy", "cryptography") if m in sys.modules]
+
+codes = [entry(["run", "--workload", "micro", "--scheme", s]) for s in ("none", "mgx", "baseline")]
+codes.append(entry(["run", "--workload", "micro", "--scheme", "none", "--payload-mode", "verify"]))
+before = loaded()
+verify = [entry(["verify", "--workload", "micro", "--scheme", s]) for s in ("mgx", "baseline")]
+print(json.dumps({"codes": codes, "before": before, "verify": verify, "after": loaded()}))
+"""
+
+
+def test_only_encryption_loads_numpy_and_cryptography():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORTS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["before"] == []  # fast mode under every scheme, and `none` in verify mode
+    assert out["verify"] == [0, 0]
+    assert out["after"] == ["numpy", "cryptography"]
