@@ -17,6 +17,7 @@ failure (payload mismatch, schedule violation, or corrupted trace).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import cache, partial
@@ -31,7 +32,7 @@ from .errors import (
     TraceFormatError,
     VerifyMismatch,
 )
-from .perf import STATS_HEADER, stats_row, write_stats_csv
+from .perf import stats_row, write_stats_csv
 from .replay import PAYLOAD_MODES, SCHEMES
 from .workloads import export_trace
 
@@ -102,18 +103,10 @@ def _parse_value(text: str):
 
 def _load_config(args) -> ExperimentConfig:
     from_file = read_config(args.config) if args.config else {}
-    cfg = ExperimentConfig.from_dict(from_file).with_overrides(
-        workload=args.workload,
-        scheme=args.scheme,
-        channels=getattr(args, "channels", None),
-        cache_kb=args.cache_kb,
-        region_mb=args.region_mb,
-        tree_arity=args.tree_arity,
-        mac_granularity=args.mac_granularity,
-        seed=args.seed,
-        payload_mode=getattr(args, "payload_mode", None),
-        out=args.out,
-    )
+    # A flag's dest is the name of the config field it sets; a command without
+    # that flag leaves the field to the config file or the default.
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig.from_dict(from_file).with_overrides(**flags)
     if args.arg:
         extra = dict(cfg.workload_args)
         for item in args.arg:
@@ -166,7 +159,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must name at least one value")
     rows = sweep_experiment(cfg, args.param, values)
     for row in rows:
-        print(" ".join(f"{k}={row[k]}" for k in STATS_HEADER))
+        print(" ".join(f"{k}={v}" for k, v in row.items()))
     if cfg.out:
         write_stats_csv(rows, cfg.out)
     return EXIT_OK

@@ -10,8 +10,8 @@ from typing import get_type_hints
 
 from .baseline import TREE_ARITIES
 from .errors import ConfigError, has_type
-from .perf import ComputeModel, DramModel, SimResult, simulate, stats_row
-from .replay import PAYLOAD_MODES, SCHEMES
+from .perf import ComputeModel, DramModel, SimResult, evaluate, stats_row
+from .replay import PAYLOAD_MODES, SCHEMES, replay
 
 
 @dataclass
@@ -107,22 +107,25 @@ def read_config(path: str) -> dict:
 def run_experiment(cfg: ExperimentConfig, trace=None) -> SimResult:
     """Build the trace (unless given), replay it, and evaluate the models.
 
-    Tamper rejections and verify-mode payload mismatches propagate as their
-    exceptions. The traffic up to a rejection is `evaluate(replay(...))` of
-    the same trace, since `replay` records a rejection instead of raising.
+    Tamper rejections and verify-mode payload mismatches abort the run by
+    raising. The traffic up to a rejection is `evaluate(replay(...))` of the
+    same trace, since `replay` records a rejection instead of raising.
     """
     if trace is None:
         trace = cfg.build_trace()
-    return simulate(
+    result = replay(
         trace,
         cfg.scheme,
-        cfg.dram_model(),
-        cfg.compute_model(),
         payload_mode=cfg.payload_mode,
         region_mb=cfg.region_mb,
         cache_kb=cfg.cache_kb,
         tree_arity=cfg.tree_arity,
     )
+    if result.detected is not None:
+        raise result.detected
+    if result.mismatch is not None:
+        raise result.mismatch
+    return evaluate(result, cfg.dram_model(), cfg.compute_model())
 
 
 def sweep_experiment(cfg: ExperimentConfig, param: str, values: list) -> list[dict]:

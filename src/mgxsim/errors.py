@@ -42,7 +42,7 @@ class TamperDetected(Exception):
         reason: human-readable description of the failed check.
         addr: physical address of the offending access, when known.
 
-    `replay` records it in its result; `perf.simulate` raises it.
+    `replay` records it in its result; `config.run_experiment` raises it.
     """
 
     def __init__(self, reason: str, addr: int | None = None):

@@ -71,8 +71,6 @@ class MgxState:
 
     def vn(self, kind: str, arg: int = 0) -> int:
         """The VN of a `kind` source (one of VN_KINDS) with argument `arg`."""
-        if kind == "weights":
-            return self.ctr_w
         if kind == "feature":
             if not 1 <= arg < 256:
                 raise ConfigError(f"vID {arg} outside 1..255 (8-bit, 0 reserved)")
@@ -81,6 +79,10 @@ class MgxState:
             if not 0 <= arg < 256:
                 raise ConfigError(f"frame number {arg} does not fit the 8-bit field")
             return (self.ctr_i << 8) | arg
+        if arg and not VN_KINDS.get(kind, True):  # a kind VN_KINDS marks as taking none
+            raise ConfigError(f"VN source kind {kind!r} takes no argument, got {arg}")
+        if kind == "weights":
+            return self.ctr_w
         if kind == "genome":
             return self.ctr_genome
         if kind == "query":

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .dram import DATA, META_CLASSES, RECORD_KINDS
 from .errors import ConfigError
-from .replay import ReplayResult, replay
+from .replay import ReplayResult
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,6 @@ class SimResult:
     groups: list[GroupCost]
     est_time: float
     traffic_increase: float
-    dram: DramModel
-    compute: ComputeModel
-
-    @property
-    def scheme(self) -> str:
-        return self.replay.scheme
 
 
 def evaluate(
@@ -173,8 +167,6 @@ def evaluate(
 ) -> SimResult:
     """The model's figures for a replay: cost per group, their sum in
     accelerator cycles (`est_time`) and the traffic increase."""
-    dram = dram or DramModel()
-    compute = compute or ComputeModel()
     stats = ProtectionStats.of_replay(result)
     groups = cost_groups(result, dram, compute)
     payload = result.trace.payload_bytes()
@@ -184,42 +176,7 @@ def evaluate(
         groups=groups,
         est_time=sum(c.cycles for c in groups),
         traffic_increase=stats.total_bytes / payload if payload else 1.0,
-        dram=dram,
-        compute=compute,
     )
-
-
-def simulate(
-    trace,
-    scheme: str,
-    dram: DramModel | None = None,
-    compute: ComputeModel | None = None,
-    **replay_kwargs,
-) -> SimResult:
-    """Replay a trace under a scheme and evaluate the performance model.
-
-    Tamper rejections and payload mismatches abort the run by raising. The
-    traffic up to the aborting event is `evaluate(replay(...))`: `replay`
-    records the rejection or mismatch in its result rather than raising.
-    """
-    result = replay(trace, scheme, **replay_kwargs)
-    if result.detected is not None:
-        raise result.detected
-    if result.mismatch is not None:
-        raise result.mismatch
-    return evaluate(result, dram, compute)
-
-
-STATS_HEADER = [
-    "scheme",
-    "workload",
-    "param",
-    "value",
-    "data_bytes",
-    "meta_bytes",
-    "traffic_increase",
-    "est_time",
-]
 
 
 def stats_row(sim: SimResult, param: str = "", value="") -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..dram import ADDRESS_LIMIT
-from ..errors import ConfigError, TraceFormatError
+from ..errors import ConfigError, TraceFormatError, has_type
 from ..mgx import READ, UPDATE_OPS, VN_KINDS, WRITE, ObjectDescriptor, resolve_vns
 
 
@@ -190,12 +190,17 @@ def import_trace(csv_path: str) -> Trace:
     try:
         with open(meta_path) as mf:
             meta = json.load(mf)
-        trace = Trace(
-            meta.get("workload", "imported"),
-            seed=int(meta.get("seed", 0)),
-            compute_macs={int(g): float(v) for g, v in meta.get("compute_macs", {}).items()},
-        )
+        seed = meta.get("seed", 0)
+        if not has_type(seed, int):
+            raise ValueError(f"seed {seed!r} is not an int")
+        trace = Trace(meta.get("workload", "imported"), seed=seed)
+        for g, v in meta.get("compute_macs", {}).items():
+            if not has_type(v, float):
+                raise ValueError(f"group {g}: compute weight {v!r} is not a number")
+            trace.compute_macs[int(g)] = float(v)
         for o in meta["objects"]:
+            if o["obj_id"] in trace.objects:
+                raise ValueError(f"duplicate object id {o['obj_id']!r}")
             trace.objects[o["obj_id"]] = ObjectDescriptor(
                 o["obj_id"], o["base"], o["size"], o["mac_granularity"], o.get("mac_base")
             )

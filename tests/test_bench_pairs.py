@@ -1,6 +1,7 @@
 """The aggregation of tools/bench_pairs.py, on hand-made runs: medians,
 inclusive quartiles, wins with ties counting for neither side, each metric's
-change against its bound, and the claim rule met and not met."""
+change against its bound, and the claim rule met and not met; and the line
+count of an export's `src/` on a hand-made tree."""
 
 from __future__ import annotations
 
@@ -144,3 +145,14 @@ def test_same_streams_over_the_rounds_both_ran(pairs):
     assert (got["stream"], got["work"]) == ([], ["crypto.bytes.mgx"])
     assert got["values_compared"] == 5 + 6
     assert pairs.same_streams(parent, [])["rounds_compared"] == 0
+
+
+def test_src_lines_counts_python_under_src(pairs, tmp_path):
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "pkg" / "c.py").write_text("")
+    (tmp_path / "src" / "pkg" / "data.json").write_text("{}\n{}\n")  # not Python
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("assert True\n")  # not under src/
+    assert pairs.src_lines(tmp_path) == 4

@@ -3,6 +3,7 @@ and the experiment-config record behind it."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import inspect
@@ -16,7 +17,6 @@ from mgxsim.attacks import CampaignResult
 from mgxsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TAMPER, EXIT_UNDETECTED, EXIT_VERIFY, entry
 from mgxsim.config import ExperimentConfig, read_config, run_experiment, sweep_experiment
 from mgxsim.errors import ConfigError
-from mgxsim.perf import STATS_HEADER
 from mgxsim.workloads import (
     VnSource,
     build_trace,
@@ -30,6 +30,19 @@ from mgxsim.workloads import (
     streaming_trace,
 )
 from mgxsim.workloads.trace import TraceBuilder
+
+
+# The stats CSV's columns, in order, frozen: `stats_row` is their one source.
+STATS_COLUMNS = [
+    "scheme",
+    "workload",
+    "param",
+    "value",
+    "data_bytes",
+    "meta_bytes",
+    "traffic_increase",
+    "est_time",
+]
 
 
 def read_before_write_trace_csv(tmp_path, name="rbw.csv"):
@@ -90,7 +103,7 @@ class TestRunCommand:
         assert rc == EXIT_OK
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1 and list(rows[0]) == STATS_HEADER
+        assert len(rows) == 1 and list(rows[0]) == STATS_COLUMNS
         assert rows[0]["scheme"] == "mgx"
         # the exported trace is importable and replayable by a second run
         rc = entry(["run", "--workload", trace_csv, "--scheme", "mgx"])
@@ -417,6 +430,11 @@ def _first_object_with(field, value):
     return mutate
 
 
+def _duplicate_feat_in(meta):
+    meta["objects"].append(next(o for o in meta["objects"] if o["obj_id"] == "feat_in"))
+    return meta
+
+
 class TestCorruptedTraceExits:
     """Malformed trace files end in exit 5 with one line on stderr."""
 
@@ -461,7 +479,7 @@ class TestCorruptedTraceExits:
         rc = entry(["run", "--workload", path])
         self._assert_corrupted(rc, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("source", ["feature:0", "frame:300"])
+    @pytest.mark.parametrize("source", ["feature:0", "frame:300", "weights:3"])
     def test_vn_argument_outside_field(self, tmp_path, capsys, source):
         path, rows, _ = self._micro_export(tmp_path)
         self._rewrite_first_write(path, rows, 2, source)
@@ -494,9 +512,13 @@ class TestCorruptedTraceExits:
         [
             pytest.param(lambda meta: [meta], id="top-level-list"),
             pytest.param(lambda meta: {**meta, "seed": "abc"}, id="seed-string"),
+            pytest.param(lambda meta: {**meta, "seed": 1.7}, id="seed-float"),
+            pytest.param(lambda meta: {**meta, "seed": True}, id="seed-bool"),
             pytest.param(lambda meta: {**meta, "compute_macs": {"x": 1.0}}, id="compute_macs-key"),
             pytest.param(lambda meta: {**meta, "compute_macs": {"0": "x"}}, id="compute_macs-value"),
             pytest.param(lambda meta: {**meta, "compute_macs": [1.0]}, id="compute_macs-list"),
+            pytest.param(lambda meta: {**meta, "compute_macs": {"0": "2.5"}}, id="compute_macs-str"),
+            pytest.param(lambda meta: {**meta, "compute_macs": {"0": True}}, id="compute_macs-bool"),
             *(
                 pytest.param(lambda meta, w=w: {**meta, "compute_macs": {"0": w}}, id=name)
                 for w, name in (
@@ -507,6 +529,7 @@ class TestCorruptedTraceExits:
             ),
             pytest.param(_first_object_with("base", 0.0), id="base-float"),
             pytest.param(_first_object_with("mac_base", -64), id="mac_base-negative"),
+            pytest.param(_duplicate_feat_in, id="duplicate-object"),
         ],
     )
     def test_bad_sidecar_field(self, tmp_path, capsys, mutate):
@@ -722,6 +745,57 @@ class TestIgnoredFlags:
             assert entry(["verify", "--workload", "micro", "--channels", ch]) == EXIT_OK
             outs.append(capsys.readouterr().out)
         assert outs[0] != outs[1] and "expected payloads" in outs[1]
+
+
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _command_options():
+    """(command, option) for every option of every subcommand."""
+    sub = next(a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+class TestFlagDests:
+    """`_load_config` sets each config field from the flag whose dest has the
+    field's name, so a misspelt dest would be ignored without an error."""
+
+    COMMAND_DESTS = {"config", "arg", "export_trace", "param", "values", "attack", "trials"}
+    # a value other than the default for every field that a flag sets
+    VALUES = {
+        "workload": "lenet",
+        "scheme": "baseline",
+        "channels": 2,
+        "cache_kb": 8,
+        "region_mb": 64,
+        "tree_arity": 4,
+        "mac_granularity": 512,
+        "seed": 7,
+        "payload_mode": "real",
+        "out": "rows.csv",
+    }
+    REQUIRED = {"sweep": ["--param", "channels", "--values", "1"]}
+
+    def test_every_dest_is_a_field_or_the_commands_own(self):
+        for command, action in _command_options():
+            assert action.dest in CONFIG_FIELDS | self.COMMAND_DESTS, (command, action.dest)
+
+    @pytest.mark.parametrize(
+        "command,action",
+        [(c, a) for c, a in _command_options() if a.dest in CONFIG_FIELDS],
+        ids=lambda x: x if isinstance(x, str) else x.dest,
+    )
+    def test_flag_sets_its_field(self, command, action):
+        value = self.VALUES[action.dest]
+        assert value != getattr(ExperimentConfig(), action.dest)
+        argv = [command, *self.REQUIRED.get(command, []), action.option_strings[0], str(value)]
+        cfg = cli._load_config(cli.make_parser().parse_args(argv))
+        assert getattr(cfg, action.dest) == value
 
 
 class TestCsvWorkloadFlags:

@@ -13,25 +13,39 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 
 import pytest
 
+import mgxsim.config
+from mgxsim.config import ExperimentConfig, run_experiment
 from mgxsim.dram import DATA, MAC_LINE, VN_LINE, BitFlip, PhysicalMemory
 from mgxsim.errors import ConfigError, TamperDetected, VerifyMismatch
 from mgxsim.perf import (
-    STATS_HEADER,
     ComputeModel,
     DramModel,
     ProtectionStats,
     cost_groups,
     evaluate,
-    simulate,
     stats_row,
     write_stats_csv,
 )
 from mgxsim.replay import ReplayResult, replay
 from mgxsim.workloads import Trace, VnSource, cnn_inference_trace, gact_trace, h264_trace
 from mgxsim.workloads.trace import TraceBuilder
+
+
+# The stats CSV's columns, in order, frozen: `stats_row` is their one source.
+STATS_COLUMNS = [
+    "scheme",
+    "workload",
+    "param",
+    "value",
+    "data_bytes",
+    "meta_bytes",
+    "traffic_increase",
+    "est_time",
+]
 
 
 def synthetic_result() -> ReplayResult:
@@ -238,15 +252,16 @@ class TestEvaluateSimulate:
     def test_evaluate_bundles_consistently(self, micro_graph):
         res = replay(cnn_inference_trace(micro_graph, 1), "mgx")
         sim = evaluate(res)
-        assert sim.scheme == "mgx"
+        assert sim.replay.scheme == "mgx"
         assert sim.est_time == sum(c.cycles for c in sim.groups)
         assert sim.stats.total_bytes == stats_from_log(res.log).total_bytes
 
     def test_simulate_clean(self, micro_graph):
-        sim = simulate(cnn_inference_trace(micro_graph, 1), "mgx")
+        trace = cnn_inference_trace(micro_graph, 1)
+        sim = run_experiment(ExperimentConfig(scheme="mgx"), trace=trace)
         assert sim.replay.clean and sim.est_time > 0
 
-    def test_simulate_raises_on_tamper_with_partial_stats(self):
+    def test_simulate_raises_on_tamper_with_partial_stats(self, monkeypatch):
         b = TraceBuilder("t", mac_granularity=64)
         o = b.alloc("o", 64)
         b.update("update_i")
@@ -254,14 +269,15 @@ class TestEvaluateSimulate:
         b.write(o, VnSource("feature", 1))
         b.new_group()
         b.read(o, VnSource("feature", 1))
-        kwargs = dict(payload_mode="real", hooks={2: lambda m: m.inject(BitFlip(o.base, 1))})
+        hooks = {2: lambda m: m.inject(BitFlip(o.base, 1))}
+        monkeypatch.setattr(mgxsim.config, "replay", functools.partial(replay, hooks=hooks))
         with pytest.raises(TamperDetected):
-            simulate(b.trace, "mgx", **kwargs)
-        res = replay(b.trace, "mgx", **kwargs)
+            run_experiment(ExperimentConfig(scheme="mgx", payload_mode="real"), trace=b.trace)
+        res = replay(b.trace, "mgx", payload_mode="real", hooks=hooks)
         assert res.detected is not None
         assert evaluate(res).stats.total_bytes > 0
 
-    def test_simulate_raises_on_mismatch(self):
+    def test_simulate_raises_on_mismatch(self, monkeypatch):
         b = TraceBuilder("t", mac_granularity=64)
         o = b.alloc("o", 64)
         b.update("update_i")
@@ -269,34 +285,33 @@ class TestEvaluateSimulate:
         b.write(o, VnSource("feature", 1))
         b.new_group()
         b.read(o, VnSource("feature", 1))
+        hooks = {2: lambda m: m.inject(BitFlip(o.base, 1))}
+        monkeypatch.setattr(mgxsim.config, "replay", functools.partial(replay, hooks=hooks))
         with pytest.raises(VerifyMismatch):
-            simulate(
-                b.trace,
-                "none",
-                payload_mode="verify",
-                hooks={2: lambda m: m.inject(BitFlip(o.base, 1))},
-            )
+            run_experiment(ExperimentConfig(scheme="none", payload_mode="verify"), trace=b.trace)
 
 
 class TestCsvOutput:
     def test_stats_row_matches_header(self, micro_graph):
-        sim = simulate(cnn_inference_trace(micro_graph, 1), "mgx")
+        trace = cnn_inference_trace(micro_graph, 1)
+        sim = run_experiment(ExperimentConfig(scheme="mgx"), trace=trace)
         row = stats_row(sim, param="cache_kb", value=4)
-        assert list(row) == STATS_HEADER
+        assert list(row) == STATS_COLUMNS
         assert row["scheme"] == "mgx"
         assert row["workload"] == "micro-inference"
         assert float(row["traffic_increase"]) > 1.0
 
     def test_write_and_reread(self, tmp_path, micro_graph):
+        trace = cnn_inference_trace(micro_graph, 1)
         rows = [
-            stats_row(simulate(cnn_inference_trace(micro_graph, 1), s), "x", i)
+            stats_row(run_experiment(ExperimentConfig(scheme=s), trace=trace), "x", i)
             for i, s in enumerate(("none", "mgx"))
         ]
         path = str(tmp_path / "stats.csv")
         write_stats_csv(rows, path)
         with open(path, newline="") as fh:
             got = list(csv.DictReader(fh))
-        assert [list(r) for r in got] == [STATS_HEADER] * 2
+        assert [list(r) for r in got] == [STATS_COLUMNS] * 2
         assert [r["scheme"] for r in got] == ["none", "mgx"]
         assert got[0]["value"] == "0" and got[1]["value"] == "1"
 

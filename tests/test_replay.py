@@ -482,7 +482,15 @@ class TestInputValidation:
             replay(b.trace, "mgx")
 
     @pytest.mark.parametrize(
-        "source", [VnSource("epoch"), VnSource("feature", 0), VnSource("frame", 256)]
+        "source",
+        [
+            VnSource("epoch"),
+            VnSource("feature", 0),
+            VnSource("frame", 256),
+            VnSource("weights", 3),
+            VnSource("genome", 1),
+            VnSource("query", 2),
+        ],
     )
     def test_vn_source_must_exist_and_fit(self, source):
         b = TraceBuilder("src", mac_granularity=64)

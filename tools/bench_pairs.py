@@ -10,7 +10,8 @@ both, the parent first on the 1st, 3rd, ... seed and the change first on the
 others. The file it writes holds, per end-to-end metric and side, the median,
 the inclusive quartiles and every run; how many pairs the change won (ties
 count for neither side); each metric's change against its bound; the claim
-rule's result; machine facts; and the `src/` tree hashes of both sides.
+rule's result; machine facts; and, for both sides, the `src/` tree hash and
+the line count of `src/**/*.py`.
 
 Its "same streams" section comes from one more run per workload and side,
 `python3 bench/run.py --workload W --seed 7 --seconds S --trace 1`. Over the
@@ -150,6 +151,11 @@ def export(repo: Path, treeish: str, dest: Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's `src/**/*.py` files, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = COMMAND.format(workload=workload, seed=seed, seconds=f"{seconds:g}", trace=trace).split()
     cmd[0] = sys.executable
@@ -225,6 +231,7 @@ def main(argv=None) -> int:
         sides = {"parent": scratch / "parent", "change": scratch / "change"}
         export(repo, parent, sides["parent"])
         export(repo, change, sides["change"])
+        lines = {side: src_lines(checkout) for side, checkout in sides.items()}
         results = {}
         for workload in workloads:
             runs = {"parent": [], "change": []}
@@ -272,8 +279,10 @@ def main(argv=None) -> int:
                     "pairs ran back to back (tools/bench_pairs.py)"),
         "seeds": args.seeds,
         "claimed": None,
-        "parent": {"commit": parent, "src_tree": _git(repo, "rev-parse", f"{parent}:src")},
-        "change": {"src_tree": _git(repo, "rev-parse", f"{change}:src")},
+        "parent": {"commit": parent, "src_tree": _git(repo, "rev-parse", f"{parent}:src"),
+                   "src_lines": lines["parent"]},
+        "change": {"src_tree": _git(repo, "rev-parse", f"{change}:src"),
+                   "src_lines": lines["change"]},
         "bench_tree": _git(repo, "rev-parse", f"{change}:bench"),
         "machine": machine(),
         "workloads": results,
